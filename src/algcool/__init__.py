@@ -9,7 +9,6 @@ cooling scheduler (:mod:`algcool.cooling`), a seeded ensemble harness
 
 from .analytic import (
     Bias,
-    ChernoffBound,
     CoolingPlan,
     FeasibilityRow,
     SuccessBound,
@@ -35,17 +34,18 @@ from .analytic import (
     truncation_count,
 )
 from .circuit import (
+    Bcs,
     Cnot,
+    Count,
+    Cut,
     GateError,
     Marker,
     Register,
     Reset,
     Schedule,
-    StepCounter,
     Swap,
     ZcSwap,
     apply_gate,
-    new_register,
     run_schedule,
     schedule_from_text,
     schedule_to_text,

@@ -13,7 +13,7 @@ probability is ``delta = (1 - epsilon) / 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "TimingModel",
     "FeasibilityRow",
     "TimingReport",
-    "ChernoffBound",
     "SuccessBound",
     "UnreachableTargetError",
     "UNFEASIBLE_THRESHOLD",
@@ -188,12 +187,9 @@ def pps_decompose(e, n: int) -> tuple[float, float]:
     return p, 1.0 - p
 
 
-class ChernoffBound(NamedTuple):
-    probability: float
-    vacuous: bool
-
-
 class SuccessBound(NamedTuple):
+    """A probability bound; a vacuous one carries no information."""
+
     probability: float
     vacuous: bool
 
@@ -207,7 +203,7 @@ def truncation_count(ell: int, j_final: int) -> int:
     return (ell ** j_final - 1) // (ell - 1)
 
 
-def chernoff_failure(ell: int, m: int) -> ChernoffBound:
+def chernoff_failure(ell: int, m: int) -> SuccessBound:
     """Chernoff bound on one truncation failing: exp(-(ell-4)^2 m / (8 ell)).
 
     For ell <= 4 the exponent is zero (or the derivation invalid) and the
@@ -218,8 +214,8 @@ def chernoff_failure(ell: int, m: int) -> ChernoffBound:
     if m < 1:
         raise ValueError("m must be >= 1")
     if ell <= 4:
-        return ChernoffBound(1.0, True)
-    return ChernoffBound(math.exp(-((ell - 4) ** 2) * m / (8.0 * ell)), False)
+        return SuccessBound(1.0, True)
+    return SuccessBound(math.exp(-((ell - 4) ** 2) * m / (8.0 * ell)), False)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ never influence bit values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,12 +32,14 @@ __all__ = [
     "ZcSwap",
     "Reset",
     "Gate",
+    "Annotation",
     "Marker",
+    "Bcs",
+    "Count",
+    "Cut",
     "Schedule",
-    "StepCounter",
     "GateError",
     "Register",
-    "new_register",
     "apply_gate",
     "run_schedule",
     "validate_schedule",
@@ -114,48 +116,78 @@ Gate = Union[Cnot, Swap, ZcSwap, Reset]
 
 
 @dataclass(frozen=True)
-class Marker:
-    """A non-gate annotation line; serialized as a '# ...' comment."""
+class Annotation:
+    """A non-gate schedule item, written as ``# TAG: field=value ...``."""
+
+    TAG = ""
+
+    def line(self) -> str:
+        pairs = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"# {self.TAG}: {pairs}"
+
+
+@dataclass(frozen=True)
+class Marker(Annotation):
+    """Free-text annotation, such as a ``phase:`` line."""
 
     text: str
+
+    def line(self) -> str:
+        return f"# {self.text}"
+
+
+@dataclass(frozen=True)
+class Bcs(Annotation):
+    """Geometry of one compression round: m bits at nu, kept bits pushed to nu0."""
+
+    m: int
+    nu: int
+    nu0: int
+    TAG = "bcs"
+
+
+@dataclass(frozen=True)
+class Count(Annotation):
+    """Record the level-tagged run at ``at`` after round ``round`` of a level."""
+
+    level: int
+    at: int
+    round: int
+    TAG = "count"
+
+
+@dataclass(frozen=True)
+class Cut(Annotation):
+    """Truncate a level's output at ``at`` to its first m bits."""
+
+    level: int
+    at: int
+    m: int
+    TAG = "cut"
 
 
 @dataclass
 class Schedule:
-    """An ordered, data-independent list of gates plus marker lines."""
+    """An ordered, data-independent list of gates plus annotations."""
 
-    items: list[Union[Gate, Marker]] = field(default_factory=list)
+    items: list[Union[Gate, Annotation]] = field(default_factory=list)
 
     def gates(self) -> list[Gate]:
-        return [g for g in self.items if not isinstance(g, Marker)]
+        return [g for g in self.items if not isinstance(g, Annotation)]
 
     def step_total(self, costs: Optional[dict[str, int]] = None) -> int:
+        """Time steps of a run; the schedule is data-independent, so every
+        run takes exactly this many."""
         costs = costs if costs is not None else DEFAULT_GATE_COSTS
-        return sum(costs[g.KIND] for g in self.gates())
+        return sum(costs[g.KIND] for g in self.items if not isinstance(g, Annotation))
 
     def reset_rows(self) -> int:
         """Total fresh rows a run will draw from the reset pool."""
-        return sum(g.length for g in self.gates() if isinstance(g, Reset))
-
-    def __len__(self) -> int:
-        return len(self.items)
+        return sum(g.length for g in self.items if isinstance(g, Reset))
 
 
 #: One time step per gate; a RESET of any width is one parallel step.
 DEFAULT_GATE_COSTS = {"CNOT": 1, "SWAP": 1, "ZCSWAP": 1, "RESET": 1}
-
-
-@dataclass
-class StepCounter:
-    """Accumulates time steps with configurable per-gate-kind costs."""
-
-    steps: int = 0
-    gate_costs: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_GATE_COSTS)
-    )
-
-    def add(self, gate: Gate) -> None:
-        self.steps += self.gate_costs[gate.KIND]
 
 
 def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
@@ -186,23 +218,16 @@ class Register:
         num_molecules: int,
         *,
         reset_pool: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-        one_probability: float = 0.0,
         strict: bool = True,
-        neighbor_distance: int = 1,
     ):
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
-        self.words = comp.shape[1]
         self.comp = comp
         self.rrtr = rrtr
         self.prov = np.zeros((self.n, num_molecules), dtype=np.uint8)
         self.strict = strict
-        self.neighbor_distance = neighbor_distance
         self._reset_pool = reset_pool
         self._pool_cursor = 0
-        self._rng = rng
-        self._one_probability = one_probability
 
     # -- construction ---------------------------------------------------
 
@@ -220,17 +245,14 @@ class Register:
 
     def draw_reset_rows(self, length: int) -> np.ndarray:
         """Fresh thermal rows for a RESET, packed (length, words)."""
-        if self._reset_pool is not None:
-            end = self._pool_cursor + length
-            if end > self._reset_pool.shape[0]:
-                raise GateError("reset pool exhausted")
-            rows = self._reset_pool[self._pool_cursor:end]
-            self._pool_cursor = end
-            return rows
-        if self._rng is not None:
-            fresh = self._rng.random((length, self.num_molecules)) < self._one_probability
-            return _pack_rows(fresh, self.words)
-        raise GateError("register has no reset bit source")
+        if self._reset_pool is None:
+            raise GateError("register has no reset bit source")
+        end = self._pool_cursor + length
+        if end > self._reset_pool.shape[0]:
+            raise GateError("reset pool exhausted")
+        rows = self._reset_pool[self._pool_cursor:end]
+        self._pool_cursor = end
+        return rows
 
     # -- views ----------------------------------------------------------
 
@@ -251,49 +273,21 @@ class Register:
         positions beginning at ``start``."""
         stop = min(start + max_rows, self.n)
         block = self.prov[start:stop] == level
-        if block.shape[0] == 0:
-            return np.zeros(self.num_molecules, dtype=np.int64)
         return np.cumprod(block, axis=0, dtype=np.int64).sum(axis=0)
-
-
-def new_register(
-    n: int,
-    epsilon0: float,
-    bit_source: np.random.Generator,
-    *,
-    num_molecules: int = 1,
-    **kwargs,
-) -> Register:
-    """Thermal register: every comp and RRTR bit is 0 with prob (1+eps)/2.
-
-    All randomness, including later RESET redraws, comes from
-    ``bit_source``; identical streams give identical registers.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= epsilon0 <= 1.0:
-        raise ValueError("epsilon0 must be in [0, 1]")
-    p_one = (1.0 - epsilon0) / 2.0
-    words = (num_molecules + 63) // 64
-    comp = _pack_rows(bit_source.random((n, num_molecules)) < p_one, words)
-    rrtr = _pack_rows(bit_source.random((n, num_molecules)) < p_one, words)
-    return Register(
-        comp, rrtr, num_molecules, rng=bit_source, one_probability=p_one, **kwargs
-    )
 
 
 # -- gate application ---------------------------------------------------
 
 
-def _adjacency_violation(gate: Gate, distance: int) -> Optional[str]:
+def _adjacency_violation(gate: Gate) -> Optional[str]:
     if isinstance(gate, (Cnot, Swap)):
         i, j = gate.positions()
-        if abs(i - j) > distance:
-            return f"{gate.line()}: operands farther than {distance} apart"
+        if abs(i - j) > 1:
+            return f"{gate.line()}: operands farther than 1 apart"
     elif isinstance(gate, ZcSwap):
-        if abs(gate.a - gate.b) > distance:
-            return f"{gate.line()}: swap operands farther than {distance} apart"
-        if min(abs(gate.zero_control - gate.a), abs(gate.zero_control - gate.b)) > distance:
+        if abs(gate.a - gate.b) > 1:
+            return f"{gate.line()}: swap operands farther than 1 apart"
+        if min(abs(gate.zero_control - gate.a), abs(gate.zero_control - gate.b)) > 1:
             return f"{gate.line()}: control not adjacent to swap operands"
     return None  # RESET is column-wise, no row adjacency
 
@@ -306,16 +300,14 @@ def _range_violation(gate: Gate, n: int) -> Optional[str]:
         return f"{gate.line()}: position out of range for n={n}"
     if not isinstance(gate, Reset) and len(set(pos)) != len(pos):
         return f"{gate.line()}: operands must be pairwise distinct"
-    if isinstance(gate, Reset) and gate.length < 1:
-        return f"{gate.line()}: length must be >= 1"
     return None
 
 
-def apply_gate(reg: Register, gate: Gate, counter: Optional[StepCounter] = None) -> None:
-    """Apply one gate in place and advance the step counter."""
+def apply_gate(reg: Register, gate: Gate) -> None:
+    """Apply one gate in place."""
     err = _range_violation(gate, reg.n)
     if err is None and reg.strict:
-        err = _adjacency_violation(gate, reg.neighbor_distance)
+        err = _adjacency_violation(gate)
     if err is not None:
         raise GateError(err)
 
@@ -351,23 +343,16 @@ def apply_gate(reg: Register, gate: Gate, counter: Optional[StepCounter] = None)
     else:
         raise GateError(f"unknown gate {gate!r}")
 
-    if counter is not None:
-        counter.add(gate)
 
-
-def run_schedule(
-    reg: Register, schedule: Schedule, counter: Optional[StepCounter] = None
-) -> StepCounter:
-    """Apply every gate of a schedule in order; markers cost nothing."""
-    counter = counter if counter is not None else StepCounter()
+def run_schedule(reg: Register, schedule: Schedule) -> None:
+    """Apply every gate of a schedule in order, skipping annotations."""
     for item in schedule.items:
-        if not isinstance(item, Marker):
-            apply_gate(reg, item, counter)
-    return counter
+        if not isinstance(item, Annotation):
+            apply_gate(reg, item)
 
 
 def validate_schedule(
-    schedule: Schedule, n: int, *, neighbor_distance: int = 1, strict: bool = True
+    schedule: Schedule, n: int, *, strict: bool = True
 ) -> list[str]:
     """Pure static check of index ranges and adjacency; no execution.
 
@@ -377,7 +362,7 @@ def validate_schedule(
     for g in schedule.gates():
         err = _range_violation(g, n)
         if err is None and strict:
-            err = _adjacency_violation(g, neighbor_distance)
+            err = _adjacency_violation(g)
         if err is not None:
             violations.append(err)
     return violations
@@ -385,45 +370,51 @@ def validate_schedule(
 
 # -- serialization ------------------------------------------------------
 
-_GATE_PARSERS = {
-    "CNOT": (2, lambda a: Cnot(a[0], a[1])),
-    "SWAP": (2, lambda a: Swap(a[0], a[1])),
-    "ZCSWAP": (3, lambda a: ZcSwap(a[0], a[1], a[2])),
-    "RESET": (2, lambda a: Reset(a[0], a[1])),
-}
+_GATES = {cls.KIND: (cls, len(fields(cls))) for cls in (Cnot, Swap, ZcSwap, Reset)}
+
+_ANNOTATIONS = {cls.TAG: cls for cls in (Bcs, Count, Cut)}
+
+
+def _parse_annotation(body: str, lineno: int) -> Annotation:
+    tag, _, rest = body.partition(":")
+    cls = _ANNOTATIONS.get(tag)
+    if cls is None:
+        return Marker(body)
+    try:
+        pairs = [p.split("=") for p in rest.split()]
+        if [k for k, _ in pairs] != [f.name for f in fields(cls)]:
+            raise ValueError
+        return cls(*(int(v) for _, v in pairs))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: malformed {tag} annotation") from exc
 
 
 def schedule_to_text(schedule: Schedule) -> str:
-    """Line-oriented text form, one gate per line; markers as comments."""
-    lines = []
-    for item in schedule.items:
-        if isinstance(item, Marker):
-            lines.append(f"# {item.text}")
-        else:
-            lines.append(item.line())
+    """Line-oriented text form, one gate per line; annotations as comments."""
+    lines = [item.line() for item in schedule.items]
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def schedule_from_text(text: str) -> Schedule:
     """Parse the text format back; bit-exact round trip with to_text."""
-    items: list[Union[Gate, Marker]] = []
+    items: list[Union[Gate, Annotation]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            items.append(Marker(line[1:].strip()))
+            items.append(_parse_annotation(line[1:].strip(), lineno))
             continue
         parts = line.split()
         kind = parts[0].upper()
-        if kind not in _GATE_PARSERS:
+        if kind not in _GATES:
             raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
-        arity, build = _GATE_PARSERS[kind]
+        build, arity = _GATES[kind]
         if len(parts) - 1 != arity:
             raise ValueError(f"line {lineno}: {kind} expects {arity} operands")
         try:
             args = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer operand") from exc
-        items.append(build(args))
+        items.append(build(*args))
     return Schedule(items)

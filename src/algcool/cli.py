@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -29,7 +30,6 @@ from . import analytic
 from .analytic import (
     CoolingPlan,
     TimingModel,
-    UnreachableTargetError,
     feasibility_table,
     min_rounds,
     timing_feasibility,
@@ -66,20 +66,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(
+    args, record: dict, csv_header: list, csv_rows: list, text_lines: list
+) -> None:
+    """Write one command's output in the format ``args`` asks for."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(text_lines) + "\n"
+    _emit(args, text)
 
 
 def _plan_from_args(args) -> CoolingPlan:
-    if getattr(args, "epsilon_des", None) is not None:
+    if args.epsilon_des is not None:
         jf = min_rounds(args.epsilon0, args.epsilon_des)
     else:
         jf = args.jf
@@ -96,47 +101,42 @@ def cmd_table(args) -> int:
         p = row.p_for_m[m]
         return repr(p) if row.feasible(m) else "unfeasible"
 
-    if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "threshold": args.threshold,
-            "rows": [
-                {
-                    "epsilon0": r.epsilon0,
-                    "j_f": r.j_f,
-                    "epsilon_f": r.epsilon_f,
-                    "delta_f": r.delta_f,
-                    "p": {str(m): cell(r, m) for m in analytic.TABLE_M_VALUES},
-                }
-                for r in rows
-            ],
-        }
-        _emit(args, _json_dump(record))
-    elif args.format == "csv":
-        header = ["epsilon0", "j_f", "epsilon_f", "delta_f"] + [
-            f"p_m{m}" for m in analytic.TABLE_M_VALUES
-        ]
-        data = [
-            [repr(r.epsilon0), r.j_f, repr(r.epsilon_f), repr(r.delta_f)]
-            + [cell(r, m) for m in analytic.TABLE_M_VALUES]
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "threshold": args.threshold,
+        "rows": [
+            {
+                "epsilon0": r.epsilon0,
+                "j_f": r.j_f,
+                "epsilon_f": r.epsilon_f,
+                "delta_f": r.delta_f,
+                "p": {str(m): cell(r, m) for m in analytic.TABLE_M_VALUES},
+            }
             for r in rows
+        ],
+    }
+    header = ["epsilon0", "j_f", "epsilon_f", "delta_f"] + [
+        f"p_m{m}" for m in analytic.TABLE_M_VALUES
+    ]
+    data = [
+        [repr(r.epsilon0), r.j_f, repr(r.epsilon_f), repr(r.delta_f)]
+        + [cell(r, m) for m in analytic.TABLE_M_VALUES]
+        for r in rows
+    ]
+    lines = [
+        f"{'eps0':>6} {'j_f':>3} {'eps_f':>8} {'delta_f':>8} "
+        f"{'p(m=20)':>10} {'p(m=50)':>10} {'p(m=200)':>10}"
+    ]
+    for r in rows:
+        cells = [
+            f"{r.p_for_m[m]:.2g}" if r.feasible(m) else "unfeasible"
+            for m in analytic.TABLE_M_VALUES
         ]
-        _emit(args, _csv_text(header, data))
-    else:
-        lines = [
-            f"{'eps0':>6} {'j_f':>3} {'eps_f':>8} {'delta_f':>8} "
-            f"{'p(m=20)':>10} {'p(m=50)':>10} {'p(m=200)':>10}"
-        ]
-        for r in rows:
-            cells = [
-                f"{r.p_for_m[m]:.2g}" if r.feasible(m) else "unfeasible"
-                for m in analytic.TABLE_M_VALUES
-            ]
-            lines.append(
-                f"{r.epsilon0:>6g} {r.j_f:>3d} {r.epsilon_f:>8.3g} "
-                f"{r.delta_f:>8.3g} {cells[0]:>10} {cells[1]:>10} {cells[2]:>10}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        lines.append(
+            f"{r.epsilon0:>6g} {r.j_f:>3d} {r.epsilon_f:>8.3g} "
+            f"{r.delta_f:>8.3g} {cells[0]:>10} {cells[1]:>10} {cells[2]:>10}"
+        )
+    _render(args, record, header, data, lines)
     return 0
 
 
@@ -146,7 +146,6 @@ def cmd_table(args) -> int:
 def _plan_record(plan: CoolingPlan) -> dict:
     bound = plan.success_bound
     return {
-        "schema_version": SCHEMA_VERSION,
         "epsilon0": plan.epsilon0,
         "m": plan.m,
         "ell": plan.ell,
@@ -161,30 +160,22 @@ def _plan_record(plan: CoolingPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    record = _plan_record(plan)
-    if args.format == "json":
-        _emit(args, _json_dump(record))
-    elif args.format == "csv":
-        keys = [k for k in record if k not in ("schema_version", "bias_schedule")]
-        _emit(args, _csv_text(keys, [[repr(record[k]) if isinstance(record[k], float) else record[k] for k in keys]]))
-    else:
-        lines = [
-            f"epsilon0       {plan.epsilon0:g}",
-            f"m              {plan.m}",
-            f"ell            {plan.ell}",
-            f"j_final        {plan.j_final}",
-            "bias schedule  " + " ".join(f"{e:.6g}" for e in plan.bias_schedule),
-            f"n required     {plan.n_required}",
-            f"step bound     {plan.step_bound}",
-            f"success bound  {record['success_lower_bound']:.6g}"
-            + (" (vacuous)" if record["success_bound_vacuous"] else ""),
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    plan = _plan_from_args(args)
+    record = {"schema_version": SCHEMA_VERSION, **_plan_record(plan)}
+    keys = [k for k in record if k not in ("schema_version", "bias_schedule")]
+    row = [repr(record[k]) if isinstance(record[k], float) else record[k] for k in keys]
+    lines = [
+        f"epsilon0       {plan.epsilon0:g}",
+        f"m              {plan.m}",
+        f"ell            {plan.ell}",
+        f"j_final        {plan.j_final}",
+        "bias schedule  " + " ".join(f"{e:.6g}" for e in plan.bias_schedule),
+        f"n required     {plan.n_required}",
+        f"step bound     {plan.step_bound}",
+        f"success bound  {record['success_lower_bound']:.6g}"
+        + (" (vacuous)" if record["success_bound_vacuous"] else ""),
+    ]
+    _render(args, record, keys, [row], lines)
     return 0
 
 
@@ -192,11 +183,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    plan = _plan_from_args(args)
     schedule = compile_cooling(plan)
     violations = validate_schedule(schedule, plan.n_required)
     if violations:
@@ -206,15 +193,12 @@ def cmd_compile(args) -> int:
     text = schedule_to_text(schedule)
     gates = schedule.gates()
     resets = sum(1 for g in gates if isinstance(g, Reset))
+    _emit(args, text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(
             f"wrote {args.out}: {len(gates)} gates, {resets} reset phases, "
             f"{schedule.step_total()} steps (bound {plan.step_bound})"
         )
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -222,16 +206,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    plan = _plan_from_args(args)
     stats = run_ensemble(plan, args.molecules, args.seed, threads=args.threads)
     report = compare_to_analytic(stats, plan)
     record = {
         "schema_version": SCHEMA_VERSION,
-        "plan": {k: v for k, v in _plan_record(plan).items() if k != "schema_version"},
+        "plan": _plan_record(plan),
         "molecules": stats.num_molecules,
         "seed": stats.seed,
         "success_count": stats.success_count,
@@ -272,38 +252,33 @@ def cmd_simulate(args) -> int:
             ],
         },
     }
-    if args.format == "csv":
-        header = ["position", "zero_freq", "bias", "success_bias"]
-        rows = [
-            [
-                i,
-                repr(float(stats.per_position_zero_freq[i])),
-                repr(float(stats.empirical_bias[i])),
-                repr(float(stats.success_bias[i]))
-                if stats.success_bias is not None
-                else "",
-            ]
-            for i in range(plan.m)
+    header = ["position", "zero_freq", "bias", "success_bias"]
+    rows = [
+        [
+            i,
+            repr(float(stats.per_position_zero_freq[i])),
+            repr(float(stats.empirical_bias[i])),
+            repr(float(stats.success_bias[i]))
+            if stats.success_bias is not None
+            else "",
         ]
-        _emit(args, _csv_text(header, rows))
-    elif args.format == "text":
-        lines = [
-            f"molecules      {stats.num_molecules}",
-            f"seed           {stats.seed}",
-            f"success rate   {stats.success_rate:.6g} "
-            f"(bound {report.success_lower_bound:.6g}"
-            + (", vacuous)" if report.bound_vacuous else ")"),
-            f"mean |bias|    {float(np.mean(np.abs(stats.empirical_bias))):.6g}",
-            "success bias   "
-            + (
-                " ".join(f"{b:.4f}" for b in stats.success_bias)
-                if stats.success_bias is not None
-                else "n/a"
-            ),
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json_dump(record))
+        for i in range(plan.m)
+    ]
+    lines = [
+        f"molecules      {stats.num_molecules}",
+        f"seed           {stats.seed}",
+        f"success rate   {stats.success_rate:.6g} "
+        f"(bound {report.success_lower_bound:.6g}"
+        + (", vacuous)" if report.bound_vacuous else ")"),
+        f"mean |bias|    {float(np.mean(np.abs(stats.empirical_bias))):.6g}",
+        "success bias   "
+        + (
+            " ".join(f"{b:.4f}" for b in stats.success_bias)
+            if stats.success_bias is not None
+            else "n/a"
+        ),
+    ]
+    _render(args, record, header, rows, lines)
     if args.strict and not report.success_consistent:
         return 1
     return 0
@@ -313,50 +288,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    try:
-        plan = _plan_from_args(args)
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    plan = _plan_from_args(args)
     timing = TimingModel(args.t_switch, args.t_rrtr, args.t_comput, args.margin)
     report = timing_feasibility(timing, plan)
-    if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "plan": {k: v for k, v in _plan_record(plan).items() if k != "schema_version"},
-            "timing": {
-                "t_switch": timing.t_switch,
-                "t_rrtr": timing.t_rrtr,
-                "t_comput": timing.t_comput,
-                "margin": timing.margin,
-            },
-            "checks": [
-                {
-                    "name": c.name,
-                    "description": c.description,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
-            "feasible": report.feasible,
-        }
-        _emit(args, _json_dump(record))
-    elif args.format == "csv":
-        header = ["name", "description", "lhs", "rhs", "passed"]
-        rows = [
-            [c.name, c.description, repr(c.lhs), repr(c.rhs), c.passed]
-            for c in report.checks
-        ]
-        _emit(args, _csv_text(header, rows))
-    else:
-        lines = []
-        for c in report.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            lines.append(f"{verdict}  {c.name}: {c.description} ({c.lhs:g} vs {c.rhs:g})")
-        lines.append("feasible" if report.feasible else "infeasible")
-        _emit(args, "\n".join(lines) + "\n")
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "plan": _plan_record(plan),
+        "timing": dataclasses.asdict(timing),
+        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "feasible": report.feasible,
+    }
+    header = ["name", "description", "lhs", "rhs", "passed"]
+    rows = [
+        [c.name, c.description, repr(c.lhs), repr(c.rhs), c.passed]
+        for c in report.checks
+    ]
+    lines = []
+    for c in report.checks:
+        verdict = "PASS" if c.passed else "FAIL"
+        lines.append(f"{verdict}  {c.name}: {c.description} ({c.lhs:g} vs {c.rhs:g})")
+    lines.append("feasible" if report.feasible else "infeasible")
+    _render(args, record, header, rows, lines)
     if args.strict and not report.feasible:
         return 1
     return 0
@@ -372,17 +324,42 @@ def _add_common(parser) -> None:
                         help="treat failed verdicts as a nonzero exit")
 
 
+class _RoundsAction(argparse.Action):
+    """Store ``--jf`` and drop an ``epsilon_des`` the config file set."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.epsilon_des = None
+
+
 def _add_plan_opts(parser) -> None:
     parser.add_argument("--epsilon0", type=float, default=0.1)
     parser.add_argument("--m", type=int, default=50)
     parser.add_argument("--ell", type=int, default=5)
     target = parser.add_mutually_exclusive_group()
-    target.add_argument("--jf", type=int, default=3, help="purification rounds")
+    target.add_argument("--jf", type=int, default=3, action=_RoundsAction,
+                        help="purification rounds")
     target.add_argument("--epsilon-des", type=float, default=None,
                         help="desired final bias; picks the minimal jf")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _set_config_defaults(parser, config: dict[str, str]) -> None:
+    """Make config values the parser's defaults, so explicit flags win.
+
+    argparse converts a string default with the option's type; a
+    store_true flag has no type, so its value is converted here.
+    """
+    for action in parser._actions:
+        raw = config.get(action.dest)
+        if raw is None:
+            continue
+        if isinstance(action.default, bool):
+            action.default = raw.lower() in ("1", "true", "yes")
+        else:
+            action.default = raw
+
+
+def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algcool",
         description="Analytics and Monte Carlo simulation of heat-bath algorithmic cooling.",
@@ -426,28 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_feasibility)
 
+    for p in sub.choices.values():
+        _set_config_defaults(p, config or {})
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
         config = _load_config(os.environ.get(CONFIG_ENV_VAR))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = parser.parse_args(argv)
-    # config fills in values the command line left at its default
-    if config:
-        defaults = parser.parse_args([args.command])
-        for key, raw in config.items():
-            if not hasattr(args, key):
-                continue
-            current = getattr(args, key)
-            default = getattr(defaults, key, None)
-            if current == default:
-                cast = type(default) if default is not None else str
-                setattr(args, key, cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes"))
+    args = build_parser(config).parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:

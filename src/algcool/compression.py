@@ -20,11 +20,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .circuit import (
+    PROV_DIRTY,
+    Bcs,
     Cnot,
-    Marker,
     Register,
     Schedule,
-    StepCounter,
     Swap,
     ZcSwap,
     run_schedule,
@@ -66,7 +66,7 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     if nu0 > nu or nu0 < 0:
         raise ValueError(f"need 0 <= nu0 <= nu, got nu0={nu0}, nu={nu}")
 
-    items: list = [Marker(f"bcs: m={m} nu={nu} nu0={nu0}")]
+    items: list = [Bcs(m, nu, nu0)]
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
         items.append(Cnot(q, q + 1))
@@ -79,18 +79,9 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     return Schedule(items)
 
 
-def _bcs_geometry(schedule: Schedule) -> tuple[int, int, int]:
-    for item in schedule.items:
-        if isinstance(item, Marker) and item.text.startswith("bcs:"):
-            fields = dict(p.split("=") for p in item.text[4:].split())
-            return int(fields["m"]), int(fields["nu"]), int(fields["nu0"])
-    raise ValueError("schedule carries no bcs geometry marker")
-
-
 def run_bcs(
     reg: Register,
     schedule: Schedule,
-    counter: Optional[StepCounter] = None,
     *,
     level: Optional[int] = None,
 ) -> BcsOutcome:
@@ -101,17 +92,20 @@ def run_bcs(
     purified count is the per-molecule contiguous run of level+1 tags at
     the push target (an int for a single-molecule register).
     """
-    m, nu, nu0 = _bcs_geometry(schedule)
+    geometry = next((it for it in schedule.items if isinstance(it, Bcs)), None)
+    if geometry is None:
+        raise ValueError("schedule carries no bcs geometry annotation")
+    m, nu, nu0 = geometry.m, geometry.nu, geometry.nu0
     if nu + m > reg.n:
         raise ValueError(
             f"schedule compiled for region [{nu}, {nu + m}) but register has n={reg.n}"
         )
     if level is None:
         region = reg.prov[nu]
-        clean = region[region < 254]
+        clean = region[region < PROV_DIRTY]
         level = int(clean[0]) if clean.size else 0
 
-    counter = run_schedule(reg, schedule, counter)
+    run_schedule(reg, schedule)
     counts = reg.purified_run_length(nu0, level + 1, reg.n - nu0)
     if reg.num_molecules == 1:
         counts = int(counts[0])
@@ -119,7 +113,7 @@ def run_bcs(
         purified_count=counts,
         purified_start=nu0,
         supervisor_region=(nu + m // 2, nu + m),
-        steps_used=counter.steps,
+        steps_used=schedule.step_total(),
     )
 
 

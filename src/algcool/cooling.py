@@ -12,18 +12,20 @@ sequence cannot branch per molecule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 import warnings
 
 import numpy as np
 
 from .analytic import CoolingPlan
 from .circuit import (
+    Annotation,
+    Count,
+    Cut,
     Marker,
     Register,
     Reset,
     Schedule,
-    StepCounter,
     apply_gate,
 )
 from .compression import compile_bcs
@@ -110,20 +112,14 @@ def _emit(items: list, j: int, mu: int, plan: CoolingPlan) -> None:
         _emit(items, j - 1, mu + depth * m // 2, plan)
         items.append(Marker(f"phase: BCS {j - 1}->{j}"))
         items.extend(compile_bcs(m, nu=mu + depth * m // 2, nu0=mu).items)
-        items.append(Marker(f"count: level={j} at={mu} round={depth + 1}"))
-    items.append(Marker(f"cut: level={j} at={mu} m={m}"))
-
-
-def _marker_fields(text: str) -> dict[str, int]:
-    _, _, rest = text.partition(":")
-    return {k: int(v) for k, v in (p.split("=") for p in rest.split())}
+        items.append(Count(j, mu, depth + 1))
+    items.append(Cut(j, mu, m))
 
 
 def run_cooling(
     reg: Register,
     plan: CoolingPlan,
     schedule: Optional[Schedule] = None,
-    counter: Optional[StepCounter] = None,
 ) -> CoolingRun:
     """Execute a compiled cooling schedule with per-molecule bookkeeping.
 
@@ -138,32 +134,23 @@ def run_cooling(
         )
     if schedule is None:
         schedule = compile_cooling(plan, reg.n)
-    counter = counter if counter is not None else StepCounter()
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     round_log: list[RoundRecord] = []
     trunc_log: list[TruncationRecord] = []
     for item in schedule.items:
-        if isinstance(item, Marker):
-            if item.text.startswith("count:"):
-                f = _marker_fields(item.text)
-                lengths = reg.purified_run_length(f["at"], f["level"], window)
-                round_log.append(RoundRecord(f["level"], f["at"], f["round"], lengths))
-            elif item.text.startswith("cut:"):
-                f = _marker_fields(item.text)
-                lengths = reg.purified_run_length(f["at"], f["level"], window)
-                trunc_log.append(
-                    TruncationRecord(f["level"], f["at"], f["m"], lengths)
-                )
-            continue
-        apply_gate(reg, item, counter)
+        if not isinstance(item, Annotation):
+            apply_gate(reg, item)
+        elif isinstance(item, Count):
+            lengths = reg.purified_run_length(item.at, item.level, window)
+            round_log.append(RoundRecord(item.level, item.at, item.round, lengths))
+        elif isinstance(item, Cut):
+            lengths = reg.purified_run_length(item.at, item.level, window)
+            trunc_log.append(TruncationRecord(item.level, item.at, item.m, lengths))
 
     success = np.ones(reg.num_molecules, dtype=bool)
     for rec in trunc_log:
         success &= rec.lengths >= rec.required
-    if plan.j_final == 0:
-        # a bare reset always succeeds; output is the fresh block itself
-        pass
     output_bits = reg.comp_bit_rows(0, plan.m)
     return CoolingRun(
         plan=plan,
@@ -172,5 +159,5 @@ def run_cooling(
         truncation_log=trunc_log,
         success=success,
         output_bits=output_bits,
-        steps_used=counter.steps,
+        steps_used=schedule.step_total(),
     )

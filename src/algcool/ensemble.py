@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import CoolingPlan, expected_keep_fraction
-from .circuit import Register, _pack_rows
+from .analytic import CoolingPlan
+from .circuit import Count, Cut, Register, _pack_rows
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -62,6 +62,10 @@ def sample_molecule(
     n: int, epsilon0: float, seed: int, index: int, reset_rows: int = 0
 ) -> Register:
     """One molecule's register, drawn from its (seed, index) substream."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= epsilon0 <= 1.0:
+        raise ValueError("epsilon0 must be in [0, 1]")
     return _build_registers(n, epsilon0, seed, index, index + 1, reset_rows)
 
 
@@ -90,12 +94,10 @@ class EnsembleStats:
 class _Accumulator:
     zero_counts: np.ndarray
     success_zero_counts: np.ndarray
+    trunc_length_sums: np.ndarray  # per truncation, schedule order
+    round_length_sums: np.ndarray  # per compression round, schedule order
     success_count: int = 0
     shortfalls: Counter = field(default_factory=Counter)
-    trunc_length_sums: Optional[np.ndarray] = None
-    round_length_sums: Optional[np.ndarray] = None
-    round_keys: Optional[list[tuple[int, int]]] = None
-    steps_used: int = 0
 
     def fold(self, run: CoolingRun) -> None:
         out = run.output_bits
@@ -103,24 +105,13 @@ class _Accumulator:
         succ = run.success
         self.success_zero_counts += (out[:, succ] == 0).sum(axis=1)
         self.success_count += int(succ.sum())
-        t_sums = np.array(
-            [int(rec.lengths.sum()) for rec in run.truncation_log], dtype=np.int64
-        )
-        r_sums = np.array(
-            [int(rec.lengths.sum()) for rec in run.round_log], dtype=np.int64
-        )
-        if self.trunc_length_sums is None:
-            self.trunc_length_sums = t_sums
-            self.round_length_sums = r_sums
-            self.round_keys = [(rec.level, rec.round_index) for rec in run.round_log]
-        else:
-            self.trunc_length_sums += t_sums
-            self.round_length_sums += r_sums
-        for rec in run.truncation_log:
+        for i, rec in enumerate(run.truncation_log):
+            self.trunc_length_sums[i] += rec.lengths.sum()
             short = rec.required - rec.lengths
             for s in short[short > 0]:
                 self.shortfalls[int(s)] += 1
-        self.steps_used = run.steps_used
+        for i, rec in enumerate(run.round_log):
+            self.round_length_sums[i] += rec.lengths.sum()
 
 
 def run_ensemble(
@@ -148,9 +139,14 @@ def run_ensemble(
         reg = _build_registers(n, plan.epsilon0, seed, start, stop, reset_rows)
         return run_cooling(reg, plan, schedule)
 
+    # the schedule, not the run, fixes where rounds end and truncations fall
+    rounds = [(it.level, it.round) for it in schedule.items if isinstance(it, Count)]
+    cuts = sum(isinstance(it, Cut) for it in schedule.items)
     acc = _Accumulator(
         zero_counts=np.zeros(plan.m, dtype=np.int64),
         success_zero_counts=np.zeros(plan.m, dtype=np.int64),
+        trunc_length_sums=np.zeros(cuts, dtype=np.int64),
+        round_length_sums=np.zeros(len(rounds), dtype=np.int64),
     )
     if threads <= 1 or len(starts) == 1:
         for s in starts:
@@ -167,19 +163,11 @@ def run_ensemble(
     else:
         s_freq = None
         s_bias = None
-    trunc_means = (
-        [s / num_molecules for s in acc.trunc_length_sums.tolist()]
-        if acc.trunc_length_sums is not None
-        else []
-    )
-    round_means = (
-        [
-            (lvl, rnd, s / num_molecules)
-            for (lvl, rnd), s in zip(acc.round_keys, acc.round_length_sums.tolist())
-        ]
-        if acc.round_keys is not None
-        else []
-    )
+    trunc_means = [s / num_molecules for s in acc.trunc_length_sums.tolist()]
+    round_means = [
+        (lvl, rnd, s / num_molecules)
+        for (lvl, rnd), s in zip(rounds, acc.round_length_sums.tolist())
+    ]
     return EnsembleStats(
         num_molecules=num_molecules,
         seed=seed,
@@ -191,7 +179,7 @@ def run_ensemble(
         truncation_shortfall_histogram=dict(sorted(acc.shortfalls.items())),
         mean_purified_lengths=trunc_means,
         round_mean_lengths=round_means,
-        steps_used=acc.steps_used,
+        steps_used=schedule.step_total(),
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algcool.analytic import CoolingPlan
 from algcool.circuit import (
     PROV_DIRTY,
     PROV_SUPERVISOR,
@@ -13,45 +14,21 @@ from algcool.circuit import (
     Register,
     Reset,
     Schedule,
-    StepCounter,
     Swap,
     ZcSwap,
     apply_gate,
-    new_register,
     run_schedule,
     schedule_from_text,
     schedule_to_text,
     validate_schedule,
 )
+from algcool.cooling import compile_cooling
 
 
 def single(bits, **kwargs):
     """One-molecule register from a plain bit list."""
     arr = np.array(bits, dtype=bool).reshape(-1, 1)
     return Register.from_comp_bits(arr, **kwargs)
-
-
-class TestNewRegister:
-    def test_pure_input_all_zero(self):
-        reg = new_register(8, 1.0, np.random.default_rng(0))
-        assert reg.molecule_bits() == [0] * 8
-
-    def test_fair_coin_and_thermal_frequencies(self):
-        # 10^6 single-bit molecules: empirical P(0) within 3 binomial sigma
-        for eps, p_zero in [(0.0, 0.5), (0.1, 0.55)]:
-            reg = new_register(
-                1, eps, np.random.default_rng(42), num_molecules=10**6
-            )
-            freq = 1.0 - reg.comp_bit_rows(0, 1).mean()
-            sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
-            assert abs(freq - p_zero) < 3 * sigma
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            new_register(0, 0.1, rng)
-        with pytest.raises(ValueError):
-            new_register(4, 1.2, rng)
 
 
 class TestGateSemantics:
@@ -82,8 +59,8 @@ class TestGateSemantics:
         assert reg.molecule_bits() == [1, 1, 0]
 
     def test_reset_swaps_in_rrtr_row(self):
-        reg = single([1, 1, 1])
-        reg._reset_pool = reg.comp.copy()  # anything; only drawn, not read back
+        # any pool will do: it is drawn into the RRTR row, not read back
+        reg = single([1, 1, 1], reset_pool=np.zeros((3, 1), dtype=np.uint64))
         reg.prov[:] = 7
         apply_gate(reg, Reset(0, 3))
         assert reg.molecule_bits() == [0, 0, 0]  # rrtr row starts all zero
@@ -165,18 +142,14 @@ class TestAlgebraicProperties:
 
 class TestStepAccounting:
     def test_unit_costs_and_wide_reset(self):
-        reg = single([1, 0, 1, 0])
-        reg._reset_pool = np.zeros((4, 1), dtype=np.uint64)
-        counter = StepCounter()
-        for g in [Cnot(0, 1), Swap(1, 2), ZcSwap(0, 1, 2), Reset(0, 4)]:
-            apply_gate(reg, g, counter)
-        assert counter.steps == 4  # RESET of width 4 is one parallel step
+        sched = Schedule([Cnot(0, 1), Swap(1, 2), ZcSwap(0, 1, 2), Reset(0, 4)])
+        assert sched.step_total() == 4  # RESET of width 4 is one parallel step
 
     def test_configurable_costs(self):
-        counter = StepCounter(gate_costs={"CNOT": 1, "SWAP": 1, "ZCSWAP": 2, "RESET": 1})
-        reg = single([0, 1, 0], strict=False)
-        apply_gate(reg, ZcSwap(0, 1, 2), counter)
-        assert counter.steps == 2
+        costs = {"CNOT": 1, "SWAP": 1, "ZCSWAP": 2, "RESET": 1}
+        assert Schedule([ZcSwap(0, 1, 2)]).step_total(costs) == 2
+        sched = Schedule([Marker("x"), ZcSwap(0, 1, 2), Cnot(1, 2)])
+        assert sched.step_total(costs) == 3
 
     def test_schedule_step_total(self):
         sched = Schedule([Marker("x"), Swap(0, 1), Reset(0, 3), Cnot(1, 2)])
@@ -224,6 +197,13 @@ class TestSerialization:
         assert schedule_from_text(text) == sched
         assert "# phase: BCS 0->1" in text
         assert "RESET 0 4" in text
+        # typed annotations come back as equal typed objects
+        compiled = compile_cooling(CoolingPlan(0.1, 8, 5, 2))
+        text = schedule_to_text(compiled)
+        assert schedule_from_text(text) == compiled
+        assert "# bcs: m=8 nu=4 nu0=0\n" in text
+        assert "# count: level=2 at=0 round=5\n" in text
+        assert "# cut: level=1 at=16 m=8\n" in text
 
     def test_empty(self):
         assert schedule_to_text(Schedule([])) == ""
@@ -236,6 +216,11 @@ class TestSerialization:
             schedule_from_text("SWAP 0")
         with pytest.raises(ValueError):
             schedule_from_text("SWAP 0 x")
+        for typed in (
+            "# count: level=x", "# cut: level=1 at=0", "# bcs: nu=0 m=2 nu0=0"
+        ):
+            with pytest.raises(ValueError, match="line 2"):
+                schedule_from_text("SWAP 0 1\n" + typed + "\n")
 
 
 class TestBatchedExecution:

@@ -1,6 +1,7 @@
 """CLI tests: subcommand behavior, output formats, config precedence."""
 
 import csv
+import hashlib
 import json
 import io
 
@@ -181,6 +182,37 @@ class TestConfigFile:
         assert record["plan"]["j_final"] == 1  # from config
         assert record["seed"] == 3  # flag beats config
 
+    def test_explicit_flag_equal_to_default_beats_config(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("m=4\njf=1\nseed=42\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        _, out = run_cli(
+            capsys, "simulate", "--molecules", "50", "--seed", "0",
+            "--format", "json",
+        )
+        assert json.loads(out)["seed"] == 0
+
+    def test_explicit_jf_beats_config_epsilon_des(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epsilon_des=0.6\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        _, out = run_cli(capsys, "plan", "--format", "json")
+        assert json.loads(out)["j_final"] == 3  # from config
+        _, out = run_cli(capsys, "plan", "--jf", "5", "--format", "json")
+        assert json.loads(out)["j_final"] == 5
+
+    def test_config_booleans(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        for value, code in (("false", 0), ("true", 1)):
+            cfg.write_text(f"strict={value}\n")
+            got, _ = run_cli(capsys, "feasibility", "--m", "20", "--t-comput", "0.001")
+            assert got == code
+
     def test_bad_config_line_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n")
@@ -188,3 +220,25 @@ class TestConfigFile:
         code = main(["table"])
         capsys.readouterr()
         assert code == 1
+
+
+class TestGoldenOutputs:
+    """Output pins: any change to these bytes is a behaviour change."""
+
+    @pytest.mark.parametrize(
+        "args,prefix",
+        [
+            (["simulate", "--m", "20", "--jf", "2", "--molecules", "20000",
+              "--seed", "1", "--format", "json"], "2d748401615c37b3"),
+            (["simulate", "--m", "10", "--jf", "1", "--ell", "4",
+              "--molecules", "5000", "--seed", "2", "--format", "json"],
+             "aed527eb528059b1"),
+            (["compile", "--m", "8", "--jf", "2"], "27da5372bba63b72"),
+        ],
+    )
+    def test_sha256_prefix(self, tmp_path, capsys, args, prefix):
+        out_file = tmp_path / "out"
+        code = main([*args, "--epsilon0", "0.1", "--out", str(out_file)])
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest()[:16] == prefix

@@ -12,7 +12,6 @@ from algcool.circuit import (
     PROV_SUPERVISOR,
     Cnot,
     Register,
-    StepCounter,
     validate_schedule,
 )
 from algcool.compression import compile_bcs, reference_bcs, run_bcs
@@ -160,9 +159,9 @@ class TestSteps:
     def test_steps_used_matches_schedule(self):
         reg = register_for([[0] * 12])
         sched = compile_bcs(12)
-        counter = StepCounter()
-        out = run_bcs(reg, sched, counter)
-        assert out.steps_used == sched.step_total()
+        out = run_bcs(reg, sched)
+        # 6 CNOTs, 30 escort gates and 45 parking swaps
+        assert out.steps_used == sched.step_total() == 81
 
     def test_double_cost_controlled_swap_still_within_bound(self):
         # the bound survives even if a conditional swap costs two steps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algcool.analytic import CoolingPlan, truncation_count
-from algcool.circuit import Marker, Register, Reset, validate_schedule
+from algcool.circuit import Bcs, Register, Reset, _pack_rows, validate_schedule
 from algcool.cooling import (
     compile_cooling,
     expected_length_after_round,
@@ -31,14 +31,7 @@ class TestCompileStructure:
             sched = compile_cooling(CoolingPlan(0.1, 4, 4, 1))
         resets = reset_phases(sched)
         assert resets == [Reset(0, 4), Reset(2, 4), Reset(4, 4), Reset(6, 4)]
-        bcs_markers = [
-            it for it in sched.items
-            if isinstance(it, Marker) and it.text.startswith("bcs:")
-        ]
-        offsets = [
-            int(dict(p.split("=") for p in m.text[4:].split())["nu"])
-            for m in bcs_markers
-        ]
+        offsets = [it.nu for it in sched.items if isinstance(it, Bcs)]
         assert offsets == [0, 2, 4, 6]
 
     def test_reset_phase_count(self):
@@ -100,7 +93,8 @@ class TestRunCooling:
         sched = compile_cooling(plan)
         rng = np.random.default_rng(3)
         bits = rng.random((plan.n_required, 64)) < 0.45
-        reg = Register.from_comp_bits(bits, rng=rng, one_probability=0.45)
+        pool = rng.random((sched.reset_rows(), 64)) < 0.45
+        reg = Register.from_comp_bits(bits, reset_pool=_pack_rows(pool, 1))
         run = run_cooling(reg, plan, sched)
         assert len(run.truncation_log) == truncation_count(5, 2)
         recomputed = np.ones(64, dtype=bool)

@@ -54,6 +54,26 @@ class TestDeterminism:
         assert a.molecule_bits() != other.molecule_bits()
 
 
+class TestSampleMolecule:
+    def test_pure_input_all_zero(self):
+        assert sample_molecule(8, 1.0, seed=0, index=0).molecule_bits() == [0] * 8
+
+    def test_fair_coin_and_thermal_frequencies(self):
+        # 10^6 pooled reset bits of one molecule: P(0) within 3 binomial sigma
+        for eps, p_zero in [(0.0, 0.5), (0.1, 0.55)]:
+            reg = sample_molecule(1, eps, seed=42, index=0, reset_rows=10**6)
+            ones = reg.draw_reset_rows(10**6) & np.uint64(1)
+            freq = 1.0 - ones.mean()
+            sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
+            assert abs(freq - p_zero) < 3 * sigma
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sample_molecule(0, 0.1, seed=0, index=0)
+        with pytest.raises(ValueError):
+            sample_molecule(4, 1.2, seed=0, index=0)
+
+
 class TestPureInput:
     def test_all_succeed_with_unit_bias(self):
         plan = CoolingPlan(1.0, 4, 5, 1)
