@@ -5,16 +5,16 @@ rapidly-relaxing reset (RRTR) bits. Gates are CNOT, SWAP, a
 zero-controlled SWAP, and a column-wise RESET that swaps computation
 bits with their thermal neighbours.
 
-For throughput the register is batched: position i is stored as a packed
-machine-word bitset across all molecules in the batch, so one gate is a
-handful of word-wide boolean operations regardless of batch size. A
-single-molecule register is simply a batch of one.
+Each position also carries a provenance tag: a purification level
+0..253, ``PROV_DIRTY`` or ``PROV_SUPERVISOR``. Tags travel with bits
+through SWAP/ZCSWAP; CNOT is the compression comparator and rewrites the
+tags of its operands; RESET restores tags to level 0. Tags never
+influence bit values.
 
-Each position additionally carries a provenance tag (purification level,
-dirty, or supervisor). Tags travel with bits through SWAP/ZCSWAP; CNOT
-is the compression comparator and rewrites the tags of its operands;
-RESET restores tags to level 0. Tags are simulation metadata only - they
-never influence bit values.
+For throughput the register is batched and packed: position i holds its
+bit and the ``TAG_BITS`` bits of its tag as planes, each a machine-word
+bitset across all molecules, so one gate is a handful of word-wide
+boolean operations on bits and tags together, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "TAG_BITS",
     "PROV_DIRTY",
     "PROV_SUPERVISOR",
     "Cnot",
@@ -47,8 +48,13 @@ __all__ = [
     "schedule_from_text",
 ]
 
+TAG_BITS = 8
 PROV_DIRTY = 254
 PROV_SUPERVISOR = 255
+
+#: _TAG_PLANES[tag] is a (TAG_BITS, 1) column of all-zero/all-one words.
+_TAG_BITS_OF = (np.arange(1 << TAG_BITS)[:, None] >> np.arange(TAG_BITS)) & 1
+_TAG_PLANES = (-_TAG_BITS_OF).astype(np.uint64)[..., None]
 
 
 class GateError(ValueError):
@@ -190,25 +196,27 @@ class Schedule:
 DEFAULT_GATE_COSTS = {"CNOT": 1, "SWAP": 1, "ZCSWAP": 1, "RESET": 1}
 
 
-def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a bool array (rows, molecules) into uint64 words (rows, words)."""
-    rows, n_mol = bits.shape
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :n_mol] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = (bits.shape[1] + 63) // 64
+    out = np.zeros((bits.shape[0], words * 8), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
 
 
-def _unpack_row(row: np.ndarray, n_mol: int) -> np.ndarray:
-    """Unpack one uint64 word row back to a bool vector over molecules."""
-    return np.unpackbits(row.view(np.uint8), bitorder="little")[:n_mol].astype(bool)
+def _unpack_rows(words: np.ndarray, n_mol: int) -> np.ndarray:
+    """Unpack uint64 word rows (..., words) to uint8 bits (..., molecules)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :n_mol]
 
 
 class Register:
-    """Batched ladder register: comp/RRTR bit rows plus provenance tags.
+    """Batched ladder register: packed bits and tags, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``comp`` and ``rrtr`` have shape (n, words) in packed
-    uint64; ``prov`` has shape (n, num_molecules) in uint8.
+    independent. ``state`` is packed uint64 of shape (n, 1 + TAG_BITS,
+    words): plane 0 of position i is its bit, plane 1 + k is bit k of its
+    tag. ``rrtr`` is packed (n, words).
     """
 
     def __init__(
@@ -222,9 +230,9 @@ class Register:
     ):
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
-        self.comp = comp
+        self.state = np.zeros((self.n, 1 + TAG_BITS, comp.shape[1]), dtype=np.uint64)
+        self.state[:, 0] = comp
         self.rrtr = rrtr
-        self.prov = np.zeros((self.n, num_molecules), dtype=np.uint8)
         self.strict = strict
         self._reset_pool = reset_pool
         self._pool_cursor = 0
@@ -235,11 +243,8 @@ class Register:
     def from_comp_bits(cls, bits: np.ndarray, **kwargs) -> "Register":
         """Build a register from explicit computation bits (rows, molecules)."""
         bits = np.asarray(bits, dtype=bool)
-        n, n_mol = bits.shape
-        words = (n_mol + 63) // 64
-        comp = _pack_rows(bits, words)
-        rrtr = np.zeros_like(comp)
-        return cls(comp, rrtr, n_mol, **kwargs)
+        comp = _pack_rows(bits)
+        return cls(comp, np.zeros_like(comp), bits.shape[1], **kwargs)
 
     # -- reset randomness -----------------------------------------------
 
@@ -258,22 +263,24 @@ class Register:
 
     def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
         """Unpacked computation bits for [start, stop) as uint8 (rows, molecules)."""
-        out = np.empty((stop - start, self.num_molecules), dtype=np.uint8)
-        for i, r in enumerate(range(start, stop)):
-            out[i] = _unpack_row(self.comp[r], self.num_molecules)
-        return out
+        return _unpack_rows(self.state[start:stop, 0], self.num_molecules)
+
+    def tag_rows(self, start: int, stop: int) -> np.ndarray:
+        """Provenance tags for [start, stop) as uint8 (rows, molecules)."""
+        planes = _unpack_rows(self.state[start:stop, 1:], self.num_molecules)
+        return np.packbits(planes, axis=1, bitorder="little")[:, 0]
 
     def molecule_bits(self, index: int = 0) -> list[int]:
         """All computation bits of one molecule, as a plain list."""
-        word, bit = divmod(index, 64)
-        return [int((int(self.comp[r, word]) >> bit) & 1) for r in range(self.n)]
+        return self.comp_bit_rows(0, self.n)[:, index].tolist()
 
     def purified_run_length(self, start: int, level: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of ``level``-tagged
         positions beginning at ``start``."""
-        stop = min(start + max_rows, self.n)
-        block = self.prov[start:stop] == level
-        return np.cumprod(block, axis=0, dtype=np.int64).sum(axis=0)
+        block = self.state[start : min(start + max_rows, self.n), 1:]
+        match = ~np.bitwise_or.reduce(block ^ _TAG_PLANES[level], axis=1)
+        run = np.bitwise_and.accumulate(match, axis=0)
+        return _unpack_rows(run, self.num_molecules).sum(axis=0, dtype=np.int64)
 
 
 # -- gate application ---------------------------------------------------
@@ -312,34 +319,29 @@ def apply_gate(reg: Register, gate: Gate) -> None:
         raise GateError(err)
 
     if isinstance(gate, Cnot):
-        c, t = gate.control, gate.target
-        new_t = reg.comp[t] ^ reg.comp[c]
-        equal = ~_unpack_row(new_t, reg.num_molecules)
-        pc, pt = reg.prov[c], reg.prov[t]
-        kept = equal & (pc == pt) & (pc < PROV_DIRTY)
-        reg.prov[c] = np.where(kept, pc + 1, PROV_DIRTY)
-        reg.prov[t] = PROV_SUPERVISOR
-        reg.comp[t] = new_t
+        c, t = reg.state[gate.control], reg.state[gate.target]
+        # kept iff bits and tags are equal and the tag is a level below DIRTY
+        kept = ~(np.bitwise_or.reduce(c ^ t, axis=0) | np.bitwise_and.reduce(c[2:], axis=0))
+        # a kept level steps up by one, a ripple carry (253 carries into DIRTY)
+        carry = np.bitwise_and.accumulate(np.concatenate(([kept], c[1:TAG_BITS])), axis=0)
+        c[1:] = ((c[1:] ^ carry) & kept) | (_TAG_PLANES[PROV_DIRTY] & ~kept)
+        t[0] ^= c[0]
+        t[1:] = _TAG_PLANES[PROV_SUPERVISOR]
     elif isinstance(gate, Swap):
-        a, b = gate.a, gate.b
-        reg.comp[[a, b]] = reg.comp[[b, a]]
-        reg.prov[[a, b]] = reg.prov[[b, a]]
+        a = reg.state[gate.a].copy()
+        reg.state[gate.a] = reg.state[gate.b]
+        reg.state[gate.b] = a
     elif isinstance(gate, ZcSwap):
-        z, a, b = gate.zero_control, gate.a, gate.b
-        zero = ~reg.comp[z]
-        diff = (reg.comp[a] ^ reg.comp[b]) & zero
-        reg.comp[a] ^= diff
-        reg.comp[b] ^= diff
-        sel = _unpack_row(zero, reg.num_molecules)
-        pa = reg.prov[a].copy()
-        reg.prov[a] = np.where(sel, reg.prov[b], pa)
-        reg.prov[b] = np.where(sel, pa, reg.prov[b])
+        a, b = reg.state[gate.a], reg.state[gate.b]
+        diff = (a ^ b) & ~reg.state[gate.zero_control, 0]
+        a ^= diff
+        b ^= diff
     elif isinstance(gate, Reset):
         rows = slice(gate.start, gate.start + gate.length)
         fresh = reg.draw_reset_rows(gate.length)
-        reg.comp[rows] = reg.rrtr[rows]
+        reg.state[rows, 0] = reg.rrtr[rows]
+        reg.state[rows, 1:] = 0
         reg.rrtr[rows] = fresh
-        reg.prov[rows] = 0
     else:
         raise GateError(f"unknown gate {gate!r}")
 

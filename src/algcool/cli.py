@@ -353,6 +353,8 @@ def _set_config_defaults(parser, config: dict[str, str]) -> None:
         raw = config.get(action.dest)
         if raw is None:
             continue
+        if action.choices is not None and raw not in action.choices:
+            raise ValueError(f"config {action.dest}={raw!r}: not in {list(action.choices)}")
         if isinstance(action.default, bool):
             action.default = raw.lower() in ("1", "true", "yes")
         else:
@@ -410,11 +412,11 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        config = _load_config(os.environ.get(CONFIG_ENV_VAR))
+        parser = build_parser(_load_config(os.environ.get(CONFIG_ENV_VAR)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = build_parser(config).parse_args(argv)
+    args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:

@@ -101,7 +101,7 @@ def run_bcs(
             f"schedule compiled for region [{nu}, {nu + m}) but register has n={reg.n}"
         )
     if level is None:
-        region = reg.prov[nu]
+        region = reg.tag_rows(nu, nu + 1)[0]
         clean = region[region < PROV_DIRTY]
         level = int(clean[0]) if clean.size else 0
 

@@ -49,13 +49,8 @@ def _build_registers(
     bits = np.empty((rows, count), dtype=bool)
     for i in range(count):
         bits[:, i] = _molecule_bits(seed, start + i, rows, p_one)
-    words = (count + 63) // 64
-    return Register(
-        _pack_rows(bits[:n], words),
-        _pack_rows(bits[n : 2 * n], words),
-        count,
-        reset_pool=_pack_rows(bits[2 * n :], words),
-    )
+    packed = _pack_rows(bits)
+    return Register(packed[:n], packed[n : 2 * n], count, reset_pool=packed[2 * n :])
 
 
 def sample_molecule(

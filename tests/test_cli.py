@@ -213,6 +213,17 @@ class TestConfigFile:
             got, _ = run_cli(capsys, "feasibility", "--m", "20", "--t-comput", "0.001")
             assert got == code
 
+    def test_config_value_outside_choices_errors(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("format=xml\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        for command in ("plan --m 8 --jf 0", "simulate --molecules 10"):
+            assert main(command.split()) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: config format='xml'")
+            assert "['text', 'json', 'csv']" in captured.err
+
     def test_bad_config_line_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n")

@@ -56,15 +56,15 @@ class TestRunBcs:
         reg = register_for([[0, 0]])
         out = run_bcs(reg, compile_bcs(2))
         assert out.purified_count == 1
-        assert reg.prov[0, 0] == 1
-        assert reg.prov[1, 0] == PROV_SUPERVISOR
+        assert reg.tag_rows(0, 1)[0, 0] == 1
+        assert reg.tag_rows(1, 2)[0, 0] == PROV_SUPERVISOR
         assert reg.molecule_bits() == [0, 0]
 
     def test_unequal_pair_not_purified(self):
         reg = register_for([[1, 0]])
         out = run_bcs(reg, compile_bcs(2))
         assert out.purified_count == 0
-        assert reg.prov[0, 0] == PROV_DIRTY
+        assert reg.tag_rows(0, 1)[0, 0] == PROV_DIRTY
         assert reg.molecule_bits()[1] == 1  # supervisor holds the parity
 
     def test_all_zero_register(self):
@@ -84,7 +84,7 @@ class TestRunBcs:
         reg = Register.from_comp_bits(rng.random((10, 500)) < 0.4)
         out = run_bcs(reg, compile_bcs(10))
         counts = out.purified_count
-        prov = reg.prov
+        prov = reg.tag_rows(0, reg.n)
         for i in range(500):
             run = prov[: counts[i], i]
             assert (run == 1).all()
@@ -106,7 +106,7 @@ def compiled_outputs(m, inputs):
     reg = register_for(inputs)
     out = run_bcs(reg, compile_bcs(m))
     counts = np.atleast_1d(out.purified_count)
-    return reg.comp_bit_rows(0, m).T.tolist(), counts, reg.prov
+    return reg.comp_bit_rows(0, m).T.tolist(), counts, reg.tag_rows(0, reg.n)
 
 
 def assert_oracle_agreement(m, inputs):

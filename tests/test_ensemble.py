@@ -1,5 +1,7 @@
 """Monte Carlo harness tests: determinism, aggregation, statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ class TestSampleMolecule:
             freq = 1.0 - ones.mean()
             sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
             assert abs(freq - p_zero) < 3 * sigma
+
+    def test_packing_a_long_pool_stays_small(self):
+        # 10^6 rows of one molecule pack to 8 MB, one uint64 word a row
+        tracemalloc.start()
+        try:
+            sample_molecule(1, 0.1, seed=42, index=0, reset_rows=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
