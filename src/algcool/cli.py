@@ -389,7 +389,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
     p.add_argument("--molecules", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never affects results")
+                   help="worker processes; never affects results")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -3,21 +3,23 @@
 Every molecule draws its randomness (initial thermal bits plus all later
 reset redraws) from its own counter-based substream keyed by the run
 seed and the molecule index, so results are bit-identical no matter how
-the batch is chunked or how many threads process the chunks. All
-aggregation is integer sums, reduced in fixed chunk order.
+the batch is chunked. With ``threads > 1`` the chunks run in forked
+worker processes, each folding its chunk to integer totals; the totals
+are merged in fixed chunk order.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
 
 from .analytic import CoolingPlan
-from .circuit import Count, Cut, Register, _pack_rows
+from .circuit import Count, Cut, Register, Schedule, _pack_rows
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -28,7 +30,7 @@ __all__ = [
     "sample_molecule",
 ]
 
-#: Molecules per execution batch; fixed so results never depend on threads.
+#: Molecules per execution batch; results never depend on it or on threads.
 CHUNK_SIZE = 16384
 
 
@@ -94,6 +96,12 @@ class _Accumulator:
     success_count: int = 0
     shortfalls: Counter = field(default_factory=Counter)
 
+    @classmethod
+    def empty(cls, m: int, schedule: Schedule) -> "_Accumulator":
+        # the schedule, not the run, fixes where rounds end and truncations fall
+        kinds = Counter(map(type, schedule.items))
+        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, kinds[Cut], kinds[Count])))
+
     def fold(self, run: CoolingRun) -> None:
         out = run.output_bits
         self.zero_counts += (out == 0).sum(axis=1)
@@ -108,6 +116,39 @@ class _Accumulator:
         for i, rec in enumerate(run.round_log):
             self.round_length_sums[i] += rec.lengths.sum()
 
+    def merge(self, other: "_Accumulator") -> "_Accumulator":
+        self.zero_counts += other.zero_counts
+        self.success_zero_counts += other.success_zero_counts
+        self.trunc_length_sums += other.trunc_length_sums
+        self.round_length_sums += other.round_length_sums
+        self.success_count += other.success_count
+        self.shortfalls.update(other.shortfalls)
+        return self
+
+
+def _chunk_totals(
+    plan: CoolingPlan, schedule: Schedule, seed: int, num_molecules: int, start: int
+) -> _Accumulator:
+    """Integer totals of molecules [start, start + CHUNK_SIZE)."""
+    stop = min(start + CHUNK_SIZE, num_molecules)
+    n, reset_rows = plan.n_required, schedule.reset_rows()
+    reg = _build_registers(n, plan.epsilon0, seed, start, stop, reset_rows)
+    acc = _Accumulator.empty(plan.m, schedule)
+    acc.fold(run_cooling(reg, plan, schedule))
+    return acc
+
+
+_worker_job: Optional[partial] = None  # one run's _chunk_totals, set in pool workers only
+
+
+def _start_worker(job: partial) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_chunk(start: int) -> _Accumulator:
+    return _worker_job(start)
+
 
 def run_ensemble(
     plan: CoolingPlan,
@@ -118,51 +159,32 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run every molecule through the same compiled schedule and aggregate.
 
-    Deterministic function of (plan, num_molecules, seed): the thread
-    count only changes how chunks are scheduled, never the result.
+    Deterministic function of (plan, num_molecules, seed); ``threads`` never
+    changes the result. It caps the worker processes, forked from a caller
+    that should run no other threads, at one per chunk and per usable CPU.
     """
     if num_molecules < 1:
         raise ValueError("num_molecules must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    reset_rows = schedule.reset_rows()
-    n = plan.n_required
-
+    job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
-
-    def work(start: int) -> CoolingRun:
-        stop = min(start + CHUNK_SIZE, num_molecules)
-        reg = _build_registers(n, plan.epsilon0, seed, start, stop, reset_rows)
-        return run_cooling(reg, plan, schedule)
-
-    # the schedule, not the run, fixes where rounds end and truncations fall
-    rounds = [(it.level, it.round) for it in schedule.items if isinstance(it, Count)]
-    cuts = sum(isinstance(it, Cut) for it in schedule.items)
-    acc = _Accumulator(
-        zero_counts=np.zeros(plan.m, dtype=np.int64),
-        success_zero_counts=np.zeros(plan.m, dtype=np.int64),
-        trunc_length_sums=np.zeros(cuts, dtype=np.int64),
-        round_length_sums=np.zeros(len(rounds), dtype=np.int64),
-    )
-    if threads <= 1 or len(starts) == 1:
-        for s in starts:
-            acc.fold(work(s))
+    if threads == 1 or len(starts) == 1:
+        acc = reduce(_Accumulator.merge, map(job, starts))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for run in pool.map(work, starts):  # map preserves chunk order
-                acc.fold(run)
+        import multiprocessing  # only parallel runs pay for the import
+        workers = min(threads, len(starts), len(os.sched_getaffinity(0)))
+        ctx = multiprocessing.get_context("fork")  # workers inherit the job, never pickled
+        with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
+            acc = reduce(_Accumulator.merge, pool.imap(_run_chunk, starts))  # chunk order
 
     zero_freq = acc.zero_counts / num_molecules
-    if acc.success_count > 0:
-        s_freq = acc.success_zero_counts / acc.success_count
-        s_bias = 2.0 * s_freq - 1.0
-    else:
-        s_freq = None
-        s_bias = None
+    s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None
     trunc_means = [s / num_molecules for s in acc.trunc_length_sums.tolist()]
-    round_means = [
-        (lvl, rnd, s / num_molecules)
-        for (lvl, rnd), s in zip(rounds, acc.round_length_sums.tolist())
-    ]
+    counts = [it for it in schedule.items if isinstance(it, Count)]
+    round_means = [(c.level, c.round, s / num_molecules)
+                   for c, s in zip(counts, acc.round_length_sums.tolist())]
     return EnsembleStats(
         num_molecules=num_molecules,
         seed=seed,
@@ -170,7 +192,7 @@ def run_ensemble(
         empirical_bias=2.0 * zero_freq - 1.0,
         success_count=acc.success_count,
         success_zero_freq=s_freq,
-        success_bias=s_bias,
+        success_bias=None if s_freq is None else 2.0 * s_freq - 1.0,
         truncation_shortfall_histogram=dict(sorted(acc.shortfalls.items())),
         mean_purified_lengths=trunc_means,
         round_mean_lengths=round_means,

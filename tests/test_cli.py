@@ -137,6 +137,14 @@ class TestSimulate:
         assert rows[0] == ["position", "zero_freq", "bias", "success_bias"]
         assert len(rows) == 7
 
+    def test_zero_threads_errors(self, capsys):
+        code = main(["simulate", "--m", "4", "--jf", "1", "--molecules", "100",
+                     "--threads", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: threads must be >= 1\n"
+
 
 class TestFeasibility:
     def test_paper_timing_cases_pass(self, capsys):

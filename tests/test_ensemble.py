@@ -1,11 +1,15 @@
 """Monte Carlo harness tests: determinism, aggregation, statistics."""
 
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from algcool import ensemble
 from algcool.analytic import CoolingPlan
+from algcool.circuit import GateError
 from algcool.ensemble import (
     compare_to_analytic,
     run_ensemble,
@@ -36,6 +40,8 @@ class TestDeterminism:
         runs = [
             run_ensemble(plan, 40_000, seed=21, threads=t) for t in (1, 2, 4)
         ]
+        # failed truncations occur, so the merged Counter is compared too
+        assert runs[0].truncation_shortfall_histogram
         assert stats_equal(runs[0], runs[1])
         assert stats_equal(runs[0], runs[2])
 
@@ -54,6 +60,59 @@ class TestDeterminism:
         other = sample_molecule(16, 0.1, seed=9, index=18)
         assert a.molecule_bits() == b.molecule_bits()
         assert a.molecule_bits() != other.molecule_bits()
+
+
+class TestWorkerPool:
+    """Chunks of 100 molecules, so a few hundred molecules make a multi-chunk run."""
+
+    PLAN = CoolingPlan(0.1, 4, 5, 1)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "CHUNK_SIZE", 100)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        fork = type(multiprocessing.get_context("fork"))
+        sizes, make_pool = [], fork.Pool
+
+        def recording_pool(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            return make_pool(self, processes, *args, **kwargs)
+
+        monkeypatch.setattr(fork, "Pool", recording_pool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, molecules", [(2, 300), (8, 200)])
+    def test_pool_is_bounded_by_chunks_and_cpus(self, monkeypatch, pool_sizes, cpus,
+                                                molecules):
+        serial = run_ensemble(self.PLAN, molecules, seed=13, threads=1)
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        wide = run_ensemble(self.PLAN, molecules, seed=13, threads=64)
+        assert pool_sizes == [min(64, molecules // 100, cpus)] == [2]
+        assert stats_equal(serial, wide)
+
+    def test_single_chunk_runs_in_process(self, pool_sizes):
+        run_ensemble(self.PLAN, 100, seed=13, threads=4)
+        assert pool_sizes == []
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        run_cooling = ensemble.run_cooling
+
+        def failing_tail(reg, plan, schedule):
+            if reg.num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
+                raise GateError("injected")
+            return run_cooling(reg, plan, schedule)
+
+        monkeypatch.setattr(ensemble, "run_cooling", failing_tail)  # inherited by the fork
+        with pytest.raises(GateError, match="injected"):
+            run_ensemble(self.PLAN, 250, seed=13, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run(self):
+        run_ensemble(self.PLAN, 200, seed=13, threads=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestSampleMolecule:
@@ -129,3 +188,7 @@ class TestValidation:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             run_ensemble(CoolingPlan(0.1, 4, 5, 1), 0, seed=0)
+
+    def test_rejects_zero_threads(self):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_ensemble(CoolingPlan(0.1, 4, 5, 1), 100, seed=0, threads=0)
