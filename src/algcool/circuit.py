@@ -5,16 +5,20 @@ rapidly-relaxing reset (RRTR) bits. Gates are CNOT, SWAP, a
 zero-controlled SWAP, and a column-wise RESET that swaps computation
 bits with their thermal neighbours.
 
-Each position also carries a provenance tag: a purification level
-0..253, ``PROV_DIRTY`` or ``PROV_SUPERVISOR``. Tags travel with bits
-through SWAP/ZCSWAP; CNOT is the compression comparator and rewrites the
-tags of its operands; RESET restores tags to level 0. Tags never
-influence bit values.
+Each position also carries a purified flag. RESET sets it; SWAP/ZCSWAP
+move it with the bit; CNOT, the compression comparator, keeps the
+control flagged only if both operands were flagged and their bits
+agreed, and clears the target (the supervisor). The flag does not say to
+which level a bit was purified: the schedule's ``Count``/``Cut``
+annotations do. One flag suffices because a compiled compression only
+ever compares bits of its own input level, and a failed comparison
+clears the flag, so lucky dirty bits never count as purified.
+Flags never influence bit values.
 
 For throughput the register is batched and packed: position i holds its
-bit and the ``TAG_BITS`` bits of its tag as planes, each a machine-word
-bitset across all molecules, so one gate is a handful of word-wide
-boolean operations on bits and tags together, whatever the batch size.
+bit and its flag as two planes, each a machine-word bitset across all
+molecules, so one gate is a handful of word-wide boolean operations on
+bits and flags together, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
-    "TAG_BITS",
-    "PROV_DIRTY",
-    "PROV_SUPERVISOR",
     "Cnot",
     "Swap",
     "ZcSwap",
@@ -48,13 +49,7 @@ __all__ = [
     "schedule_from_text",
 ]
 
-TAG_BITS = 8
-PROV_DIRTY = 254
-PROV_SUPERVISOR = 255
-
-#: _TAG_PLANES[tag] is a (TAG_BITS, 1) column of all-zero/all-one words.
-_TAG_BITS_OF = (np.arange(1 << TAG_BITS)[:, None] >> np.arange(TAG_BITS)) & 1
-_TAG_PLANES = (-_TAG_BITS_OF).astype(np.uint64)[..., None]
+_ONES = ~np.uint64(0)  # a word of set flags
 
 
 class GateError(ValueError):
@@ -154,7 +149,7 @@ class Bcs(Annotation):
 
 @dataclass(frozen=True)
 class Count(Annotation):
-    """Record the level-tagged run at ``at`` after round ``round`` of a level."""
+    """Record the purified run at ``at`` after round ``round`` of a level."""
 
     level: int
     at: int
@@ -181,19 +176,15 @@ class Schedule:
     def gates(self) -> list[Gate]:
         return [g for g in self.items if not isinstance(g, Annotation)]
 
-    def step_total(self, costs: Optional[dict[str, int]] = None) -> int:
-        """Time steps of a run; the schedule is data-independent, so every
-        run takes exactly this many."""
-        costs = costs if costs is not None else DEFAULT_GATE_COSTS
-        return sum(costs[g.KIND] for g in self.items if not isinstance(g, Annotation))
+    def step_total(self) -> int:
+        """Time steps of a run: one per gate, a RESET of any width included.
+        The schedule is data-independent, so every run takes exactly this
+        many."""
+        return sum(not isinstance(g, Annotation) for g in self.items)
 
     def reset_rows(self) -> int:
         """Total fresh rows a run will draw from the reset pool."""
         return sum(g.length for g in self.items if isinstance(g, Reset))
-
-
-#: One time step per gate; a RESET of any width is one parallel step.
-DEFAULT_GATE_COSTS = {"CNOT": 1, "SWAP": 1, "ZCSWAP": 1, "RESET": 1}
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -211,12 +202,12 @@ def _unpack_rows(words: np.ndarray, n_mol: int) -> np.ndarray:
 
 
 class Register:
-    """Batched ladder register: packed bits and tags, plus the RRTR row.
+    """Batched ladder register: packed bits and flags, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``state`` is packed uint64 of shape (n, 1 + TAG_BITS,
-    words): plane 0 of position i is its bit, plane 1 + k is bit k of its
-    tag. ``rrtr`` is packed (n, words).
+    independent. ``state`` is packed uint64 of shape (n, 2, words): plane
+    0 of position i is its bit, plane 1 its purified flag, set for every
+    fresh bit. ``rrtr`` is packed (n, words).
     """
 
     def __init__(
@@ -230,8 +221,7 @@ class Register:
     ):
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
-        self.state = np.zeros((self.n, 1 + TAG_BITS, comp.shape[1]), dtype=np.uint64)
-        self.state[:, 0] = comp
+        self.state = np.stack((comp, np.full_like(comp, _ONES)), axis=1)
         self.rrtr = rrtr
         self.strict = strict
         self._reset_pool = reset_pool
@@ -265,21 +255,19 @@ class Register:
         """Unpacked computation bits for [start, stop) as uint8 (rows, molecules)."""
         return _unpack_rows(self.state[start:stop, 0], self.num_molecules)
 
-    def tag_rows(self, start: int, stop: int) -> np.ndarray:
-        """Provenance tags for [start, stop) as uint8 (rows, molecules)."""
-        planes = _unpack_rows(self.state[start:stop, 1:], self.num_molecules)
-        return np.packbits(planes, axis=1, bitorder="little")[:, 0]
+    def clean_rows(self, start: int, stop: int) -> np.ndarray:
+        """Unpacked purified flags for [start, stop) as uint8 (rows, molecules)."""
+        return _unpack_rows(self.state[start:stop, 1], self.num_molecules)
 
     def molecule_bits(self, index: int = 0) -> list[int]:
         """All computation bits of one molecule, as a plain list."""
         return self.comp_bit_rows(0, self.n)[:, index].tolist()
 
-    def purified_run_length(self, start: int, level: int, max_rows: int) -> np.ndarray:
-        """Per-molecule length of the contiguous run of ``level``-tagged
-        positions beginning at ``start``."""
-        block = self.state[start : min(start + max_rows, self.n), 1:]
-        match = ~np.bitwise_or.reduce(block ^ _TAG_PLANES[level], axis=1)
-        run = np.bitwise_and.accumulate(match, axis=0)
+    def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
+        """Per-molecule length of the contiguous run of flagged positions
+        beginning at ``start``, at most ``max_rows``."""
+        block = self.state[start : min(start + max_rows, self.n), 1]
+        run = np.bitwise_and.accumulate(block, axis=0)
         return _unpack_rows(run, self.num_molecules).sum(axis=0, dtype=np.int64)
 
 
@@ -320,13 +308,9 @@ def apply_gate(reg: Register, gate: Gate) -> None:
 
     if isinstance(gate, Cnot):
         c, t = reg.state[gate.control], reg.state[gate.target]
-        # kept iff bits and tags are equal and the tag is a level below DIRTY
-        kept = ~(np.bitwise_or.reduce(c ^ t, axis=0) | np.bitwise_and.reduce(c[2:], axis=0))
-        # a kept level steps up by one, a ripple carry (253 carries into DIRTY)
-        carry = np.bitwise_and.accumulate(np.concatenate(([kept], c[1:TAG_BITS])), axis=0)
-        c[1:] = ((c[1:] ^ carry) & kept) | (_TAG_PLANES[PROV_DIRTY] & ~kept)
+        c[1] &= t[1] & ~(c[0] ^ t[0])  # kept: both purified and equal
         t[0] ^= c[0]
-        t[1:] = _TAG_PLANES[PROV_SUPERVISOR]
+        t[1] = 0  # the supervisor is never purified
     elif isinstance(gate, Swap):
         a = reg.state[gate.a].copy()
         reg.state[gate.a] = reg.state[gate.b]
@@ -340,7 +324,7 @@ def apply_gate(reg: Register, gate: Gate) -> None:
         rows = slice(gate.start, gate.start + gate.length)
         fresh = reg.draw_reset_rows(gate.length)
         reg.state[rows, 0] = reg.rrtr[rows]
-        reg.state[rows, 1:] = 0
+        reg.state[rows, 1] = _ONES
         reg.rrtr[rows] = fresh
     else:
         raise GateError(f"unknown gate {gate!r}")

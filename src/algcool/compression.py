@@ -19,16 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .circuit import (
-    PROV_DIRTY,
-    Bcs,
-    Cnot,
-    Register,
-    Schedule,
-    Swap,
-    ZcSwap,
-    run_schedule,
-)
+from .circuit import Bcs, Cnot, Register, Schedule, Swap, ZcSwap, run_schedule
 
 __all__ = ["BcsOutcome", "compile_bcs", "run_bcs", "reference_bcs"]
 
@@ -79,18 +70,14 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     return Schedule(items)
 
 
-def run_bcs(
-    reg: Register,
-    schedule: Schedule,
-    *,
-    level: Optional[int] = None,
-) -> BcsOutcome:
-    """Execute a compiled compression schedule with provenance tracking.
+def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
+    """Execute a compiled compression schedule with purified flags.
 
-    ``level`` is the purification level the input region is expected to
-    hold; by default it is read off the region's tags. The outcome's
-    purified count is the per-molecule contiguous run of level+1 tags at
-    the push target (an int for a single-molecule register).
+    The outcome's purified count is the per-molecule contiguous run of
+    flagged positions at the push target (an int for a single-molecule
+    register). Dirty bits and supervisors are unflagged, so the run ends
+    where the kept bits do. With nu0 < nu the run also takes in the
+    flagged bits already in [nu0, nu): the earlier rounds' purified prefix.
     """
     geometry = next((it for it in schedule.items if isinstance(it, Bcs)), None)
     if geometry is None:
@@ -100,13 +87,8 @@ def run_bcs(
         raise ValueError(
             f"schedule compiled for region [{nu}, {nu + m}) but register has n={reg.n}"
         )
-    if level is None:
-        region = reg.tag_rows(nu, nu + 1)[0]
-        clean = region[region < PROV_DIRTY]
-        level = int(clean[0]) if clean.size else 0
-
     run_schedule(reg, schedule)
-    counts = reg.purified_run_length(nu0, level + 1, reg.n - nu0)
+    counts = reg.purified_run_length(nu0, reg.n - nu0)
     if reg.num_molecules == 1:
         counts = int(counts[0])
     return BcsOutcome(

@@ -78,7 +78,7 @@ def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
     return k * (1.0 + e_prev * e_prev) / 4.0 * m
 
 
-def compile_cooling(plan: CoolingPlan, register_size: Optional[int] = None) -> Schedule:
+def compile_cooling(plan: CoolingPlan) -> Schedule:
     """Compile the full recursive schedule for a plan, starting at offset 0.
 
     Every compression inside a level-j block pushes to that block's own
@@ -86,11 +86,6 @@ def compile_cooling(plan: CoolingPlan, register_size: Optional[int] = None) -> S
     emitted schedule is fully data-independent and contains exactly
     ell^j_final reset phases.
     """
-    need = plan.n_required
-    if register_size is not None and register_size < need:
-        raise ValueError(
-            f"register of {register_size} bits cannot hold plan needing {need}"
-        )
     if plan.ell == 4:
         warnings.warn(
             "cooling depth 4 gives a vacuous success bound; use 5 or more",
@@ -125,15 +120,16 @@ def run_cooling(
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
-    a purified length only if its provenance tag carries the expected
-    level, so lucky dirty bits never inflate the count.
+    a purified length only if its purified flag is set; the ``Count`` or
+    ``Cut`` names the level, and a failed comparison clears the flag, so
+    lucky dirty bits never inflate the count.
     """
     if reg.n < plan.n_required:
         raise ValueError(
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
     if schedule is None:
-        schedule = compile_cooling(plan, reg.n)
+        schedule = compile_cooling(plan)
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     round_log: list[RoundRecord] = []
@@ -142,10 +138,10 @@ def run_cooling(
         if not isinstance(item, Annotation):
             apply_gate(reg, item)
         elif isinstance(item, Count):
-            lengths = reg.purified_run_length(item.at, item.level, window)
+            lengths = reg.purified_run_length(item.at, window)
             round_log.append(RoundRecord(item.level, item.at, item.round, lengths))
         elif isinstance(item, Cut):
-            lengths = reg.purified_run_length(item.at, item.level, window)
+            lengths = reg.purified_run_length(item.at, window)
             trunc_log.append(TruncationRecord(item.level, item.at, item.m, lengths))
 
     success = np.ones(reg.num_molecules, dtype=bool)

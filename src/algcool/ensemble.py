@@ -111,8 +111,7 @@ class _Accumulator:
         for i, rec in enumerate(run.truncation_log):
             self.trunc_length_sums[i] += rec.lengths.sum()
             short = rec.required - rec.lengths
-            for s in short[short > 0]:
-                self.shortfalls[int(s)] += 1
+            self.shortfalls.update(short[short > 0].tolist())
         for i, rec in enumerate(run.round_log):
             self.round_length_sums[i] += rec.lengths.sum()
 

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcool.circuit import (
-    PROV_DIRTY,
-    PROV_SUPERVISOR,
-    Cnot,
-    Register,
-    validate_schedule,
-)
+from algcool.circuit import Cnot, Register, ZcSwap, validate_schedule
 from algcool.compression import compile_bcs, reference_bcs, run_bcs
 
 
@@ -56,15 +50,14 @@ class TestRunBcs:
         reg = register_for([[0, 0]])
         out = run_bcs(reg, compile_bcs(2))
         assert out.purified_count == 1
-        assert reg.tag_rows(0, 1)[0, 0] == 1
-        assert reg.tag_rows(1, 2)[0, 0] == PROV_SUPERVISOR
+        assert reg.clean_rows(0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
         assert reg.molecule_bits() == [0, 0]
 
     def test_unequal_pair_not_purified(self):
         reg = register_for([[1, 0]])
         out = run_bcs(reg, compile_bcs(2))
         assert out.purified_count == 0
-        assert reg.tag_rows(0, 1)[0, 0] == PROV_DIRTY
+        assert reg.clean_rows(0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
         assert reg.molecule_bits()[1] == 1  # supervisor holds the parity
 
     def test_all_zero_register(self):
@@ -84,10 +77,9 @@ class TestRunBcs:
         reg = Register.from_comp_bits(rng.random((10, 500)) < 0.4)
         out = run_bcs(reg, compile_bcs(10))
         counts = out.purified_count
-        prov = reg.tag_rows(0, reg.n)
+        clean = reg.clean_rows(0, reg.n)
         for i in range(500):
-            run = prov[: counts[i], i]
-            assert (run == 1).all()
+            assert (clean[: counts[i], i] == 1).all()
 
 
 class TestReferenceBcs:
@@ -106,11 +98,11 @@ def compiled_outputs(m, inputs):
     reg = register_for(inputs)
     out = run_bcs(reg, compile_bcs(m))
     counts = np.atleast_1d(out.purified_count)
-    return reg.comp_bit_rows(0, m).T.tolist(), counts, reg.tag_rows(0, reg.n)
+    return reg.comp_bit_rows(0, m).T.tolist(), counts
 
 
 def assert_oracle_agreement(m, inputs):
-    bits, counts, prov = compiled_outputs(m, inputs)
+    bits, counts = compiled_outputs(m, inputs)
     for i, molecule in enumerate(inputs):
         purified, dirty, supervisors = reference_bcs(list(molecule))
         row = bits[i]
@@ -165,6 +157,7 @@ class TestSteps:
 
     def test_double_cost_controlled_swap_still_within_bound(self):
         # the bound survives even if a conditional swap costs two steps
-        costs = {"CNOT": 1, "SWAP": 1, "ZCSWAP": 2, "RESET": 1}
         for m in (8, 20, 50):
-            assert compile_bcs(m).step_total(costs) < 2 * m * m
+            sched = compile_bcs(m)
+            zcswaps = sum(isinstance(g, ZcSwap) for g in sched.gates())
+            assert sched.step_total() + zcswaps < 2 * m * m

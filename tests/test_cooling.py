@@ -53,10 +53,6 @@ class TestCompileStructure:
         inner = compile_cooling(CoolingPlan(0.1, 4, 5, 1)).gates()
         assert outer[: len(inner)] == inner
 
-    def test_register_size_check(self):
-        with pytest.raises(ValueError):
-            compile_cooling(CoolingPlan(0.1, 20, 5, 3), register_size=139)
-
     def test_schedule_validates(self):
         plan = CoolingPlan(0.1, 8, 5, 2)
         assert validate_schedule(compile_cooling(plan), plan.n_required) == []
