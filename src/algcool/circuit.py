@@ -15,10 +15,13 @@ ever compares bits of its own input level, and a failed comparison
 clears the flag, so lucky dirty bits never count as purified.
 Flags never influence bit values.
 
-For throughput the register is batched and packed: position i holds its
-bit and its flag as two planes, each a machine-word bitset across all
-molecules, so one gate is a handful of word-wide boolean operations on
-bits and flags together, whatever the batch size.
+For throughput the register is batched and packed: a physical row holds
+one position's bit and flag as two planes, each a machine-word bitset
+across all molecules, so one gate is a handful of word-wide boolean
+operations on bits and flags together, whatever the batch size. A SWAP
+moves no data: the register maps each logical position to its physical
+row, and a SWAP exchanges two entries of that map. Every other gate and
+every view reads through the map.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ class Cnot:
     def line(self) -> str:
         return f"CNOT {self.control} {self.target}"
 
+    def check(self, n: int, strict: bool) -> Optional[str]:
+        return _pair_violation(self, self.control, self.target, n, strict)
+
 
 @dataclass(frozen=True)
 class Swap:
@@ -80,6 +86,9 @@ class Swap:
 
     def line(self) -> str:
         return f"SWAP {self.a} {self.b}"
+
+    def check(self, n: int, strict: bool) -> Optional[str]:
+        return _pair_violation(self, self.a, self.b, n, strict)
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,18 @@ class ZcSwap:
     def line(self) -> str:
         return f"ZCSWAP {self.zero_control} {self.a} {self.b}"
 
+    def check(self, n: int, strict: bool) -> Optional[str]:
+        z, a, b = self.zero_control, self.a, self.b
+        if not (0 <= z < n and 0 <= a < n and 0 <= b < n):
+            return f"{self.line()}: position out of range for n={n}"
+        if z == a or z == b or a == b:
+            return f"{self.line()}: operands must be pairwise distinct"
+        if strict and abs(a - b) > 1:
+            return f"{self.line()}: swap operands farther than 1 apart"
+        if strict and abs(z - a) > 1 and abs(z - b) > 1:
+            return f"{self.line()}: control not adjacent to swap operands"
+        return None
+
 
 @dataclass(frozen=True)
 class Reset:
@@ -112,8 +133,27 @@ class Reset:
     def line(self) -> str:
         return f"RESET {self.start} {self.length}"
 
+    def check(self, n: int, strict: bool) -> Optional[str]:
+        # column-wise, so no row adjacency
+        if self.length < 1:
+            return f"{self.line()}: empty"
+        if self.start < 0 or self.start + self.length > n:
+            return f"{self.line()}: position out of range for n={n}"
+        return None
+
 
 Gate = Union[Cnot, Swap, ZcSwap, Reset]
+
+
+def _pair_violation(gate: Gate, i: int, j: int, n: int, strict: bool) -> Optional[str]:
+    """The check of a two-operand gate (CNOT, SWAP) on positions i and j."""
+    if not (0 <= i < n and 0 <= j < n):
+        return f"{gate.line()}: position out of range for n={n}"
+    if i == j:
+        return f"{gate.line()}: operands must be pairwise distinct"
+    if strict and abs(i - j) > 1:
+        return f"{gate.line()}: operands farther than 1 apart"
+    return None
 
 
 @dataclass(frozen=True)
@@ -205,9 +245,12 @@ class Register:
     """Batched ladder register: packed bits and flags, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``state`` is packed uint64 of shape (n, 2, words): plane
-    0 of position i is its bit, plane 1 its purified flag, set for every
-    fresh bit. ``rrtr`` is packed (n, words).
+    independent. ``state`` is packed uint64 of shape (n, 2, words) and is
+    indexed by physical row: plane 0 of a row is its bit, plane 1 its
+    purified flag, set for every fresh bit. ``rows`` maps each logical
+    position to the physical row of ``state`` that holds it; gates, their
+    checks and every view speak of logical positions. ``rrtr`` is packed
+    (n, words) and indexed by logical position.
     """
 
     def __init__(
@@ -222,6 +265,7 @@ class Register:
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
         self.state = np.stack((comp, np.full_like(comp, _ONES)), axis=1)
+        self.rows = list(range(self.n))
         self.rrtr = rrtr
         self.strict = strict
         self._reset_pool = reset_pool
@@ -252,12 +296,14 @@ class Register:
     # -- views ----------------------------------------------------------
 
     def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
-        """Unpacked computation bits for [start, stop) as uint8 (rows, molecules)."""
-        return _unpack_rows(self.state[start:stop, 0], self.num_molecules)
+        """Unpacked computation bits of logical positions [start, stop) as
+        uint8 (rows, molecules)."""
+        return _unpack_rows(self.state[self.rows[start:stop], 0], self.num_molecules)
 
     def clean_rows(self, start: int, stop: int) -> np.ndarray:
-        """Unpacked purified flags for [start, stop) as uint8 (rows, molecules)."""
-        return _unpack_rows(self.state[start:stop, 1], self.num_molecules)
+        """Unpacked purified flags of logical positions [start, stop) as
+        uint8 (rows, molecules)."""
+        return _unpack_rows(self.state[self.rows[start:stop], 1], self.num_molecules)
 
     def molecule_bits(self, index: int = 0) -> list[int]:
         """All computation bits of one molecule, as a plain list."""
@@ -266,7 +312,7 @@ class Register:
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
-        block = self.state[start : min(start + max_rows, self.n), 1]
+        block = self.state[self.rows[start : start + max_rows], 1]
         run = np.bitwise_and.accumulate(block, axis=0)
         return _unpack_rows(run, self.num_molecules).sum(axis=0, dtype=np.int64)
 
@@ -274,60 +320,48 @@ class Register:
 # -- gate application ---------------------------------------------------
 
 
-def _adjacency_violation(gate: Gate) -> Optional[str]:
-    if isinstance(gate, (Cnot, Swap)):
-        i, j = gate.positions()
-        if abs(i - j) > 1:
-            return f"{gate.line()}: operands farther than 1 apart"
-    elif isinstance(gate, ZcSwap):
-        if abs(gate.a - gate.b) > 1:
-            return f"{gate.line()}: swap operands farther than 1 apart"
-        if min(abs(gate.zero_control - gate.a), abs(gate.zero_control - gate.b)) > 1:
-            return f"{gate.line()}: control not adjacent to swap operands"
-    return None  # RESET is column-wise, no row adjacency
+def _cnot(reg: Register, gate: Cnot) -> None:
+    rows = reg.rows
+    c, t = reg.state[rows[gate.control]], reg.state[rows[gate.target]]
+    c[1] &= t[1] & ~(c[0] ^ t[0])  # kept: both purified and equal
+    t[0] ^= c[0]
+    t[1] = 0  # the supervisor is never purified
 
 
-def _range_violation(gate: Gate, n: int) -> Optional[str]:
-    pos = gate.positions()
-    if not pos:
-        return f"{gate.line()}: empty"
-    if min(pos) < 0 or max(pos) >= n:
-        return f"{gate.line()}: position out of range for n={n}"
-    if not isinstance(gate, Reset) and len(set(pos)) != len(pos):
-        return f"{gate.line()}: operands must be pairwise distinct"
-    return None
+def _swap(reg: Register, gate: Swap) -> None:
+    rows = reg.rows
+    rows[gate.a], rows[gate.b] = rows[gate.b], rows[gate.a]
+
+
+def _zcswap(reg: Register, gate: ZcSwap) -> None:
+    rows, state = reg.rows, reg.state
+    a, b = state[rows[gate.a]], state[rows[gate.b]]
+    diff = (a ^ b) & ~state[rows[gate.zero_control], 0]
+    a ^= diff
+    b ^= diff
+
+
+def _reset(reg: Register, gate: Reset) -> None:
+    stop = gate.start + gate.length
+    fresh = reg.draw_reset_rows(gate.length)
+    physical = reg.rows[gate.start : stop]
+    reg.state[physical, 0] = reg.rrtr[gate.start : stop]
+    reg.state[physical, 1] = _ONES
+    reg.rrtr[gate.start : stop] = fresh
+
+
+_EXECUTORS = {Cnot: _cnot, Swap: _swap, ZcSwap: _zcswap, Reset: _reset}
 
 
 def apply_gate(reg: Register, gate: Gate) -> None:
-    """Apply one gate in place."""
-    err = _range_violation(gate, reg.n)
-    if err is None and reg.strict:
-        err = _adjacency_violation(gate)
+    """Check one gate against the register, then apply it in place."""
+    execute = _EXECUTORS.get(type(gate))
+    if execute is None:
+        raise GateError(f"unknown gate {gate!r}")
+    err = gate.check(reg.n, reg.strict)
     if err is not None:
         raise GateError(err)
-
-    if isinstance(gate, Cnot):
-        c, t = reg.state[gate.control], reg.state[gate.target]
-        c[1] &= t[1] & ~(c[0] ^ t[0])  # kept: both purified and equal
-        t[0] ^= c[0]
-        t[1] = 0  # the supervisor is never purified
-    elif isinstance(gate, Swap):
-        a = reg.state[gate.a].copy()
-        reg.state[gate.a] = reg.state[gate.b]
-        reg.state[gate.b] = a
-    elif isinstance(gate, ZcSwap):
-        a, b = reg.state[gate.a], reg.state[gate.b]
-        diff = (a ^ b) & ~reg.state[gate.zero_control, 0]
-        a ^= diff
-        b ^= diff
-    elif isinstance(gate, Reset):
-        rows = slice(gate.start, gate.start + gate.length)
-        fresh = reg.draw_reset_rows(gate.length)
-        reg.state[rows, 0] = reg.rrtr[rows]
-        reg.state[rows, 1] = _ONES
-        reg.rrtr[rows] = fresh
-    else:
-        raise GateError(f"unknown gate {gate!r}")
+    execute(reg, gate)
 
 
 def run_schedule(reg: Register, schedule: Schedule) -> None:
@@ -344,14 +378,8 @@ def validate_schedule(
 
     Returns the list of violations (empty means ok).
     """
-    violations = []
-    for g in schedule.gates():
-        err = _range_violation(g, n)
-        if err is None and strict:
-            err = _adjacency_violation(g)
-        if err is not None:
-            violations.append(err)
-    return violations
+    errors = (g.check(n, strict) for g in schedule.gates())
+    return [err for err in errors if err is not None]
 
 
 # -- serialization ------------------------------------------------------

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import warnings
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from .analytic import (
     min_rounds,
     timing_feasibility,
 )
-from .circuit import Reset, schedule_from_text, schedule_to_text, validate_schedule
+from .circuit import Annotation, Reset, schedule_from_text, schedule_to_text, validate_schedule
 from .cooling import compile_cooling
 from .ensemble import compare_to_analytic, run_ensemble
 
@@ -191,13 +192,13 @@ def cmd_compile(args) -> int:
             print(f"error: {v}", file=sys.stderr)
         return 1
     text = schedule_to_text(schedule)
-    gates = schedule.gates()
-    resets = sum(1 for g in gates if isinstance(g, Reset))
+    kinds = Counter(map(type, schedule.items))
+    gates = sum(n for kind, n in kinds.items() if not issubclass(kind, Annotation))
     _emit(args, text)
     if args.out:
-        print(
-            f"wrote {args.out}: {len(gates)} gates, {resets} reset phases, "
-            f"{schedule.step_total()} steps (bound {plan.step_bound})"
+        print(  # a run takes one step per gate (Schedule.step_total)
+            f"wrote {args.out}: {gates} gates, {kinds[Reset]} reset phases, "
+            f"{gates} steps (bound {plan.step_bound})"
         )
     return 0
 

@@ -68,7 +68,10 @@ class CoolingRun:
     truncation_log: list[TruncationRecord]
     success: np.ndarray  # per molecule: every truncation had length >= m
     output_bits: np.ndarray  # (m, num_molecules) uint8
-    steps_used: int
+
+    @property
+    def steps_used(self) -> int:
+        return self.schedule.step_total()
 
 
 def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
@@ -84,7 +87,8 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     Every compression inside a level-j block pushes to that block's own
     start offset; the outermost pushes land at absolute position 0. The
     emitted schedule is fully data-independent and contains exactly
-    ell^j_final reset phases.
+    ell^j_final reset phases. Compression blocks of equal geometry are
+    compiled once and share their (immutable) gate objects.
     """
     if plan.ell == 4:
         warnings.warn(
@@ -92,11 +96,11 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
             stacklevel=2,
         )
     items: list = []
-    _emit(items, plan.j_final, 0, plan)
+    _emit(items, plan.j_final, 0, plan, {})
     return Schedule(items)
 
 
-def _emit(items: list, j: int, mu: int, plan: CoolingPlan) -> None:
+def _emit(items: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None:
     m, ell = plan.m, plan.ell
     if j == 0:
         items.append(Marker(f"phase: M_0 offset={mu}"))
@@ -104,9 +108,12 @@ def _emit(items: list, j: int, mu: int, plan: CoolingPlan) -> None:
         return
     for depth in range(ell):
         items.append(Marker(f"phase: M_{j} depth={depth} offset={mu}"))
-        _emit(items, j - 1, mu + depth * m // 2, plan)
+        nu = mu + depth * m // 2
+        _emit(items, j - 1, nu, plan, blocks)
         items.append(Marker(f"phase: BCS {j - 1}->{j}"))
-        items.extend(compile_bcs(m, nu=mu + depth * m // 2, nu0=mu).items)
+        if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
+            blocks[nu, mu] = compile_bcs(m, nu=nu, nu0=mu).items
+        items.extend(blocks[nu, mu])
         items.append(Count(j, mu, depth + 1))
     items.append(Cut(j, mu, m))
 
@@ -155,5 +162,4 @@ def run_cooling(
         truncation_log=trunc_log,
         success=success,
         output_bits=output_bits,
-        steps_used=schedule.step_total(),
     )

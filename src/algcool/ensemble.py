@@ -97,10 +97,8 @@ class _Accumulator:
     shortfalls: Counter = field(default_factory=Counter)
 
     @classmethod
-    def empty(cls, m: int, schedule: Schedule) -> "_Accumulator":
-        # the schedule, not the run, fixes where rounds end and truncations fall
-        kinds = Counter(map(type, schedule.items))
-        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, kinds[Cut], kinds[Count])))
+    def empty(cls, m: int, cuts: int, rounds: int) -> "_Accumulator":
+        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, cuts, rounds)))
 
     def fold(self, run: CoolingRun) -> None:
         out = run.output_bits
@@ -126,13 +124,20 @@ class _Accumulator:
 
 
 def _chunk_totals(
-    plan: CoolingPlan, schedule: Schedule, seed: int, num_molecules: int, start: int
+    plan: CoolingPlan,
+    schedule: Schedule,
+    reset_rows: int,
+    sizes: tuple[int, int, int],
+    seed: int,
+    num_molecules: int,
+    start: int,
 ) -> _Accumulator:
-    """Integer totals of molecules [start, start + CHUNK_SIZE)."""
+    """Integer totals of molecules [start, start + CHUNK_SIZE). The
+    schedule's ``reset_rows`` and the accumulator ``sizes`` are counted
+    once per run."""
     stop = min(start + CHUNK_SIZE, num_molecules)
-    n, reset_rows = plan.n_required, schedule.reset_rows()
-    reg = _build_registers(n, plan.epsilon0, seed, start, stop, reset_rows)
-    acc = _Accumulator.empty(plan.m, schedule)
+    reg = _build_registers(plan.n_required, plan.epsilon0, seed, start, stop, reset_rows)
+    acc = _Accumulator.empty(*sizes)
     acc.fold(run_cooling(reg, plan, schedule))
     return acc
 
@@ -167,7 +172,11 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
+    # the schedule, not the run, fixes where rounds end and truncations fall
+    marks = [it for it in schedule.items if isinstance(it, (Count, Cut))]
+    counts = [it for it in marks if isinstance(it, Count)]
+    sizes = (plan.m, len(marks) - len(counts), len(counts))
+    job = partial(_chunk_totals, plan, schedule, schedule.reset_rows(), sizes, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
         acc = reduce(_Accumulator.merge, map(job, starts))
@@ -181,7 +190,6 @@ def run_ensemble(
     zero_freq = acc.zero_counts / num_molecules
     s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None
     trunc_means = [s / num_molecules for s in acc.trunc_length_sums.tolist()]
-    counts = [it for it in schedule.items if isinstance(it, Count)]
     round_means = [(c.level, c.round, s / num_molecules)
                    for c, s in zip(counts, acc.round_length_sums.tolist())]
     return EnsembleStats(

@@ -22,6 +22,7 @@ from algcool.circuit import (
     schedule_from_text,
     schedule_to_text,
     _pack_rows,
+    _unpack_rows,
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
@@ -159,7 +160,8 @@ def engine_cases(draw):
     )
     gates = draw(st.lists(st.one_of(reversible_gate(n), reset), max_size=30))
     n_mol = draw(st.sampled_from([1, 63, 64, 65, 130]))
-    return n, n_mol, gates, draw(st.integers(0, 2**32 - 1))
+    start = draw(st.integers(0, n - 1))
+    return n, n_mol, gates, draw(st.integers(0, 2**32 - 1)), start
 
 
 #: Level tags of the former 8-bit engine: levels 0..253, then these codes.
@@ -202,7 +204,7 @@ class TestProvenanceOracle:
     @settings(deadline=None, max_examples=60)
     @given(engine_cases())
     def test_packed_engine_matches_per_molecule_model(self, case):
-        n, n_mol, gates, seed = case
+        n, n_mol, gates, seed, start = case
         rng = np.random.default_rng(seed)
         bits = rng.random((n, n_mol)) < 0.5
         flags = rng.random((n, n_mol)) < 0.7
@@ -223,6 +225,10 @@ class TestProvenanceOracle:
             used += width
             assert reg.comp_bit_rows(0, n).T.tolist() == [b for b, _, _ in model]
             assert reg.clean_rows(0, n).T.tolist() == [f for _, f, _ in model]
+            assert _unpack_rows(reg.rrtr, n_mol).T.tolist() == [r for _, _, r in model]
+            for k in (1, n - start):
+                runs = [(f[start : start + k] + [0]).index(0) for _, f, _ in model]
+                assert reg.purified_run_length(start, k).tolist() == runs
 
 
 def level_tag_run(plan, schedule, bits, rrtr, pool):
@@ -309,6 +315,84 @@ class TestValidation:
             apply_gate(reg, Cnot(0, 2))
         with pytest.raises(GateError):
             apply_gate(reg, Swap(0, 9))
+
+
+def any_gate(n):
+    """A gate of any kind whose operands may be out of range, repeated or
+    far apart, so that it may be malformed for an n-position register."""
+    idx = st.integers(min_value=-2, max_value=n + 1)
+    return st.one_of(
+        st.builds(Cnot, idx, idx),
+        st.builds(Swap, idx, idx),
+        st.builds(ZcSwap, idx, idx, idx),
+        st.builds(Reset, idx, st.integers(min_value=-1, max_value=n + 2)),
+    )
+
+
+def reference_violation(gate, n, strict):
+    """The gate rules restated from the operand tuple, gate kind by kind."""
+    pos, line = gate.positions(), gate.line()
+    if not pos:
+        return f"{line}: empty"
+    if min(pos) < 0 or max(pos) >= n:
+        return f"{line}: position out of range for n={n}"
+    if not isinstance(gate, Reset) and len(set(pos)) != len(pos):
+        return f"{line}: operands must be pairwise distinct"
+    if strict and isinstance(gate, (Cnot, Swap)) and abs(pos[0] - pos[1]) > 1:
+        return f"{line}: operands farther than 1 apart"
+    if strict and isinstance(gate, ZcSwap):
+        z, a, b = pos
+        if abs(a - b) > 1:
+            return f"{line}: swap operands farther than 1 apart"
+        if min(abs(z - a), abs(z - b)) > 1:
+            return f"{line}: control not adjacent to swap operands"
+    return None
+
+
+class TestGateChecks:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), st.integers(min_value=1, max_value=6), st.booleans())
+    def test_apply_raises_exactly_when_validation_reports(self, data, n, strict):
+        bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
+        pool = _pack_rows(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
+        reg = Register.from_comp_bits(bits, reset_pool=pool, strict=strict)
+        for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
+            errors = validate_schedule(Schedule([g]), n, strict=strict)
+            assert errors == [e for e in [reference_violation(g, n, strict)] if e]
+            state, rows, rrtr = reg.state.copy(), list(reg.rows), reg.rrtr.copy()
+            if errors:
+                with pytest.raises(GateError) as exc:
+                    apply_gate(reg, g)
+                assert [str(exc.value)] == errors
+                assert np.array_equal(reg.state, state) and reg.rows == rows
+                assert np.array_equal(reg.rrtr, rrtr)
+            else:
+                apply_gate(reg, g)  # a well-formed gate never raises GateError
+
+    def test_unknown_gate(self):
+        with pytest.raises(GateError, match="unknown gate"):
+            apply_gate(single([0, 1]), Marker("not a gate"))
+
+
+class TestRowMap:
+    def test_swap_moves_no_data(self):
+        reg = single([1, 0, 1, 1])
+        before = reg.state.tobytes()
+        apply_gate(reg, Swap(1, 2))
+        apply_gate(reg, Swap(0, 1))
+        assert reg.state.tobytes() == before
+        assert reg.rows == [2, 0, 1, 3]
+        assert reg.molecule_bits() == [1, 1, 0, 1]
+
+    def test_reset_writes_through_the_map(self):
+        # logical 0 lives in physical row 1 after the swap; RRTR stays logical
+        reg = single([1, 0, 1], reset_pool=np.array([[1], [0]], dtype=np.uint64))
+        reg.rrtr[:] = np.array([[0], [1], [0]], dtype=np.uint64)
+        apply_gate(reg, Swap(0, 1))
+        apply_gate(reg, Reset(0, 2))
+        assert reg.molecule_bits() == [0, 1, 1]
+        assert reg.state[:, 0, 0].tolist() == [1, 0, 1]  # physical rows 0, 1, 2
+        assert reg.rrtr[:, 0].tolist() == [1, 0, 0]
 
 
 class TestSerialization:

@@ -253,6 +253,7 @@ class TestGoldenOutputs:
               "--molecules", "5000", "--seed", "2", "--format", "json"],
              "aed527eb528059b1"),
             (["compile", "--m", "8", "--jf", "2"], "27da5372bba63b72"),
+            (["compile", "--m", "50", "--jf", "3"], "9510d131ea33dbf4"),
         ],
     )
     def test_sha256_prefix(self, tmp_path, capsys, args, prefix):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from algcool import cooling
 from algcool.analytic import CoolingPlan, truncation_count
 from algcool.circuit import Bcs, Register, Reset, _pack_rows, validate_schedule
+from algcool.compression import compile_bcs
 from algcool.cooling import (
     compile_cooling,
     expected_length_after_round,
@@ -52,6 +54,18 @@ class TestCompileStructure:
         outer = compile_cooling(CoolingPlan(0.1, 4, 5, 2)).gates()
         inner = compile_cooling(CoolingPlan(0.1, 4, 5, 1)).gates()
         assert outer[: len(inner)] == inner
+
+    def test_each_compression_geometry_compiled_once(self, monkeypatch):
+        calls = []
+
+        def counting(m, nu, nu0):
+            calls.append((nu, nu0))
+            return compile_bcs(m, nu=nu, nu0=nu0)
+
+        monkeypatch.setattr(cooling, "compile_bcs", counting)
+        sched = compile_cooling(CoolingPlan(0.1, 50, 5, 3))
+        assert len(calls) == len(set(calls)) == 45  # of 155 compressions
+        assert sum(isinstance(it, Bcs) for it in sched.items) == 155
 
     def test_schedule_validates(self):
         plan = CoolingPlan(0.1, 8, 5, 2)
