@@ -376,10 +376,18 @@ def validate_schedule(
 ) -> list[str]:
     """Pure static check of index ranges and adjacency; no execution.
 
-    Returns the list of violations (empty means ok).
+    Returns the list of violations (empty means ok): one message per
+    failing occurrence, in schedule order. Each distinct gate object is
+    checked once.
     """
-    errors = (g.check(n, strict) for g in schedule.gates())
-    return [err for err in errors if err is not None]
+    # compiled and parsed schedules share equal items: check each object
+    # once, keyed by id (schedule.items keeps every object, so its id, alive)
+    distinct = dict(zip(map(id, schedule.items), schedule.items))
+    failing = {key: err for key, item in distinct.items()
+               if not isinstance(item, Annotation) and (err := item.check(n, strict))}
+    if not failing:
+        return []
+    return [failing[key] for key in map(id, schedule.items) if key in failing]
 
 
 # -- serialization ------------------------------------------------------
@@ -403,32 +411,48 @@ def _parse_annotation(body: str, lineno: int) -> Annotation:
         raise ValueError(f"line {lineno}: malformed {tag} annotation") from exc
 
 
+def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
+    """One stripped, non-blank line of the text format."""
+    if line.startswith("#"):
+        return _parse_annotation(line[1:].strip(), lineno)
+    parts = line.split()
+    kind = parts[0].upper()
+    if kind not in _GATES:
+        raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
+    build, arity = _GATES[kind]
+    if len(parts) - 1 != arity:
+        raise ValueError(f"line {lineno}: {kind} expects {arity} operands")
+    try:
+        args = [int(p) for p in parts[1:]]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: non-integer operand") from exc
+    return build(*args)
+
+
 def schedule_to_text(schedule: Schedule) -> str:
-    """Line-oriented text form, one gate per line; annotations as comments."""
-    lines = [item.line() for item in schedule.items]
+    """Line-oriented text form, one gate per line; annotations as comments.
+    Each distinct item object is formatted once."""
+    keys = list(map(id, schedule.items))  # as in validate_schedule
+    line = {key: item.line() for key, item in dict(zip(keys, schedule.items)).items()}
+    lines = list(map(line.__getitem__, keys))
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def schedule_from_text(text: str) -> Schedule:
-    """Parse the text format back; bit-exact round trip with to_text."""
+    """Parse the text format back; bit-exact round trip with to_text.
+
+    Each distinct line is parsed once per call, and every occurrence of it
+    is the same object. A malformed line raises at its first occurrence,
+    naming its line number.
+    """
     items: list[Union[Gate, Annotation]] = []
+    parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            items.append(_parse_annotation(line[1:].strip(), lineno))
-            continue
-        parts = line.split()
-        kind = parts[0].upper()
-        if kind not in _GATES:
-            raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
-        build, arity = _GATES[kind]
-        if len(parts) - 1 != arity:
-            raise ValueError(f"line {lineno}: {kind} expects {arity} operands")
-        try:
-            args = [int(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer operand") from exc
-        items.append(build(*args))
+        item = parsed.get(raw)
+        if item is None:
+            line = raw.strip()
+            if not line:
+                continue
+            item = parsed[raw] = _parse_line(line, lineno)
+        items.append(item)
     return Schedule(items)

@@ -15,6 +15,7 @@ schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Union
 
 import numpy as np
@@ -50,6 +51,9 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     nu0 + 1, from where it is swapped right to its parking slot. The
     escort leaves every position data-independent except inside the
     already-processed prefix.
+
+    Every gate is fixed by one position, so equal gates are one shared
+    object, built once per position and kind for the whole process.
     """
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be a positive even count, got {m}")
@@ -60,14 +64,18 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     items: list = [Bcs(m, nu, nu0)]
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
-        items.append(Cnot(q, q + 1))
-        for j in range(1, q - nu0 + 1):
-            items.append(ZcSwap(q - j + 2, q - j, q - j + 1))
-            items.append(Swap(q - j + 1, q - j + 2))
+        items.append(_cnot(q))
+        for i in range(q - 1, nu0 - 1, -1):  # escort one hop left per step
+            items += (_zcswap(i), _swap(i + 1))
         park = nu + m - 1 - k
-        for i in range(nu0 + 1, park):
-            items.append(Swap(i, i + 1))
+        items += map(_swap, range(nu0 + 1, park))
     return Schedule(items)
+
+
+# One shared gate per position and kind: at most n entries each.
+_cnot = cache(lambda q: Cnot(q, q + 1))
+_zcswap = cache(lambda i: ZcSwap(i + 2, i, i + 1))
+_swap = cache(lambda i: Swap(i, i + 1))
 
 
 def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:

@@ -88,7 +88,8 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     start offset; the outermost pushes land at absolute position 0. The
     emitted schedule is fully data-independent and contains exactly
     ell^j_final reset phases. Compression blocks of equal geometry are
-    compiled once and share their (immutable) gate objects.
+    compiled once, and RESETs of equal offset are kept once, so equal
+    gates are one shared (immutable) object.
     """
     if plan.ell == 4:
         warnings.warn(
@@ -104,7 +105,7 @@ def _emit(items: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None
     m, ell = plan.m, plan.ell
     if j == 0:
         items.append(Marker(f"phase: M_0 offset={mu}"))
-        items.append(Reset(mu, m))
+        items.append(blocks.setdefault(mu, Reset(mu, m)))  # one RESET per offset mu
         return
     for depth in range(ell):
         items.append(Marker(f"phase: M_{j} depth={depth} offset={mu}"))

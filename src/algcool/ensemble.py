@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import CoolingPlan
-from .circuit import Count, Cut, Register, Schedule, _pack_rows
+from .circuit import Annotation, Count, Cut, Register, Reset, Schedule, _pack_rows
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -172,11 +172,20 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    # the schedule, not the run, fixes where rounds end and truncations fall
-    marks = [it for it in schedule.items if isinstance(it, (Count, Cut))]
-    counts = [it for it in marks if isinstance(it, Count)]
-    sizes = (plan.m, len(marks) - len(counts), len(counts))
-    job = partial(_chunk_totals, plan, schedule, schedule.reset_rows(), sizes, seed, num_molecules)
+    # the schedule, not the run, fixes where rounds end and truncations
+    # fall, the reset rows each molecule draws and the steps: one walk
+    counts, cuts, annotations, reset_rows = [], 0, 0, 0
+    for item in schedule.items:
+        if isinstance(item, Annotation):
+            annotations += 1
+            if isinstance(item, Count):
+                counts.append(item)
+            elif isinstance(item, Cut):
+                cuts += 1
+        elif isinstance(item, Reset):
+            reset_rows += item.length
+    sizes = (plan.m, cuts, len(counts))
+    job = partial(_chunk_totals, plan, schedule, reset_rows, sizes, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
         acc = reduce(_Accumulator.merge, map(job, starts))
@@ -203,7 +212,7 @@ def run_ensemble(
         truncation_shortfall_histogram=dict(sorted(acc.shortfalls.items())),
         mean_purified_lengths=trunc_means,
         round_mean_lengths=round_means,
-        steps_used=schedule.step_total(),
+        steps_used=len(schedule.items) - annotations,  # one step per gate
     )
 
 

@@ -309,6 +309,14 @@ class TestValidation:
     def test_nonstrict_skips_adjacency(self):
         assert validate_schedule(Schedule([Swap(0, 5)]), 8, strict=False) == []
 
+    def test_shared_bad_gate_reported_per_occurrence_in_order(self):
+        bad, other = Swap(0, 5), Cnot(3, 3)
+        sched = Schedule([Swap(0, 1), bad, Cnot(1, 2), bad, other, Marker("x"), bad])
+        out = validate_schedule(sched, 8)
+        assert len(out) == 4
+        assert out[0] == out[1] == out[3] == bad.check(8, True)
+        assert out[2] == other.check(8, True)
+
     def test_apply_rejects_bad_gate(self):
         reg = single([0, 0, 0])
         with pytest.raises(GateError):
@@ -434,6 +442,19 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match="line 2"):
                 schedule_from_text("SWAP 0 1\n" + typed + "\n")
+
+    def test_repeated_line_then_malformed(self):
+        with pytest.raises(ValueError, match="line 3: non-integer"):
+            schedule_from_text("SWAP 0 1\nSWAP 0 1\nSWAP 0 x\n")
+
+    def test_parse_shares_equal_lines(self):
+        text = schedule_to_text(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
+        items = schedule_from_text(text).items
+        distinct_lines = {raw for raw in text.splitlines() if raw.strip()}
+        assert len(items) == 818526
+        assert len({id(it) for it in items}) == len(distinct_lines) == 1236
+        # shared objects still re-serialize line for line
+        assert schedule_to_text(Schedule(items)) == text
 
 
 class TestBatchedExecution:

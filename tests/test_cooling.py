@@ -67,6 +67,11 @@ class TestCompileStructure:
         assert len(calls) == len(set(calls)) == 45  # of 155 compressions
         assert sum(isinstance(it, Bcs) for it in sched.items) == 155
 
+    def test_equal_gates_are_one_object(self):
+        gates = compile_cooling(CoolingPlan(0.1, 50, 5, 3)).gates()
+        assert len(gates) == 817750
+        assert len({id(g) for g in gates}) == len(set(gates)) == 1010
+
     def test_schedule_validates(self):
         plan = CoolingPlan(0.1, 8, 5, 2)
         assert validate_schedule(compile_cooling(plan), plan.n_required) == []
