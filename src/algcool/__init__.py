@@ -35,6 +35,7 @@ from .analytic import (
 )
 from .circuit import (
     Bcs,
+    Census,
     Cnot,
     Count,
     Cut,
@@ -54,8 +55,6 @@ from .circuit import (
 from .compression import BcsOutcome, compile_bcs, reference_bcs, run_bcs
 from .cooling import (
     CoolingRun,
-    RoundRecord,
-    TruncationRecord,
     compile_cooling,
     expected_length_after_round,
     run_cooling,

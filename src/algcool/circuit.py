@@ -26,8 +26,9 @@ every view reads through the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "Bcs",
     "Count",
     "Cut",
+    "Census",
     "Schedule",
     "GateError",
     "Register",
@@ -59,8 +61,15 @@ class GateError(ValueError):
     """A gate is malformed for the register it is applied to."""
 
 
+class _GateText:
+    """The text form every gate shares: its KIND, then its fields in order."""
+
+    def line(self) -> str:
+        return " ".join([self.KIND, *(str(getattr(self, f.name)) for f in fields(self))])
+
+
 @dataclass(frozen=True)
-class Cnot:
+class Cnot(_GateText):
     control: int
     target: int
     KIND = "CNOT"
@@ -68,15 +77,12 @@ class Cnot:
     def positions(self) -> tuple[int, ...]:
         return (self.control, self.target)
 
-    def line(self) -> str:
-        return f"CNOT {self.control} {self.target}"
-
     def check(self, n: int, strict: bool) -> Optional[str]:
         return _pair_violation(self, self.control, self.target, n, strict)
 
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_GateText):
     a: int
     b: int
     KIND = "SWAP"
@@ -84,15 +90,12 @@ class Swap:
     def positions(self) -> tuple[int, ...]:
         return (self.a, self.b)
 
-    def line(self) -> str:
-        return f"SWAP {self.a} {self.b}"
-
     def check(self, n: int, strict: bool) -> Optional[str]:
         return _pair_violation(self, self.a, self.b, n, strict)
 
 
 @dataclass(frozen=True)
-class ZcSwap:
+class ZcSwap(_GateText):
     """Swap a and b on molecules whose zero_control bit reads 0."""
 
     zero_control: int
@@ -102,9 +105,6 @@ class ZcSwap:
 
     def positions(self) -> tuple[int, ...]:
         return (self.zero_control, self.a, self.b)
-
-    def line(self) -> str:
-        return f"ZCSWAP {self.zero_control} {self.a} {self.b}"
 
     def check(self, n: int, strict: bool) -> Optional[str]:
         z, a, b = self.zero_control, self.a, self.b
@@ -120,7 +120,7 @@ class ZcSwap:
 
 
 @dataclass(frozen=True)
-class Reset:
+class Reset(_GateText):
     """Column-wise reset: swap [start, start+length) with the RRTR row."""
 
     start: int
@@ -129,9 +129,6 @@ class Reset:
 
     def positions(self) -> tuple[int, ...]:
         return tuple(range(self.start, self.start + self.length))
-
-    def line(self) -> str:
-        return f"RESET {self.start} {self.length}"
 
     def check(self, n: int, strict: bool) -> Optional[str]:
         # column-wise, so no row adjacency
@@ -207,24 +204,51 @@ class Cut(Annotation):
     TAG = "cut"
 
 
-@dataclass
-class Schedule:
-    """An ordered, data-independent list of gates plus annotations."""
+class Census(NamedTuple):
+    """The shape of a schedule, which every run of it shares."""
 
-    items: list[Union[Gate, Annotation]] = field(default_factory=list)
+    steps: int  # one per gate, a RESET of any width included
+    resets: int  # RESET gates
+    reset_rows: int  # fresh rows a run draws from the reset pool
+    marks: tuple[Union[Count, Cut], ...]  # where rounds end and cuts fall, in order
+
+
+_STEP_ONLY = frozenset({Cnot, Swap, ZcSwap})  # the bulk, skipped by a cheap exact-type test
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """An ordered, data-independent, immutable sequence of gates plus
+    annotations. ``items`` becomes a tuple on construction, so the
+    ``census`` counted by the first use stays true."""
+
+    items: tuple[Union[Gate, Annotation], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))  # a tuple is kept as is
+
+    @cached_property
+    def census(self) -> Census:
+        """The schedule's steps, RESETs, reset rows and ``Count``/``Cut``
+        marks, counted in one pass on first use."""
+        rare = [it for it in self.items if type(it) not in _STEP_ONLY]
+        notes = [it for it in rare if isinstance(it, Annotation)]
+        resets = [it for it in rare if isinstance(it, Reset)]
+        marks = tuple(it for it in notes if isinstance(it, (Count, Cut)))
+        return Census(len(self.items) - len(notes), len(resets),
+                      sum(r.length for r in resets), marks)
 
     def gates(self) -> list[Gate]:
         return [g for g in self.items if not isinstance(g, Annotation)]
 
     def step_total(self) -> int:
-        """Time steps of a run: one per gate, a RESET of any width included.
-        The schedule is data-independent, so every run takes exactly this
-        many."""
-        return sum(not isinstance(g, Annotation) for g in self.items)
+        """Time steps of a run; the schedule is data-independent, so every
+        run takes exactly this many."""
+        return self.census.steps
 
     def reset_rows(self) -> int:
         """Total fresh rows a run will draw from the reset pool."""
-        return sum(g.length for g in self.items if isinstance(g, Reset))
+        return self.census.reset_rows
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import warnings
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -35,7 +34,7 @@ from .analytic import (
     min_rounds,
     timing_feasibility,
 )
-from .circuit import Annotation, Reset, schedule_from_text, schedule_to_text, validate_schedule
+from .circuit import schedule_to_text, validate_schedule
 from .cooling import compile_cooling
 from .ensemble import compare_to_analytic, run_ensemble
 
@@ -191,14 +190,12 @@ def cmd_compile(args) -> int:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 1
-    text = schedule_to_text(schedule)
-    kinds = Counter(map(type, schedule.items))
-    gates = sum(n for kind, n in kinds.items() if not issubclass(kind, Annotation))
-    _emit(args, text)
+    _emit(args, schedule_to_text(schedule))
     if args.out:
-        print(  # a run takes one step per gate (Schedule.step_total)
-            f"wrote {args.out}: {gates} gates, {kinds[Reset]} reset phases, "
-            f"{gates} steps (bound {plan.step_bound})"
+        census = schedule.census  # a run takes one step per gate
+        print(
+            f"wrote {args.out}: {census.steps} gates, {census.resets} reset phases, "
+            f"{census.steps} steps (bound {plan.step_bound})"
         )
     return 0
 

@@ -30,9 +30,6 @@ class BcsOutcome:
     """Result of one compression round on a (batched) register."""
 
     purified_count: Union[int, np.ndarray]
-    purified_start: int
-    supervisor_region: tuple[int, int]
-    steps_used: int
 
 
 def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
@@ -86,6 +83,8 @@ def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
     register). Dirty bits and supervisors are unflagged, so the run ends
     where the kept bits do. With nu0 < nu the run also takes in the
     flagged bits already in [nu0, nu): the earlier rounds' purified prefix.
+    The outcome holds the count alone: the push target and supervisor
+    region are the schedule's ``Bcs`` geometry, its steps ``step_total()``.
     """
     geometry = next((it for it in schedule.items if isinstance(it, Bcs)), None)
     if geometry is None:
@@ -99,12 +98,7 @@ def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
     counts = reg.purified_run_length(nu0, reg.n - nu0)
     if reg.num_molecules == 1:
         counts = int(counts[0])
-    return BcsOutcome(
-        purified_count=counts,
-        purified_start=nu0,
-        supervisor_region=(nu + m // 2, nu + m),
-        steps_used=schedule.step_total(),
-    )
+    return BcsOutcome(counts)
 
 
 def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 import warnings
+from itertools import chain
 
 import numpy as np
 
-from .analytic import CoolingPlan
+from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
     Annotation,
     Count,
@@ -32,40 +33,23 @@ from .compression import compile_bcs
 
 __all__ = [
     "CoolingRun",
-    "RoundRecord",
-    "TruncationRecord",
     "compile_cooling",
     "run_cooling",
     "expected_length_after_round",
 ]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Purified length observed after one compression round."""
-
-    level: int
-    offset: int
-    round_index: int  # 1-based within the level's ell rounds
-    lengths: np.ndarray  # per molecule
-
-
-@dataclass(frozen=True)
-class TruncationRecord:
-    """Purified length available when a level's output is truncated to m."""
-
-    level: int
-    offset: int
-    required: int
-    lengths: np.ndarray  # per molecule
-
-
 @dataclass
 class CoolingRun:
+    """One batch through a schedule. Each log entry is ``(mark, lengths)``:
+    one of the schedule's own ``Count`` (round log) or ``Cut`` (truncation
+    log) marks, in schedule order, and the per-molecule purified length
+    observed there."""
+
     plan: CoolingPlan
     schedule: Schedule
-    round_log: list[RoundRecord]
-    truncation_log: list[TruncationRecord]
+    round_log: list[tuple[Count, np.ndarray]]
+    truncation_log: list[tuple[Cut, np.ndarray]]
     success: np.ndarray  # per molecule: every truncation had length >= m
     output_bits: np.ndarray  # (m, num_molecules) uint8
 
@@ -78,7 +62,7 @@ def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
     """Expected purified length after k rounds feeding on bias e_prev."""
     if k < 1:
         raise ValueError("round index must be >= 1")
-    return k * (1.0 + e_prev * e_prev) / 4.0 * m
+    return k * expected_keep_fraction(e_prev) * m
 
 
 def compile_cooling(plan: CoolingPlan) -> Schedule:
@@ -96,27 +80,25 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
             "cooling depth 4 gives a vacuous success bound; use 5 or more",
             stacklevel=2,
         )
-    items: list = []
-    _emit(items, plan.j_final, 0, plan, {})
-    return Schedule(items)
+    parts: list[tuple] = []  # runs of items, joined into one tuple with no list copy
+    _emit(parts, plan.j_final, 0, plan, {})
+    return Schedule(tuple(chain.from_iterable(parts)))
 
 
-def _emit(items: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None:
+def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None:
     m, ell = plan.m, plan.ell
-    if j == 0:
-        items.append(Marker(f"phase: M_0 offset={mu}"))
-        items.append(blocks.setdefault(mu, Reset(mu, m)))  # one RESET per offset mu
+    if j == 0:  # one RESET per offset mu
+        parts.append((Marker(f"phase: M_0 offset={mu}"), blocks.setdefault(mu, Reset(mu, m))))
         return
     for depth in range(ell):
-        items.append(Marker(f"phase: M_{j} depth={depth} offset={mu}"))
+        parts.append((Marker(f"phase: M_{j} depth={depth} offset={mu}"),))
         nu = mu + depth * m // 2
-        _emit(items, j - 1, nu, plan, blocks)
-        items.append(Marker(f"phase: BCS {j - 1}->{j}"))
+        _emit(parts, j - 1, nu, plan, blocks)
+        parts.append((Marker(f"phase: BCS {j - 1}->{j}"),))
         if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
             blocks[nu, mu] = compile_bcs(m, nu=nu, nu0=mu).items
-        items.extend(blocks[nu, mu])
-        items.append(Count(j, mu, depth + 1))
-    items.append(Cut(j, mu, m))
+        parts += (blocks[nu, mu], (Count(j, mu, depth + 1),))
+    parts.append((Cut(j, mu, m),))
 
 
 def run_cooling(
@@ -140,27 +122,22 @@ def run_cooling(
         schedule = compile_cooling(plan)
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
-    round_log: list[RoundRecord] = []
-    trunc_log: list[TruncationRecord] = []
+    logs: dict[type, list] = {Count: [], Cut: []}
     for item in schedule.items:
         if not isinstance(item, Annotation):
             apply_gate(reg, item)
-        elif isinstance(item, Count):
-            lengths = reg.purified_run_length(item.at, window)
-            round_log.append(RoundRecord(item.level, item.at, item.round, lengths))
-        elif isinstance(item, Cut):
-            lengths = reg.purified_run_length(item.at, window)
-            trunc_log.append(TruncationRecord(item.level, item.at, item.m, lengths))
+        elif isinstance(item, (Count, Cut)):
+            logs[type(item)].append((item, reg.purified_run_length(item.at, window)))
 
     success = np.ones(reg.num_molecules, dtype=bool)
-    for rec in trunc_log:
-        success &= rec.lengths >= rec.required
+    for cut, lengths in logs[Cut]:
+        success &= lengths >= cut.m
     output_bits = reg.comp_bit_rows(0, plan.m)
     return CoolingRun(
         plan=plan,
         schedule=schedule,
-        round_log=round_log,
-        truncation_log=trunc_log,
+        round_log=logs[Count],
+        truncation_log=logs[Cut],
         success=success,
         output_bits=output_bits,
     )

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import CoolingPlan
-from .circuit import Annotation, Count, Cut, Register, Reset, Schedule, _pack_rows
+from .analytic import CoolingPlan, expected_keep_fraction
+from .circuit import Count, Register, Schedule, _pack_rows
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -97,8 +97,10 @@ class _Accumulator:
     shortfalls: Counter = field(default_factory=Counter)
 
     @classmethod
-    def empty(cls, m: int, cuts: int, rounds: int) -> "_Accumulator":
-        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, cuts, rounds)))
+    def empty(cls, m: int, marks: tuple) -> "_Accumulator":
+        """Sized for m output positions and a schedule's Count/Cut marks."""
+        rounds = sum(isinstance(mark, Count) for mark in marks)
+        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, len(marks) - rounds, rounds)))
 
     def fold(self, run: CoolingRun) -> None:
         out = run.output_bits
@@ -106,12 +108,12 @@ class _Accumulator:
         succ = run.success
         self.success_zero_counts += (out[:, succ] == 0).sum(axis=1)
         self.success_count += int(succ.sum())
-        for i, rec in enumerate(run.truncation_log):
-            self.trunc_length_sums[i] += rec.lengths.sum()
-            short = rec.required - rec.lengths
+        for i, (cut, lengths) in enumerate(run.truncation_log):
+            self.trunc_length_sums[i] += lengths.sum()
+            short = cut.m - lengths
             self.shortfalls.update(short[short > 0].tolist())
-        for i, rec in enumerate(run.round_log):
-            self.round_length_sums[i] += rec.lengths.sum()
+        for i, (_, lengths) in enumerate(run.round_log):
+            self.round_length_sums[i] += lengths.sum()
 
     def merge(self, other: "_Accumulator") -> "_Accumulator":
         self.zero_counts += other.zero_counts
@@ -124,20 +126,15 @@ class _Accumulator:
 
 
 def _chunk_totals(
-    plan: CoolingPlan,
-    schedule: Schedule,
-    reset_rows: int,
-    sizes: tuple[int, int, int],
-    seed: int,
-    num_molecules: int,
-    start: int,
+    plan: CoolingPlan, schedule: Schedule, seed: int, num_molecules: int, start: int
 ) -> _Accumulator:
-    """Integer totals of molecules [start, start + CHUNK_SIZE). The
-    schedule's ``reset_rows`` and the accumulator ``sizes`` are counted
-    once per run."""
+    """Integer totals of molecules [start, start + CHUNK_SIZE). The reset
+    rows and the accumulator's sizes are read from the schedule's census,
+    counted once per run."""
     stop = min(start + CHUNK_SIZE, num_molecules)
-    reg = _build_registers(plan.n_required, plan.epsilon0, seed, start, stop, reset_rows)
-    acc = _Accumulator.empty(*sizes)
+    reg = _build_registers(
+        plan.n_required, plan.epsilon0, seed, start, stop, schedule.reset_rows())
+    acc = _Accumulator.empty(plan.m, schedule.census.marks)
     acc.fold(run_cooling(reg, plan, schedule))
     return acc
 
@@ -172,20 +169,8 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    # the schedule, not the run, fixes where rounds end and truncations
-    # fall, the reset rows each molecule draws and the steps: one walk
-    counts, cuts, annotations, reset_rows = [], 0, 0, 0
-    for item in schedule.items:
-        if isinstance(item, Annotation):
-            annotations += 1
-            if isinstance(item, Count):
-                counts.append(item)
-            elif isinstance(item, Cut):
-                cuts += 1
-        elif isinstance(item, Reset):
-            reset_rows += item.length
-    sizes = (plan.m, cuts, len(counts))
-    job = partial(_chunk_totals, plan, schedule, reset_rows, sizes, seed, num_molecules)
+    census = schedule.census  # counted here, so forked workers inherit it
+    job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
         acc = reduce(_Accumulator.merge, map(job, starts))
@@ -199,6 +184,7 @@ def run_ensemble(
     zero_freq = acc.zero_counts / num_molecules
     s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None
     trunc_means = [s / num_molecules for s in acc.trunc_length_sums.tolist()]
+    counts = [mark for mark in census.marks if isinstance(mark, Count)]
     round_means = [(c.level, c.round, s / num_molecules)
                    for c, s in zip(counts, acc.round_length_sums.tolist())]
     return EnsembleStats(
@@ -212,7 +198,7 @@ def run_ensemble(
         truncation_shortfall_histogram=dict(sorted(acc.shortfalls.items())),
         mean_purified_lengths=trunc_means,
         round_mean_lengths=round_means,
-        steps_used=len(schedule.items) - annotations,  # one step per gate
+        steps_used=census.steps,
     )
 
 
@@ -276,7 +262,7 @@ def compare_to_analytic(stats: EnsembleStats, plan: CoolingPlan) -> DeviationRep
     for (level, k, observed) in stats.round_mean_lengths:
         e_prev = sched[level - 1]
         expected = expected_length_after_round(e_prev, plan.m, k)
-        keep = (1.0 + e_prev * e_prev) / 2.0  # per-pair keep probability
+        keep = 2 * expected_keep_fraction(e_prev)  # per-pair keep probability
         var_one = k * (plan.m / 2.0) * keep * (1.0 - keep)
         sigma = np.sqrt(var_one / n_mol)
         z = (observed - expected) / sigma if sigma > 0 else 0.0

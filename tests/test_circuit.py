@@ -1,5 +1,7 @@
 """Gate-engine tests: semantics, provenance, accounting, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from algcool.analytic import CoolingPlan
 from algcool.circuit import (
     Annotation,
+    Bcs,
     Cnot,
     Count,
     Cut,
@@ -271,8 +274,8 @@ class TestLevelTagEquivalence:
             out, counts, cuts = level_tag_run(
                 plan, schedule, *(a[:, i].astype(int).tolist() for a in (bits, rrtr, pool)))
             assert run.output_bits[:, i].tolist() == out
-            assert [int(r.lengths[i]) for r in run.round_log] == counts
-            assert [int(r.lengths[i]) for r in run.truncation_log] == cuts
+            assert [int(lengths[i]) for _, lengths in run.round_log] == counts
+            assert [int(lengths[i]) for _, lengths in run.truncation_log] == cuts
 
 
 class TestStepAccounting:
@@ -291,6 +294,50 @@ class TestStepAccounting:
         assert sched.step_total() == 3
         assert sched.reset_rows() == 3
         assert len(sched.gates()) == 3
+
+    def test_items_are_an_immutable_tuple(self):
+        items = [Marker("x"), Swap(0, 1)]
+        sched = Schedule(items)
+        assert type(sched.items) is tuple and sched.items == tuple(items)
+        assert type(compile_cooling(CoolingPlan(0.1, 4, 5, 1)).items) is tuple
+        assert type(schedule_from_text("SWAP 0 1\n").items) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.items = ()
+
+
+def plain_census(schedule):
+    """The census restated from the items: steps, RESETs, reset rows, marks."""
+    resets = [g for g in schedule.gates() if isinstance(g, Reset)]
+    marks = [it for it in schedule.items if isinstance(it, (Count, Cut))]
+    return len(schedule.gates()), len(resets), sum(r.length for r in resets), marks
+
+
+class TestCensus:
+    @pytest.mark.filterwarnings("ignore:cooling depth 4")
+    @pytest.mark.parametrize(
+        "eps,m,ell,jf",
+        [(0.1, 6, 5, 0), (0.1, 4, 4, 1), (0.1, 8, 5, 2), (0.1, 20, 5, 2), (0.1, 50, 5, 3)],
+    )
+    def test_compiled_plans(self, eps, m, ell, jf):
+        sched = compile_cooling(CoolingPlan(eps, m, ell, jf))
+        steps, resets, rows, marks = sched.census
+        assert (steps, resets, rows, list(marks)) == plain_census(sched)
+        assert sched.census is sched.census  # counted once
+        assert (sched.step_total(), sched.reset_rows()) == (steps, rows)
+
+    def test_parsed_headline(self):
+        text = schedule_to_text(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
+        sched = schedule_from_text(text)
+        steps, resets, rows, marks = sched.census
+        assert (steps, resets, rows, list(marks)) == plain_census(sched)
+        assert (steps, resets, rows, len(marks)) == (817750, 125, 6250, 186)
+
+    def test_every_item_kind(self):
+        sched = Schedule([Marker("x"), Bcs(2, 0, 0), Cnot(0, 1), Count(1, 0, 1),
+                          Reset(0, 3), ZcSwap(2, 0, 1), Cut(1, 0, 2), Swap(1, 2), Reset(1, 2)])
+        steps, resets, rows, marks = sched.census
+        assert (steps, resets, rows, list(marks)) == plain_census(sched)
+        assert (steps, resets, rows, marks) == (5, 2, 5, (Count(1, 0, 1), Cut(1, 0, 2)))
 
 
 class TestValidation:

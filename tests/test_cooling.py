@@ -5,7 +5,7 @@ import pytest
 
 from algcool import cooling
 from algcool.analytic import CoolingPlan, truncation_count
-from algcool.circuit import Bcs, Register, Reset, _pack_rows, validate_schedule
+from algcool.circuit import Bcs, Count, Cut, Register, Reset, _pack_rows, validate_schedule
 from algcool.compression import compile_bcs
 from algcool.cooling import (
     compile_cooling,
@@ -113,8 +113,8 @@ class TestRunCooling:
         run = run_cooling(reg, plan, sched)
         assert len(run.truncation_log) == truncation_count(5, 2)
         recomputed = np.ones(64, dtype=bool)
-        for rec in run.truncation_log:
-            recomputed &= rec.lengths >= rec.required
+        for cut, lengths in run.truncation_log:
+            recomputed &= lengths >= cut.m
         assert (run.success == recomputed).all()
         assert run.steps_used == sched.step_total()
         assert run.steps_used <= plan.step_bound
@@ -126,7 +126,18 @@ class TestRunCooling:
         run = run_cooling(reg, plan)
         # ell rounds at the top level, ell per inner block
         assert len(run.round_log) == 5 + 25
-        assert all(1 <= r.round_index <= 5 for r in run.round_log)
+        assert all(1 <= count.round <= 5 for count, _ in run.round_log)
+
+    def test_logs_hold_the_schedules_own_marks(self):
+        plan = CoolingPlan(0.1, 4, 5, 2)
+        sched = compile_cooling(plan)
+        reg = sample_molecule(plan.n_required, 0.1, seed=1, index=0,
+                              reset_rows=sched.reset_rows())
+        run = run_cooling(reg, plan, sched)
+        for log, kind in ((run.round_log, Count), (run.truncation_log, Cut)):
+            marks = [it for it in sched.items if isinstance(it, kind)]
+            assert len(log) == len(marks) > 0
+            assert all(mark is it for (mark, _), it in zip(log, marks))  # in schedule order
 
     def test_register_too_small(self):
         plan = CoolingPlan(0.1, 20, 5, 3)
