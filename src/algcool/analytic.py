@@ -13,11 +13,10 @@ probability is ``delta = (1 - epsilon) / 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = [
-    "Bias",
     "CoolingPlan",
     "TimingModel",
     "FeasibilityRow",
@@ -61,27 +60,6 @@ def _check_eps(epsilon: float, name: str = "epsilon") -> float:
     return epsilon
 
 
-@dataclass(frozen=True)
-class Bias:
-    """Polarization bias of a single bit: P(0) = (1 + epsilon) / 2."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _check_eps(self.epsilon)
-
-    def delta(self) -> float:
-        """Error probability (1 - epsilon) / 2, in [0, 1/2]."""
-        return (1.0 - self.epsilon) / 2.0
-
-
-def _eps(e) -> float:
-    """Accept either a Bias or a bare float."""
-    if isinstance(e, Bias):
-        return e.epsilon
-    return _check_eps(e)
-
-
 def binary_entropy(p: float) -> float:
     """Binary entropy H(p) in bits; endpoints return exactly 0."""
     p = float(p)
@@ -92,31 +70,31 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def next_bias(e) -> float:
+def next_bias(e: float) -> float:
     """One round of pairwise compression: epsilon -> 2*epsilon/(1 + epsilon^2)."""
-    eps = _eps(e)
+    eps = _check_eps(e)
     return 2.0 * eps / (1.0 + eps * eps)
 
 
-def bias_schedule(epsilon0, j_final: int) -> list[float]:
+def bias_schedule(epsilon0: float, j_final: int) -> list[float]:
     """Iterates [eps_0, eps_1, ..., eps_{j_final}] of the bias recursion."""
     if j_final < 0:
         raise ValueError("j_final must be >= 0")
-    out = [_eps(epsilon0)]
+    out = [_check_eps(epsilon0)]
     for _ in range(j_final):
         out.append(next_bias(out[-1]))
     return out
 
 
-def min_rounds(epsilon0, epsilon_des) -> int:
+def min_rounds(epsilon0: float, epsilon_des: float) -> int:
     """Smallest j such that j iterations reach at least epsilon_des.
 
     Raises UnreachableTargetError when the target cannot be met (e.g.
     epsilon_des = 1 from any epsilon0 < 1, or pathological near-one
     targets needing more than MAX_ROUNDS iterations).
     """
-    e0 = _eps(epsilon0)
-    target = _eps(epsilon_des)
+    e0 = _check_eps(epsilon0)
+    target = _check_eps(epsilon_des)
     if not 0.0 < e0 < 1.0:
         raise ValueError("epsilon0 must be in (0, 1)")
     if target == 1.0:
@@ -133,21 +111,21 @@ def min_rounds(epsilon0, epsilon_des) -> int:
     )
 
 
-def expected_keep_fraction(e) -> float:
+def expected_keep_fraction(e: float) -> float:
     """Expected fraction of input bits surviving one compression round."""
-    eps = _eps(e)
+    eps = _check_eps(e)
     return (1.0 + eps * eps) / 4.0
 
 
-def shannon_yield(n: int, epsilon0) -> float:
+def shannon_yield(n: int, epsilon0: float) -> float:
     """Entropy-preserving upper bound on purified bits: n*(1 - H(1/2 + eps/2))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eps = _eps(epsilon0)
+    eps = _check_eps(epsilon0)
     return n * (1.0 - binary_entropy(0.5 + eps / 2.0))
 
 
-def bcs_cascade_yield(n0: int, epsilon0, j_final: int) -> float:
+def bcs_cascade_yield(n0: int, epsilon0: float, j_final: int) -> float:
     """Expected purified-bit count after j_final reset-free compression rounds.
 
     Telescopes the per-round keep fraction (1 + eps_j^2)/4; equal to the
@@ -161,7 +139,7 @@ def bcs_cascade_yield(n0: int, epsilon0, j_final: int) -> float:
     return count
 
 
-def pps_signal(e, n: int) -> float:
+def pps_signal(e: float, n: int) -> float:
     """Pseudo-pure-state signal p = ((1 + eps)^n - 1) / (2^n - 1).
 
     Evaluated in log space so large n neither overflows nor underflows
@@ -169,7 +147,7 @@ def pps_signal(e, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eps = _eps(e)
+    eps = _check_eps(e)
     if eps == 0.0:
         return 0.0
     if eps == 1.0:
@@ -181,7 +159,7 @@ def pps_signal(e, n: int) -> float:
     return math.exp(log_num - log_den)
 
 
-def pps_decompose(e, n: int) -> tuple[float, float]:
+def pps_decompose(e: float, n: int) -> tuple[float, float]:
     """Split a pseudo-pure state into (pure weight p, mixed weight 1 - p)."""
     p = pps_signal(e, n)
     return p, 1.0 - p
@@ -347,11 +325,16 @@ class TimingModel:
 
 @dataclass(frozen=True)
 class TimingCheck:
+    """One separation ``lhs <= rhs``; ``passed`` is derived from the two."""
+
     name: str
     description: str
     lhs: float
     rhs: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.lhs <= self.rhs)
 
 
 @dataclass(frozen=True)
@@ -379,21 +362,18 @@ def timing_feasibility(timing: TimingModel, plan: CoolingPlan) -> TimingReport:
             "step_bound * t_switch << t_comput",
             steps * timing.t_switch * mg,
             timing.t_comput,
-            steps * timing.t_switch * mg <= timing.t_comput,
         ),
         TimingCheck(
             "reset_ready_for_reuse",
             "t_rrtr << m^2 * t_switch",
             timing.t_rrtr * mg,
             plan.m * plan.m * timing.t_switch,
-            timing.t_rrtr * mg <= plan.m * plan.m * timing.t_switch,
         ),
         TimingCheck(
             "relaxation_outlives_resets",
             "t_comput >> (step_bound / m^2) * t_rrtr",
             blocks * timing.t_rrtr * mg,
             timing.t_comput,
-            blocks * timing.t_rrtr * mg <= timing.t_comput,
         ),
     )
     return TimingReport(checks)

@@ -77,8 +77,8 @@ class Cnot(_GateText):
     def positions(self) -> tuple[int, ...]:
         return (self.control, self.target)
 
-    def check(self, n: int, strict: bool) -> Optional[str]:
-        return _pair_violation(self, self.control, self.target, n, strict)
+    def check(self, n: int) -> Optional[str]:
+        return _pair_violation(self, self.control, self.target, n)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class Swap(_GateText):
     def positions(self) -> tuple[int, ...]:
         return (self.a, self.b)
 
-    def check(self, n: int, strict: bool) -> Optional[str]:
-        return _pair_violation(self, self.a, self.b, n, strict)
+    def check(self, n: int) -> Optional[str]:
+        return _pair_violation(self, self.a, self.b, n)
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,15 @@ class ZcSwap(_GateText):
     def positions(self) -> tuple[int, ...]:
         return (self.zero_control, self.a, self.b)
 
-    def check(self, n: int, strict: bool) -> Optional[str]:
+    def check(self, n: int) -> Optional[str]:
         z, a, b = self.zero_control, self.a, self.b
         if not (0 <= z < n and 0 <= a < n and 0 <= b < n):
             return f"{self.line()}: position out of range for n={n}"
         if z == a or z == b or a == b:
             return f"{self.line()}: operands must be pairwise distinct"
-        if strict and abs(a - b) > 1:
+        if abs(a - b) > 1:
             return f"{self.line()}: swap operands farther than 1 apart"
-        if strict and abs(z - a) > 1 and abs(z - b) > 1:
+        if abs(z - a) > 1 and abs(z - b) > 1:
             return f"{self.line()}: control not adjacent to swap operands"
         return None
 
@@ -130,7 +130,7 @@ class Reset(_GateText):
     def positions(self) -> tuple[int, ...]:
         return tuple(range(self.start, self.start + self.length))
 
-    def check(self, n: int, strict: bool) -> Optional[str]:
+    def check(self, n: int) -> Optional[str]:
         # column-wise, so no row adjacency
         if self.length < 1:
             return f"{self.line()}: empty"
@@ -142,13 +142,13 @@ class Reset(_GateText):
 Gate = Union[Cnot, Swap, ZcSwap, Reset]
 
 
-def _pair_violation(gate: Gate, i: int, j: int, n: int, strict: bool) -> Optional[str]:
+def _pair_violation(gate: Gate, i: int, j: int, n: int) -> Optional[str]:
     """The check of a two-operand gate (CNOT, SWAP) on positions i and j."""
     if not (0 <= i < n and 0 <= j < n):
         return f"{gate.line()}: position out of range for n={n}"
     if i == j:
         return f"{gate.line()}: operands must be pairwise distinct"
-    if strict and abs(i - j) > 1:
+    if abs(i - j) > 1:
         return f"{gate.line()}: operands farther than 1 apart"
     return None
 
@@ -275,6 +275,10 @@ class Register:
     position to the physical row of ``state`` that holds it; gates, their
     checks and every view speak of logical positions. ``rrtr`` is packed
     (n, words) and indexed by logical position.
+
+    Every gate is checked before it acts: its operands must be in range,
+    distinct, and on neighbouring positions of the ladder (a RESET is
+    column-wise and needs no neighbours).
     """
 
     def __init__(
@@ -284,14 +288,12 @@ class Register:
         num_molecules: int,
         *,
         reset_pool: Optional[np.ndarray] = None,
-        strict: bool = True,
     ):
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
         self.state = np.stack((comp, np.full_like(comp, _ONES)), axis=1)
         self.rows = list(range(self.n))
         self.rrtr = rrtr
-        self.strict = strict
         self._reset_pool = reset_pool
         self._pool_cursor = 0
 
@@ -382,7 +384,7 @@ def apply_gate(reg: Register, gate: Gate) -> None:
     execute = _EXECUTORS.get(type(gate))
     if execute is None:
         raise GateError(f"unknown gate {gate!r}")
-    err = gate.check(reg.n, reg.strict)
+    err = gate.check(reg.n)
     if err is not None:
         raise GateError(err)
     execute(reg, gate)
@@ -395,9 +397,7 @@ def run_schedule(reg: Register, schedule: Schedule) -> None:
             apply_gate(reg, item)
 
 
-def validate_schedule(
-    schedule: Schedule, n: int, *, strict: bool = True
-) -> list[str]:
+def validate_schedule(schedule: Schedule, n: int) -> list[str]:
     """Pure static check of index ranges and adjacency; no execution.
 
     Returns the list of violations (empty means ok): one message per
@@ -408,7 +408,7 @@ def validate_schedule(
     # once, keyed by id (schedule.items keeps every object, so its id, alive)
     distinct = dict(zip(map(id, schedule.items), schedule.items))
     failing = {key: err for key, item in distinct.items()
-               if not isinstance(item, Annotation) and (err := item.check(n, strict))}
+               if not isinstance(item, Annotation) and (err := item.check(n))}
     if not failing:
         return []
     return [failing[key] for key in map(id, schedule.items) if key in failing]
@@ -455,11 +455,10 @@ def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
 
 def schedule_to_text(schedule: Schedule) -> str:
     """Line-oriented text form, one gate per line; annotations as comments.
-    Each distinct item object is formatted once."""
-    keys = list(map(id, schedule.items))  # as in validate_schedule
-    line = {key: item.line() for key, item in dict(zip(keys, schedule.items)).items()}
-    lines = list(map(line.__getitem__, keys))
-    return "\n".join(lines) + "\n" if lines else ""
+    Each distinct item object is formatted once, with its newline."""
+    items = schedule.items  # keyed by id, as in validate_schedule
+    line = {key: item.line() + "\n" for key, item in dict(zip(map(id, items), items)).items()}
+    return "".join(map(line.__getitem__, map(id, items)))
 
 
 def schedule_from_text(text: str) -> Schedule:

@@ -3,9 +3,11 @@
 Subcommands: ``table`` (feasibility table), ``plan`` (resource report for
 one parameter set), ``compile`` (write a gate schedule), ``simulate``
 (Monte Carlo ensemble run plus deviation report), and ``feasibility``
-(timing checks). Output is text, JSON, or CSV; JSON records carry a
-schema_version field and stable key order so equal runs produce
-byte-identical files.
+(timing checks). ``compile`` writes schedule text; every other command
+writes text, JSON, or CSV, and its JSON records carry a schema_version
+field and stable key order so equal runs produce byte-identical files.
+Only ``simulate`` and ``feasibility`` give a verdict, so only they take
+``--strict``.
 
 Defaults can be preloaded from a flat ``key=value`` config file named by
 the ALGCOOL_CONFIG environment variable; explicit flags win over the
@@ -315,11 +317,19 @@ def cmd_feasibility(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_out(parser) -> None:
     parser.add_argument("--out", metavar="PATH", default=None)
+
+
+def _add_output(parser) -> None:
+    """``--format`` and ``--out``, for every command that renders a record."""
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    _add_out(parser)
+
+
+def _add_strict(parser) -> None:
     parser.add_argument("--strict", action="store_true",
-                        help="treat failed verdicts as a nonzero exit")
+                        help="treat a failed verdict as a nonzero exit")
 
 
 class _RoundsAction(argparse.Action):
@@ -369,17 +379,17 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
     p = sub.add_parser("table", help="emit the cooling feasibility table")
     p.add_argument("--threshold", type=float, default=analytic.UNFEASIBLE_THRESHOLD,
                    help="signal probability below which a cell is unfeasible")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("plan", help="resource report for one parameter set")
     _add_plan_opts(p)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("compile", help="compile the full gate schedule")
+    p = sub.add_parser("compile", help="compile the full gate schedule, as text")
     _add_plan_opts(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble run")
@@ -388,7 +398,8 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes; never affects results")
-    _add_common(p)
+    _add_output(p)
+    _add_strict(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("feasibility", help="timing feasibility checks")
@@ -400,7 +411,8 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
                    help="computation-bit relaxation time, seconds")
     p.add_argument("--margin", type=float, default=2.0,
                    help="safety factor applied to every 'much less than'")
-    _add_common(p)
+    _add_output(p)
+    _add_strict(p)
     p.set_defaults(func=cmd_feasibility)
 
     for p in sub.choices.values():

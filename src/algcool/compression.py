@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = ["BcsOutcome", "compile_bcs", "run_bcs", "reference_bcs"]
 class BcsOutcome:
     """Result of one compression round on a (batched) register."""
 
-    purified_count: Union[int, np.ndarray]
+    purified_count: np.ndarray  # per molecule
 
 
 def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
@@ -78,9 +78,9 @@ _swap = cache(lambda i: Swap(i, i + 1))
 def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
     """Execute a compiled compression schedule with purified flags.
 
-    The outcome's purified count is the per-molecule contiguous run of
-    flagged positions at the push target (an int for a single-molecule
-    register). Dirty bits and supervisors are unflagged, so the run ends
+    The outcome's purified count holds one entry per molecule, a batch of
+    one included: the contiguous run of flagged positions at the push
+    target. Dirty bits and supervisors are unflagged, so the run ends
     where the kept bits do. With nu0 < nu the run also takes in the
     flagged bits already in [nu0, nu): the earlier rounds' purified prefix.
     The outcome holds the count alone: the push target and supervisor
@@ -95,10 +95,7 @@ def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
             f"schedule compiled for region [{nu}, {nu + m}) but register has n={reg.n}"
         )
     run_schedule(reg, schedule)
-    counts = reg.purified_run_length(nu0, reg.n - nu0)
-    if reg.num_molecules == 1:
-        counts = int(counts[0])
-    return BcsOutcome(counts)
+    return BcsOutcome(reg.purified_run_length(nu0, reg.n - nu0))
 
 
 def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -41,21 +41,16 @@ __all__ = [
 
 @dataclass
 class CoolingRun:
-    """One batch through a schedule. Each log entry is ``(mark, lengths)``:
-    one of the schedule's own ``Count`` (round log) or ``Cut`` (truncation
-    log) marks, in schedule order, and the per-molecule purified length
-    observed there."""
+    """What one batch's run observed; the plan and schedule it ran are the
+    caller's, and its steps are the schedule's ``step_total()``. Each log
+    entry is ``(mark, lengths)``: one of the schedule's own ``Count``
+    (round log) or ``Cut`` (truncation log) marks, in schedule order, and
+    the per-molecule purified length observed there."""
 
-    plan: CoolingPlan
-    schedule: Schedule
     round_log: list[tuple[Count, np.ndarray]]
     truncation_log: list[tuple[Cut, np.ndarray]]
     success: np.ndarray  # per molecule: every truncation had length >= m
     output_bits: np.ndarray  # (m, num_molecules) uint8
-
-    @property
-    def steps_used(self) -> int:
-        return self.schedule.step_total()
 
 
 def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
@@ -134,8 +129,6 @@ def run_cooling(
         success &= lengths >= cut.m
     output_bits = reg.comp_bit_rows(0, plan.m)
     return CoolingRun(
-        plan=plan,
-        schedule=schedule,
         round_log=logs[Count],
         truncation_log=logs[Cut],
         success=success,

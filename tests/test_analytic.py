@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from algcool.analytic import (
-    Bias,
     CoolingPlan,
     TimingModel,
     UnreachableTargetError,
@@ -31,19 +30,6 @@ from algcool.analytic import (
 
 unit_eps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 open_eps = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
-
-
-class TestBias:
-    def test_delta(self):
-        assert Bias(0.1).delta() == pytest.approx(0.45)
-        assert Bias(1.0).delta() == 0.0
-        assert Bias(0.0).delta() == 0.5
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            Bias(1.5)
-        with pytest.raises(ValueError):
-            Bias(-0.1)
 
 
 class TestBinaryEntropy:
@@ -71,7 +57,12 @@ class TestNextBias:
 
     def test_value(self):
         assert next_bias(0.1) == pytest.approx(0.19801980198019803, rel=1e-14)
-        assert next_bias(Bias(0.1)) == next_bias(0.1)
+
+    def test_range_enforced(self):
+        for f in (next_bias, expected_keep_fraction, lambda e: pps_signal(e, 3)):
+            for bad in (1.5, -0.1):
+                with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+                    f(bad)
 
     @given(open_eps)
     def test_strictly_purifying_inside_unit_interval(self, e):

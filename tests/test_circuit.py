@@ -66,7 +66,7 @@ class TestGateSemantics:
         assert reg.molecule_bits() == [0, 0, 1]
 
     def test_zcswap_idle_on_one_control(self):
-        reg = single([1, 1, 0], strict=False)
+        reg = single([1, 1, 0])
         apply_gate(reg, ZcSwap(0, 1, 2))
         assert reg.molecule_bits() == [1, 1, 0]
 
@@ -119,14 +119,23 @@ class TestProvenance:
         assert reg.purified_run_length(0, 1)[0] == 1  # capped at max_rows
 
 
+def ordered(i, j, flip):
+    return (j, i) if flip else (i, j)
+
+
 def reversible_gate(n):
-    idx = st.integers(min_value=0, max_value=n - 1)
-    cnot = st.builds(Cnot, idx, idx).filter(lambda g: g.control != g.target)
-    swap = st.builds(Swap, idx, idx).filter(lambda g: g.a != g.b)
-    zc = st.builds(ZcSwap, idx, idx, idx).filter(
-        lambda g: len({g.zero_control, g.a, g.b}) == 3
-    )
-    return st.one_of(cnot, swap, zc)
+    """A CNOT, SWAP or ZCSWAP on neighbouring positions of n >= 3, with its
+    operands in either order and a ZCSWAP's control at either end of its pair."""
+    pair = st.builds(lambda p, flip: ordered(p, p + 1, flip),
+                     st.integers(0, n - 2), st.booleans())
+
+    def zcswap(q, left, flip):  # the three neighbours q, q + 1, q + 2
+        if left:
+            return ZcSwap(q, *ordered(q + 1, q + 2, flip))
+        return ZcSwap(q + 2, *ordered(q, q + 1, flip))
+
+    zc = st.builds(zcswap, st.integers(0, n - 3), st.booleans(), st.booleans())
+    return st.one_of(pair.map(lambda ab: Cnot(*ab)), pair.map(lambda ab: Swap(*ab)), zc)
 
 
 def reversible_gates(n):
@@ -137,7 +146,7 @@ class TestAlgebraicProperties:
     @settings(deadline=None)
     @given(st.lists(st.booleans(), min_size=6, max_size=6), reversible_gates(6))
     def test_reverse_sequence_restores_bits(self, bits, gates):
-        reg = single(bits, strict=False)
+        reg = single(bits)
         for g in gates:
             apply_gate(reg, g)
         for g in reversed(gates):
@@ -147,7 +156,7 @@ class TestAlgebraicProperties:
     @settings(deadline=None)
     @given(st.lists(st.booleans(), min_size=6, max_size=6), reversible_gates(6))
     def test_swaps_preserve_bit_multiset(self, bits, gates):
-        reg = single(bits, strict=False)
+        reg = single(bits)
         before = sorted(reg.molecule_bits())
         for g in gates:
             if not isinstance(g, Cnot):
@@ -213,7 +222,7 @@ class TestProvenanceOracle:
         flags = rng.random((n, n_mol)) < 0.7
         pool_rows = sum(g.length for g in gates if isinstance(g, Reset))
         pool = rng.random((pool_rows, n_mol)) < 0.5
-        reg = Register.from_comp_bits(bits, reset_pool=_pack_rows(pool), strict=False)
+        reg = Register.from_comp_bits(bits, reset_pool=_pack_rows(pool))
         set_flags(reg, flags)
         # per molecule: bits, flags and the RRTR row, which starts all zero
         model = [(bits[:, i].astype(int).tolist(), flags[:, i].astype(int).tolist(), [0] * n)
@@ -353,16 +362,13 @@ class TestValidation:
         assert validate_schedule(Schedule([Swap(2, 2)]), 4)
         assert validate_schedule(Schedule([Reset(3, 2)]), 4)
 
-    def test_nonstrict_skips_adjacency(self):
-        assert validate_schedule(Schedule([Swap(0, 5)]), 8, strict=False) == []
-
     def test_shared_bad_gate_reported_per_occurrence_in_order(self):
         bad, other = Swap(0, 5), Cnot(3, 3)
         sched = Schedule([Swap(0, 1), bad, Cnot(1, 2), bad, other, Marker("x"), bad])
         out = validate_schedule(sched, 8)
         assert len(out) == 4
-        assert out[0] == out[1] == out[3] == bad.check(8, True)
-        assert out[2] == other.check(8, True)
+        assert out[0] == out[1] == out[3] == bad.check(8)
+        assert out[2] == other.check(8)
 
     def test_apply_rejects_bad_gate(self):
         reg = single([0, 0, 0])
@@ -384,7 +390,7 @@ def any_gate(n):
     )
 
 
-def reference_violation(gate, n, strict):
+def reference_violation(gate, n):
     """The gate rules restated from the operand tuple, gate kind by kind."""
     pos, line = gate.positions(), gate.line()
     if not pos:
@@ -393,9 +399,9 @@ def reference_violation(gate, n, strict):
         return f"{line}: position out of range for n={n}"
     if not isinstance(gate, Reset) and len(set(pos)) != len(pos):
         return f"{line}: operands must be pairwise distinct"
-    if strict and isinstance(gate, (Cnot, Swap)) and abs(pos[0] - pos[1]) > 1:
+    if isinstance(gate, (Cnot, Swap)) and abs(pos[0] - pos[1]) > 1:
         return f"{line}: operands farther than 1 apart"
-    if strict and isinstance(gate, ZcSwap):
+    if isinstance(gate, ZcSwap):
         z, a, b = pos
         if abs(a - b) > 1:
             return f"{line}: swap operands farther than 1 apart"
@@ -406,14 +412,14 @@ def reference_violation(gate, n, strict):
 
 class TestGateChecks:
     @settings(deadline=None, max_examples=300)
-    @given(st.data(), st.integers(min_value=1, max_value=6), st.booleans())
-    def test_apply_raises_exactly_when_validation_reports(self, data, n, strict):
+    @given(st.data(), st.integers(min_value=1, max_value=6))
+    def test_apply_raises_exactly_when_validation_reports(self, data, n):
         bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
         pool = _pack_rows(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
-        reg = Register.from_comp_bits(bits, reset_pool=pool, strict=strict)
+        reg = Register.from_comp_bits(bits, reset_pool=pool)
         for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
-            errors = validate_schedule(Schedule([g]), n, strict=strict)
-            assert errors == [e for e in [reference_violation(g, n, strict)] if e]
+            errors = validate_schedule(Schedule([g]), n)
+            assert errors == [e for e in [reference_violation(g, n)] if e]
             state, rows, rrtr = reg.state.copy(), list(reg.rows), reg.rrtr.copy()
             if errors:
                 with pytest.raises(GateError) as exc:
@@ -512,11 +518,11 @@ class TestBatchedExecution:
         sched = Schedule(
             [Cnot(0, 1), ZcSwap(1, 2, 3), Swap(3, 4), Cnot(4, 5), ZcSwap(5, 3, 4)]
         )
-        batch = Register.from_comp_bits(bits, strict=False)
+        batch = Register.from_comp_bits(bits)
         set_flags(batch, flags)
         run_schedule(batch, sched)
         for i in range(0, 200, 37):
-            solo = Register.from_comp_bits(bits[:, i : i + 1], strict=False)
+            solo = Register.from_comp_bits(bits[:, i : i + 1])
             set_flags(solo, flags[:, i : i + 1])
             run_schedule(solo, sched)
             assert batch.comp_bit_rows(0, 6)[:, i].tolist() == [
@@ -526,10 +532,12 @@ class TestBatchedExecution:
 
     def test_padding_stays_clean(self):
         # 70 molecules straddle a word boundary; ops must not leak into padding
-        bits = np.ones((3, 70), dtype=bool)
-        reg = Register.from_comp_bits(bits, strict=False)
+        bits = np.ones((4, 70), dtype=bool)
+        bits[3] = False
+        reg = Register.from_comp_bits(bits)
         apply_gate(reg, Cnot(0, 1))
-        apply_gate(reg, ZcSwap(1, 0, 2))
-        out = reg.comp_bit_rows(0, 3)
-        assert out.shape == (3, 70)
-        assert (out[1] == 0).all()
+        apply_gate(reg, ZcSwap(1, 2, 3))  # fires everywhere: row 1 now reads 0
+        out = reg.comp_bit_rows(0, 4)
+        assert out.shape == (4, 70)
+        assert out.tolist() == [[1] * 70, [0] * 70, [0] * 70, [1] * 70]
+        assert (reg.state[:, 0, -1] >> np.uint64(6) == 0).all()  # bits 70..127 stay 0

@@ -1,5 +1,6 @@
 """CLI tests: subcommand behavior, output formats, config precedence."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -8,7 +9,7 @@ import io
 import pytest
 
 from algcool.circuit import schedule_from_text, schedule_to_text
-from algcool.cli import main
+from algcool.cli import build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -172,6 +173,44 @@ class TestFeasibility:
             capsys, "feasibility", "--m", "20", "--t-comput", "0.001", "--strict"
         )
         assert code == 1
+
+
+class Recording(argparse.Namespace):
+    """A parsed namespace that remembers which attributes were read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryOptionIsRead:
+    """A flag no command reads is a setting that does nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table"],
+        ["plan", "--m", "4", "--jf", "1"],
+        ["compile", "--m", "4", "--jf", "1"],
+        ["simulate", "--m", "4", "--jf", "1", "--molecules", "10"],
+        ["feasibility", "--m", "4", "--jf", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_command_reads_every_option(self, capsys, argv):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest for a in sub.choices[argv[0]]._actions
+                   if not isinstance(a, argparse._HelpAction)}
+        args = Recording(**vars(parser.parse_args(argv)))
+        assert args.func(args) == 0
+        capsys.readouterr()
+        assert options - args.__dict__["_read"] == set()
+
+    def test_removed_flags_are_usage_errors(self, capsys):
+        for argv in (["compile", "--format", "json"], ["compile", "--strict"],
+                     ["table", "--strict"], ["plan", "--strict"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigFile:

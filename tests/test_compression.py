@@ -49,14 +49,14 @@ class TestRunBcs:
     def test_equal_zero_pair(self):
         reg = register_for([[0, 0]])
         out = run_bcs(reg, compile_bcs(2))
-        assert out.purified_count == 1
+        assert out.purified_count.tolist() == [1]
         assert reg.clean_rows(0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
         assert reg.molecule_bits() == [0, 0]
 
     def test_unequal_pair_not_purified(self):
         reg = register_for([[1, 0]])
         out = run_bcs(reg, compile_bcs(2))
-        assert out.purified_count == 0
+        assert out.purified_count.tolist() == [0]
         assert reg.clean_rows(0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
         assert reg.molecule_bits()[1] == 1  # supervisor holds the parity
 
@@ -64,7 +64,7 @@ class TestRunBcs:
         reg = register_for([[0] * 8])
         sched = compile_bcs(8)
         out = run_bcs(reg, sched)
-        assert out.purified_count == 4
+        assert out.purified_count.tolist() == [4]
         bcs = sched.items[0]  # the push target and supervisors are the geometry's
         assert bcs.nu0 == 0
         assert (bcs.nu + bcs.m // 2, bcs.nu + bcs.m) == (4, 8)
@@ -99,8 +99,7 @@ def compiled_outputs(m, inputs):
     """Run the compiled schedule on a batch of inputs; return bits and counts."""
     reg = register_for(inputs)
     out = run_bcs(reg, compile_bcs(m))
-    counts = np.atleast_1d(out.purified_count)
-    return reg.comp_bit_rows(0, m).T.tolist(), counts
+    return reg.comp_bit_rows(0, m).T.tolist(), out.purified_count
 
 
 def assert_oracle_agreement(m, inputs):

@@ -1,5 +1,6 @@
 """Monte Carlo harness tests: determinism, aggregation, statistics."""
 
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -182,6 +183,50 @@ class TestStatistics:
         assert all(k >= 1 for k in stats.truncation_shortfall_histogram)
         failures = stats.num_molecules - stats.success_count
         assert sum(stats.truncation_shortfall_histogram.values()) == failures
+
+
+def exact_success_probability(plan):
+    """P(every truncation keeps at least m bits), exactly:
+
+        P = prod_{j=1..j_f} P[Bin(ell*m/2, (1 + eps_{j-1}^2)/2) >= m]^(ell^(j_f - j)).
+
+    Each of level j's ell^(j_f - j) truncations compares ell*m/2 pairs of
+    independent bias-eps_{j-1} bits and needs m of them to agree; bits on
+    disjoint positions make the truncations independent."""
+    eps, m, ell, jf = plan.bias_schedule, plan.m, plan.ell, plan.j_final
+    pairs = ell * m // 2
+    p = 1.0
+    for j in range(1, jf + 1):
+        q = (1 + eps[j - 1] ** 2) / 2
+        tail = sum(math.comb(pairs, k) * q**k * (1 - q) ** (pairs - k)
+                   for k in range(m, pairs + 1))
+        p *= tail ** (ell ** (jf - j))
+    return p
+
+
+class TestExactSuccessProbability:
+    """Success rates tested two-sided against the exact probability, beside
+    acceptance criteria 04 (the Chernoff bound) and 08 (one-sided)."""
+
+    def test_values(self):
+        assert exact_success_probability(CoolingPlan(0.1, 20, 5, 2)) == pytest.approx(
+            0.74213, abs=5e-6)
+        assert exact_success_probability(CoolingPlan(0.1, 20, 6, 2)) == pytest.approx(
+            0.98420, abs=5e-6)
+
+    @pytest.mark.filterwarnings("ignore:cooling depth 4")
+    @pytest.mark.parametrize(
+        "plan,seed",
+        [(CoolingPlan(0.1, 20, 5, 2), 3), (CoolingPlan(0.1, 20, 6, 2), 4),
+         (CoolingPlan(0.1, 4, 4, 2), 5), (CoolingPlan(0.1, 8, 5, 2), 6)],
+        ids=str,
+    )
+    def test_success_rate_two_sided(self, plan, seed):
+        n = 20_000
+        stats = run_ensemble(plan, n, seed=seed)
+        p = exact_success_probability(plan)
+        z = (stats.success_count - n * p) / math.sqrt(n * p * (1 - p))
+        assert abs(z) < 4.0
 
 
 class TestValidation:

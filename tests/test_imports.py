@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used,
+and the package exports exactly its modules' public APIs."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -38,3 +40,16 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_each_module_api():
+    import algcool
+    from algcool import analytic, circuit, compression, cooling, ensemble
+
+    modules = (analytic, circuit, compression, cooling, ensemble)
+    public = {name for name, value in vars(algcool).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(algcool, name) is getattr(module, name), name
