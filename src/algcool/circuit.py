@@ -15,13 +15,13 @@ ever compares bits of its own input level, and a failed comparison
 clears the flag, so lucky dirty bits never count as purified.
 Flags never influence bit values.
 
-For throughput the register is batched and packed: a physical row holds
-one position's bit and flag as two planes, each a machine-word bitset
-across all molecules, so one gate is a handful of word-wide boolean
-operations on bits and flags together, whatever the batch size. A SWAP
-moves no data: the register maps each logical position to its physical
-row, and a SWAP exchanges two entries of that map. Every other gate and
-every view reads through the map.
+For throughput the register is batched: a physical row holds one
+position's bit and flag as two planes, each a Python int used as a bitset
+across all molecules (bit k is molecule k), so one gate is a handful of
+native int operations on bits and flags together, whatever the batch
+size. A SWAP moves no data: the register maps each logical position to
+its physical row, and a SWAP exchanges two entries of that map. Every
+other gate and every view reads through the map.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ __all__ = [
     "schedule_to_text",
     "schedule_from_text",
 ]
-
-_ONES = ~np.uint64(0)  # a word of set flags
-
 
 class GateError(ValueError):
     """A gate is malformed for the register it is applied to."""
@@ -260,21 +257,33 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _unpack_rows(words: np.ndarray, n_mol: int) -> np.ndarray:
-    """Unpack uint64 word rows (..., words) to uint8 bits (..., molecules)."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :n_mol]
+def _row_ints(words: np.ndarray, full: int) -> list[int]:
+    """Packed uint64 word rows (rows, words) as one int bitset a row."""
+    raw = np.ascontiguousarray(words).view(np.uint8)  # the bytes _pack_rows wrote
+    return [int.from_bytes(row.tobytes(), "little") & full for row in raw]
+
+
+def _unpack_ints(ints: list[int], n_mol: int) -> np.ndarray:
+    """Int bitsets as uint8 bits (len(ints), molecules)."""
+    width = (n_mol + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(ints), width), axis=1, bitorder="little")[:, :n_mol]
 
 
 class Register:
-    """Batched ladder register: packed bits and flags, plus the RRTR row.
+    """Batched ladder register: bit and flag planes, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``state`` is packed uint64 of shape (n, 2, words) and is
-    indexed by physical row: plane 0 of a row is its bit, plane 1 its
-    purified flag, set for every fresh bit. ``rows`` maps each logical
-    position to the physical row of ``state`` that holds it; gates, their
-    checks and every view speak of logical positions. ``rrtr`` is packed
-    (n, words) and indexed by logical position.
+    independent. ``bits`` and ``flags`` are lists of non-negative ints,
+    indexed by physical row: bit k of ``bits[r]`` is molecule k's bit in
+    row r, and the same bit of ``flags[r]`` its purified flag, set for
+    every fresh bit. No int has a bit at or above ``num_molecules`` set;
+    ``full`` is the int with every molecule's bit set. ``rows`` maps each
+    logical position to its physical row; gates, their checks and every
+    view speak of logical positions. ``rrtr`` is a list of such ints,
+    indexed by logical position. ``comp``, ``rrtr`` and ``reset_pool``
+    arrive packed as uint64 rows (rows, words), as ``_pack_rows`` makes
+    them; the pool stays packed, and a RESET converts the rows it draws.
 
     Every gate is checked before it acts: its operands must be in range,
     distinct, and on neighbouring positions of the ladder (a RESET is
@@ -291,9 +300,11 @@ class Register:
     ):
         self.n = comp.shape[0]
         self.num_molecules = num_molecules
-        self.state = np.stack((comp, np.full_like(comp, _ONES)), axis=1)
+        self.full = (1 << num_molecules) - 1
+        self.bits = _row_ints(comp, self.full)
+        self.flags = [self.full] * self.n
         self.rows = list(range(self.n))
-        self.rrtr = rrtr
+        self.rrtr = _row_ints(rrtr, self.full)
         self._reset_pool = reset_pool
         self._pool_cursor = 0
 
@@ -322,14 +333,14 @@ class Register:
     # -- views ----------------------------------------------------------
 
     def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
-        """Unpacked computation bits of logical positions [start, stop) as
-        uint8 (rows, molecules)."""
-        return _unpack_rows(self.state[self.rows[start:stop], 0], self.num_molecules)
+        """Computation bits of logical positions [start, stop) as uint8
+        (rows, molecules)."""
+        return _unpack_ints([self.bits[r] for r in self.rows[start:stop]], self.num_molecules)
 
     def clean_rows(self, start: int, stop: int) -> np.ndarray:
-        """Unpacked purified flags of logical positions [start, stop) as
-        uint8 (rows, molecules)."""
-        return _unpack_rows(self.state[self.rows[start:stop], 1], self.num_molecules)
+        """Purified flags of logical positions [start, stop) as uint8
+        (rows, molecules)."""
+        return _unpack_ints([self.flags[r] for r in self.rows[start:stop]], self.num_molecules)
 
     def molecule_bits(self, index: int = 0) -> list[int]:
         """All computation bits of one molecule, as a plain list."""
@@ -338,20 +349,25 @@ class Register:
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
-        block = self.state[self.rows[start : start + max_rows], 1]
-        run = np.bitwise_and.accumulate(block, axis=0)
-        return _unpack_rows(run, self.num_molecules).sum(axis=0, dtype=np.int64)
+        flags, run, ands = self.flags, self.full, []
+        for r in self.rows[start : start + max_rows]:
+            run &= flags[r]
+            if not run:  # every molecule's run has ended
+                break
+            ands.append(run)
+        return _unpack_ints(ands, self.num_molecules).sum(axis=0, dtype=np.int64)
 
 
 # -- gate application ---------------------------------------------------
 
 
 def _cnot(reg: Register, gate: Cnot) -> None:
-    rows = reg.rows
-    c, t = reg.state[rows[gate.control]], reg.state[rows[gate.target]]
-    c[1] &= t[1] & ~(c[0] ^ t[0])  # kept: both purified and equal
-    t[0] ^= c[0]
-    t[1] = 0  # the supervisor is never purified
+    rows, bits, flags = reg.rows, reg.bits, reg.flags
+    c, t = rows[gate.control], rows[gate.target]
+    bc = bits[c]
+    flags[c] &= flags[t] & (reg.full ^ bc ^ bits[t])  # kept: both purified and equal
+    bits[t] ^= bc
+    flags[t] = 0  # the supervisor is never purified
 
 
 def _swap(reg: Register, gate: Swap) -> None:
@@ -360,20 +376,24 @@ def _swap(reg: Register, gate: Swap) -> None:
 
 
 def _zcswap(reg: Register, gate: ZcSwap) -> None:
-    rows, state = reg.rows, reg.state
-    a, b = state[rows[gate.a]], state[rows[gate.b]]
-    diff = (a ^ b) & ~state[rows[gate.zero_control], 0]
-    a ^= diff
-    b ^= diff
+    rows, bits, flags = reg.rows, reg.bits, reg.flags
+    a, b = rows[gate.a], rows[gate.b]
+    fires = reg.full ^ bits[rows[gate.zero_control]]  # molecules whose control reads 0
+    diff = (bits[a] ^ bits[b]) & fires
+    bits[a] ^= diff
+    bits[b] ^= diff
+    diff = (flags[a] ^ flags[b]) & fires
+    flags[a] ^= diff
+    flags[b] ^= diff
 
 
 def _reset(reg: Register, gate: Reset) -> None:
-    stop = gate.start + gate.length
-    fresh = reg.draw_reset_rows(gate.length)
-    physical = reg.rows[gate.start : stop]
-    reg.state[physical, 0] = reg.rrtr[gate.start : stop]
-    reg.state[physical, 1] = _ONES
-    reg.rrtr[gate.start : stop] = fresh
+    start, stop = gate.start, gate.start + gate.length
+    fresh = _row_ints(reg.draw_reset_rows(gate.length), reg.full)
+    for r, old in zip(reg.rows[start:stop], reg.rrtr[start:stop]):
+        reg.bits[r] = old
+        reg.flags[r] = reg.full
+    reg.rrtr[start:stop] = fresh
 
 
 _EXECUTORS = {Cnot: _cnot, Swap: _swap, ZcSwap: _zcswap, Reset: _reset}

@@ -351,22 +351,32 @@ def _add_plan_opts(parser) -> None:
                         help="desired final bias; picks the minimal jf")
 
 
-def _set_config_defaults(parser, config: dict[str, str]) -> None:
-    """Make config values the parser's defaults, so explicit flags win.
+def _set_config_defaults(parsers, config: dict[str, str]) -> None:
+    """Make config values the commands' defaults, so explicit flags win.
 
     argparse converts a string default with the option's type; a
-    store_true flag has no type, so its value is converted here.
+    store_true flag has no type, so its value is converted here. A key
+    that some command defines is accepted for all; a key that none
+    defines is an error.
     """
-    for action in parser._actions:
-        raw = config.get(action.dest)
-        if raw is None:
-            continue
-        if action.choices is not None and raw not in action.choices:
-            raise ValueError(f"config {action.dest}={raw!r}: not in {list(action.choices)}")
-        if isinstance(action.default, bool):
-            action.default = raw.lower() in ("1", "true", "yes")
-        else:
-            action.default = raw
+    known = set()
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            known.add(action.dest)
+            raw = config.get(action.dest)
+            if raw is None:
+                continue
+            if action.choices is not None and raw not in action.choices:
+                raise ValueError(f"config {action.dest}={raw!r}: not in {list(action.choices)}")
+            if isinstance(action.default, bool):
+                action.default = raw.lower() in ("1", "true", "yes")
+            else:
+                action.default = raw
+    unknown = sorted(config.keys() - known)
+    if unknown:
+        raise ValueError(f"config {unknown[0]}={config[unknown[0]]!r}: no command has this option")
 
 
 def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentParser:
@@ -415,8 +425,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
     _add_strict(p)
     p.set_defaults(func=cmd_feasibility)
 
-    for p in sub.choices.values():
-        _set_config_defaults(p, config or {})
+    _set_config_defaults(sub.choices.values(), config or {})
     return parser
 
 

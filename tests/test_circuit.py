@@ -25,7 +25,6 @@ from algcool.circuit import (
     schedule_from_text,
     schedule_to_text,
     _pack_rows,
-    _unpack_rows,
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
@@ -37,10 +36,16 @@ def single(bits, **kwargs):
     return Register.from_comp_bits(arr, **kwargs)
 
 
+def as_int(row):
+    """One row of bits as an int bitset: molecule k is bit k."""
+    return sum(1 << k for k, bit in enumerate(row) if bit)
+
+
 def set_flags(reg, flags):
-    """Pack purified flags (rows, molecules) into the flag plane of rows 0.."""
+    """Write purified flags (rows, molecules) into the flag plane of
+    physical rows 0.., one int a row."""
     flags = np.asarray(flags, dtype=bool).reshape(-1, reg.num_molecules)
-    reg.state[: len(flags), 1] = _pack_rows(flags)
+    reg.flags[: len(flags)] = [as_int(row) for row in flags]
 
 
 class TestGateSemantics:
@@ -237,7 +242,7 @@ class TestProvenanceOracle:
             used += width
             assert reg.comp_bit_rows(0, n).T.tolist() == [b for b, _, _ in model]
             assert reg.clean_rows(0, n).T.tolist() == [f for _, f, _ in model]
-            assert _unpack_rows(reg.rrtr, n_mol).T.tolist() == [r for _, _, r in model]
+            assert reg.rrtr == [as_int(row) for row in np.array([r for _, _, r in model]).T]
             for k in (1, n - start):
                 runs = [(f[start : start + k] + [0]).index(0) for _, f, _ in model]
                 assert reg.purified_run_length(start, k).tolist() == runs
@@ -420,13 +425,12 @@ class TestGateChecks:
         for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
             errors = validate_schedule(Schedule([g]), n)
             assert errors == [e for e in [reference_violation(g, n)] if e]
-            state, rows, rrtr = reg.state.copy(), list(reg.rows), reg.rrtr.copy()
+            before = [list(plane) for plane in (reg.bits, reg.flags, reg.rows, reg.rrtr)]
             if errors:
                 with pytest.raises(GateError) as exc:
                     apply_gate(reg, g)
                 assert [str(exc.value)] == errors
-                assert np.array_equal(reg.state, state) and reg.rows == rows
-                assert np.array_equal(reg.rrtr, rrtr)
+                assert [reg.bits, reg.flags, reg.rows, reg.rrtr] == before
             else:
                 apply_gate(reg, g)  # a well-formed gate never raises GateError
 
@@ -438,22 +442,22 @@ class TestGateChecks:
 class TestRowMap:
     def test_swap_moves_no_data(self):
         reg = single([1, 0, 1, 1])
-        before = reg.state.tobytes()
+        before = (list(reg.bits), list(reg.flags))
         apply_gate(reg, Swap(1, 2))
         apply_gate(reg, Swap(0, 1))
-        assert reg.state.tobytes() == before
+        assert (reg.bits, reg.flags) == before
         assert reg.rows == [2, 0, 1, 3]
         assert reg.molecule_bits() == [1, 1, 0, 1]
 
     def test_reset_writes_through_the_map(self):
         # logical 0 lives in physical row 1 after the swap; RRTR stays logical
         reg = single([1, 0, 1], reset_pool=np.array([[1], [0]], dtype=np.uint64))
-        reg.rrtr[:] = np.array([[0], [1], [0]], dtype=np.uint64)
+        reg.rrtr[:] = [0, 1, 0]
         apply_gate(reg, Swap(0, 1))
         apply_gate(reg, Reset(0, 2))
         assert reg.molecule_bits() == [0, 1, 1]
-        assert reg.state[:, 0, 0].tolist() == [1, 0, 1]  # physical rows 0, 1, 2
-        assert reg.rrtr[:, 0].tolist() == [1, 0, 0]
+        assert reg.bits == [1, 0, 1]  # physical rows 0, 1, 2
+        assert reg.rrtr == [1, 0, 0]
 
 
 class TestSerialization:
@@ -540,4 +544,82 @@ class TestBatchedExecution:
         out = reg.comp_bit_rows(0, 4)
         assert out.shape == (4, 70)
         assert out.tolist() == [[1] * 70, [0] * 70, [0] * 70, [1] * 70]
-        assert (reg.state[:, 0, -1] >> np.uint64(6) == 0).all()  # bits 70..127 stay 0
+        assert all(x >> 70 == 0 for x in reg.bits + reg.flags)  # bits 70.. stay 0
+
+
+class TestPlaneBounds:
+    """Every int of ``bits``, ``flags`` and ``rrtr`` stays in [0, full]: no
+    complement goes negative and no gate sets a bit past the last molecule."""
+
+    @staticmethod
+    def in_bounds(reg):
+        return all(0 <= x <= reg.full for x in reg.bits + reg.flags + reg.rrtr)
+
+    @pytest.mark.parametrize("n_mol", [1, 63, 64, 65, 70])
+    def test_every_gate_kind(self, n_mol):
+        rng = np.random.default_rng(n_mol)
+        bits = rng.random((5, n_mol)) < 0.5
+        bits[0], bits[1], bits[2] = False, True, False  # row 0 vs 1 compare unequal
+        pool = _pack_rows(np.ones((6, n_mol), dtype=bool))
+        reg = Register.from_comp_bits(bits, reset_pool=pool)
+        assert reg.full == (1 << n_mol) - 1 and self.in_bounds(reg)
+        gates = [Cnot(0, 1),  # fails the compare on every molecule
+                 ZcSwap(0, 1, 2),  # control row 0 reads 0 everywhere: fires everywhere
+                 Swap(3, 4), Cnot(3, 4), ZcSwap(4, 2, 3), Reset(0, 3), Reset(2, 3),
+                 Cnot(1, 0), ZcSwap(2, 3, 4)]
+        for gate in gates:
+            apply_gate(reg, gate)
+            assert self.in_bounds(reg), gate
+        assert reg.clean_rows(0, 5).shape == (5, n_mol)
+
+    def test_packed_padding_is_masked(self):
+        # words with every bit set, padding included, hold 70 molecules
+        words = np.full((3, 2), ~np.uint64(0))
+        reg = Register(words, words, 70, reset_pool=words)
+        assert reg.bits == reg.rrtr == [reg.full] * 3
+        apply_gate(reg, Reset(0, 3))
+        assert self.in_bounds(reg) and reg.rrtr == [reg.full] * 3
+
+
+class TestPurifiedRunLength:
+    """The running AND stops at its first all-zero row; the lengths must
+    equal a plain per-molecule count."""
+
+    N, N_MOL = 8, 70
+
+    def register(self, runs):
+        """Molecule k flagged on positions [0, runs[k]) and on the last one,
+        a flag the run never reaches unless it is unbroken."""
+        flags = np.zeros((self.N, self.N_MOL), dtype=bool)
+        for k, length in enumerate(runs):
+            flags[:length, k] = True
+        flags[-1] = True
+        reg = Register.from_comp_bits(np.zeros((self.N, self.N_MOL), dtype=bool))
+        set_flags(reg, flags)
+        return reg, flags
+
+    def plain(self, flags, start, max_rows):
+        return [(col[start : start + max_rows].tolist() + [False]).index(False)
+                for col in flags.T]
+
+    @pytest.mark.parametrize("start,max_rows", [
+        (0, 8),  # molecules with an empty run sit beside long ones
+        (4, 3),  # runs end mid-window, all before it closes
+        (0, 2),  # every run that starts reaches max_rows
+        (5, 6),  # the window is clipped at n
+        (7, 4),  # only the always-flagged last row, clipped
+    ])
+    def test_matches_plain_count(self, start, max_rows):
+        runs = [k % (self.N - 1) for k in range(self.N_MOL)]  # 0..6, the last row apart
+        reg, flags = self.register(runs)
+        got = reg.purified_run_length(start, max_rows)
+        assert got.dtype == np.int64 and got.shape == (self.N_MOL,)
+        assert got.tolist() == self.plain(flags, start, max_rows)
+
+    def test_empty_at_start(self):
+        reg, flags = self.register([0] * self.N_MOL)
+        assert reg.purified_run_length(0, 8).tolist() == [0] * self.N_MOL
+        # the run ends mid-window for every molecule: the flagged last row is not counted
+        reg, flags = self.register([3] * self.N_MOL)
+        assert reg.purified_run_length(0, 8).tolist() == [3] * self.N_MOL
+        assert reg.purified_run_length(1, 8).tolist() == self.plain(flags, 1, 8) == [2] * 70

@@ -271,6 +271,29 @@ class TestConfigFile:
             assert captured.err.startswith("error: config format='xml'")
             assert "['text', 'json', 'csv']" in captured.err
 
+    def test_config_key_no_command_defines_errors(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("molecules=50\nmolecule=10\n")  # a typo beside the real key
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        for command in ("table --format csv", "simulate --m 8 --jf 1"):
+            assert main(command.split()) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: config molecule='10': no command has this option\n"
+
+    def test_config_key_some_commands_define_is_accepted(self, tmp_path, capsys, monkeypatch):
+        # molecules and seed belong to simulate, strict to simulate and
+        # feasibility, threshold to table: every command still runs
+        cfg = tmp_path / "cfg"
+        cfg.write_text("molecules=50\nseed=4\nstrict=false\nthreshold=1e-3\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        for command in ("table --format csv", "plan --m 8 --jf 1", "feasibility --m 8 --jf 1"):
+            assert main(command.split()) == 0, command
+        capsys.readouterr()
+        code, out = run_cli(capsys, "simulate", "--m", "8", "--jf", "1", "--format", "json")
+        record = json.loads(out)
+        assert code == 0 and record["molecules"] == 50 and record["seed"] == 4
+
     def test_bad_config_line_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n")
