@@ -22,13 +22,17 @@ native int operations on bits and flags together, whatever the batch
 size. A SWAP moves no data: the register maps each logical position to
 its physical row, and a SWAP exchanges two entries of that map. Every
 other gate and every view reads through the map.
+Rows enter as such ints (``_pack_rows``) and leave through
+``_unpack_ints``. The RRTR row and every RESET's fresh rows are read in
+order from one thermal source, as reset bits are draws from one heat bath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -128,12 +132,7 @@ class Reset(_GateText):
         return tuple(range(self.start, self.start + self.length))
 
     def check(self, n: int) -> Optional[str]:
-        # column-wise, so no row adjacency
-        if self.length < 1:
-            return f"{self.line()}: empty"
-        if self.start < 0 or self.start + self.length > n:
-            return f"{self.line()}: position out of range for n={n}"
-        return None
+        return _span_violation(self, self.start, self.length, n)  # column-wise: no adjacency
 
 
 Gate = Union[Cnot, Swap, ZcSwap, Reset]
@@ -150,6 +149,16 @@ def _pair_violation(gate: Gate, i: int, j: int, n: int) -> Optional[str]:
     return None
 
 
+def _span_violation(item: Union[Gate, Annotation], start: int, length: int,
+                    n: int) -> Optional[str]:
+    """The check of an item naming positions [start, start + length)."""
+    if length < 1:
+        return f"{item.line()}: empty"
+    if start < 0 or start + length > n:
+        return f"{item.line()}: position out of range for n={n}"
+    return None
+
+
 @dataclass(frozen=True)
 class Annotation:
     """A non-gate schedule item, written as ``# TAG: field=value ...``."""
@@ -159,6 +168,9 @@ class Annotation:
     def line(self) -> str:
         pairs = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return f"# {self.TAG}: {pairs}"
+
+    def check(self, n: int) -> Optional[str]:
+        return None  # a marker names no positions
 
 
 @dataclass(frozen=True)
@@ -180,6 +192,12 @@ class Bcs(Annotation):
     nu0: int
     TAG = "bcs"
 
+    def check(self, n: int) -> Optional[str]:
+        err = _span_violation(self, self.nu, self.m, n)
+        if err is None and not 0 <= self.nu0 <= self.nu:
+            err = f"{self.line()}: push target not in [0, nu]"
+        return err
+
 
 @dataclass(frozen=True)
 class Count(Annotation):
@@ -189,6 +207,9 @@ class Count(Annotation):
     at: int
     round: int
     TAG = "count"
+
+    def check(self, n: int) -> Optional[str]:
+        return _span_violation(self, self.at, 1, n)
 
 
 @dataclass(frozen=True)
@@ -200,13 +221,16 @@ class Cut(Annotation):
     m: int
     TAG = "cut"
 
+    def check(self, n: int) -> Optional[str]:
+        return _span_violation(self, self.at, self.m, n)
+
 
 class Census(NamedTuple):
     """The shape of a schedule, which every run of it shares."""
 
     steps: int  # one per gate, a RESET of any width included
     resets: int  # RESET gates
-    reset_rows: int  # fresh rows a run draws from the reset pool
+    reset_rows: int  # fresh rows a run's RESETs draw from the thermal source
     marks: tuple[Union[Count, Cut], ...]  # where rounds end and cuts fall, in order
 
 
@@ -244,23 +268,13 @@ class Schedule:
         return self.census.steps
 
     def reset_rows(self) -> int:
-        """Total fresh rows a run will draw from the reset pool."""
+        """Total fresh rows a run's RESETs will draw from the thermal source."""
         return self.census.reset_rows
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a bool array (rows, molecules) into uint64 words (rows, words)."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = (bits.shape[1] + 63) // 64
-    out = np.zeros((bits.shape[0], words * 8), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view(np.uint64)
-
-
-def _row_ints(words: np.ndarray, full: int) -> list[int]:
-    """Packed uint64 word rows (rows, words) as one int bitset a row."""
-    raw = np.ascontiguousarray(words).view(np.uint8)  # the bytes _pack_rows wrote
-    return [int.from_bytes(row.tobytes(), "little") & full for row in raw]
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """A bool array (rows, molecules) as one int bitset a row: bit k is molecule k."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 def _unpack_ints(ints: list[int], n_mol: int) -> np.ndarray:
@@ -281,32 +295,28 @@ class Register:
     ``full`` is the int with every molecule's bit set. ``rows`` maps each
     logical position to its physical row; gates, their checks and every
     view speak of logical positions. ``rrtr`` is a list of such ints,
-    indexed by logical position. ``comp``, ``rrtr`` and ``reset_pool``
-    arrive packed as uint64 rows (rows, words), as ``_pack_rows`` makes
-    them; the pool stays packed, and a RESET converts the rows it draws.
+    indexed by logical position.
+
+    ``comp`` and ``fresh`` hold rows of the same kind, as ``_pack_rows``
+    makes them. ``fresh`` is the register's one thermal source: the RRTR
+    row starts as its first n rows, and each RESET takes the next rows in
+    order. Without it the RRTR row starts at zero and a RESET raises.
 
     Every gate is checked before it acts: its operands must be in range,
     distinct, and on neighbouring positions of the ladder (a RESET is
     column-wise and needs no neighbours).
     """
 
-    def __init__(
-        self,
-        comp: np.ndarray,
-        rrtr: np.ndarray,
-        num_molecules: int,
-        *,
-        reset_pool: Optional[np.ndarray] = None,
-    ):
-        self.n = comp.shape[0]
+    def __init__(self, comp: list[int], num_molecules: int, *,
+                 fresh: Optional[Iterable[int]] = None):
+        self.n = len(comp)
         self.num_molecules = num_molecules
         self.full = (1 << num_molecules) - 1
-        self.bits = _row_ints(comp, self.full)
+        self.bits = [x & self.full for x in comp]
         self.flags = [self.full] * self.n
         self.rows = list(range(self.n))
-        self.rrtr = _row_ints(rrtr, self.full)
-        self._reset_pool = reset_pool
-        self._pool_cursor = 0
+        self._fresh = iter(() if fresh is None else fresh)
+        self.rrtr = [0] * self.n if fresh is None else self.draw_reset_rows(self.n)
 
     # -- construction ---------------------------------------------------
 
@@ -314,20 +324,15 @@ class Register:
     def from_comp_bits(cls, bits: np.ndarray, **kwargs) -> "Register":
         """Build a register from explicit computation bits (rows, molecules)."""
         bits = np.asarray(bits, dtype=bool)
-        comp = _pack_rows(bits)
-        return cls(comp, np.zeros_like(comp), bits.shape[1], **kwargs)
+        return cls(_pack_rows(bits), bits.shape[1], **kwargs)
 
-    # -- reset randomness -----------------------------------------------
+    # -- thermal source -------------------------------------------------
 
-    def draw_reset_rows(self, length: int) -> np.ndarray:
-        """Fresh thermal rows for a RESET, packed (length, words)."""
-        if self._reset_pool is None:
-            raise GateError("register has no reset bit source")
-        end = self._pool_cursor + length
-        if end > self._reset_pool.shape[0]:
-            raise GateError("reset pool exhausted")
-        rows = self._reset_pool[self._pool_cursor:end]
-        self._pool_cursor = end
+    def draw_reset_rows(self, length: int) -> list[int]:
+        """The next ``length`` rows of the thermal source."""
+        rows = [x & self.full for x in islice(self._fresh, length)]
+        if len(rows) < length:
+            raise GateError("reset bit source exhausted")
         return rows
 
     # -- views ----------------------------------------------------------
@@ -349,6 +354,8 @@ class Register:
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
+        if start < 0:  # a negative start would wrap to the far end
+            raise ValueError(f"start must be >= 0, got {start}")
         flags, run, ands = self.flags, self.full, []
         for r in self.rows[start : start + max_rows]:
             run &= flags[r]
@@ -389,7 +396,7 @@ def _zcswap(reg: Register, gate: ZcSwap) -> None:
 
 def _reset(reg: Register, gate: Reset) -> None:
     start, stop = gate.start, gate.start + gate.length
-    fresh = _row_ints(reg.draw_reset_rows(gate.length), reg.full)
+    fresh = reg.draw_reset_rows(gate.length)
     for r, old in zip(reg.rows[start:stop], reg.rrtr[start:stop]):
         reg.bits[r] = old
         reg.flags[r] = reg.full
@@ -420,15 +427,16 @@ def run_schedule(reg: Register, schedule: Schedule) -> None:
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:
     """Pure static check of index ranges and adjacency; no execution.
 
-    Returns the list of violations (empty means ok): one message per
-    failing occurrence, in schedule order. Each distinct gate object is
-    checked once.
+    Gates are checked as ``apply_gate`` checks them, and ``Bcs``,
+    ``Count`` and ``Cut`` annotations by the positions they name. Returns
+    the list of violations (empty means ok): one message per failing
+    occurrence, in schedule order. Each distinct item object is checked
+    once.
     """
     # compiled and parsed schedules share equal items: check each object
     # once, keyed by id (schedule.items keeps every object, so its id, alive)
     distinct = dict(zip(map(id, schedule.items), schedule.items))
-    failing = {key: err for key, item in distinct.items()
-               if not isinstance(item, Annotation) and (err := item.check(n))}
+    failing = {key: err for key, item in distinct.items() if (err := item.check(n))}
     if not failing:
         return []
     return [failing[key] for key in map(id, schedule.items) if key in failing]
@@ -481,16 +489,32 @@ def schedule_to_text(schedule: Schedule) -> str:
     return "".join(map(line.__getitem__, map(id, items)))
 
 
+_SLICE_CHARS = 1 << 20  # a parse holds the line strings of about this much text
+
+
+def _split_lines(text: str, size: int = _SLICE_CHARS) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split one slice at a time. Each
+    slice holds at least ``size`` characters and ends just after a
+    newline, which always ends a line (after any carriage return before
+    it), so no line or line break straddles two slices."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + size - 1) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def schedule_from_text(text: str) -> Schedule:
     """Parse the text format back; bit-exact round trip with to_text.
 
     Each distinct line is parsed once per call, and every occurrence of it
     is the same object. A malformed line raises at its first occurrence,
-    naming its line number.
+    naming its line number. Lines are split a slice of the text at a
+    time, so they are never all held at once.
     """
     items: list[Union[Gate, Annotation]] = []
     parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         item = parsed.get(raw)
         if item is None:
             line = raw.strip()

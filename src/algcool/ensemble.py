@@ -14,6 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -44,21 +45,27 @@ def _molecule_bits(seed: int, index: int, rows: int, p_one: float) -> np.ndarray
 def _build_registers(
     n: int, epsilon0: float, seed: int, start: int, stop: int, reset_rows: int
 ) -> Register:
-    """A batched register for molecules [start, stop)."""
+    """A batched register for molecules [start, stop). Each molecule's
+    draws [0, n) are its computation bits; the rest, in order, are the
+    register's thermal source: draws [n, 2n) the initial RRTR row, then
+    ``reset_rows`` more for the RESETs."""
     count = stop - start
     p_one = (1.0 - epsilon0) / 2.0
     rows = 2 * n + reset_rows
     bits = np.empty((rows, count), dtype=bool)
     for i in range(count):
         bits[:, i] = _molecule_bits(seed, start + i, rows, p_one)
-    packed = _pack_rows(bits)
-    return Register(packed[:n], packed[n : 2 * n], count, reset_pool=packed[2 * n :])
+    stream = iter(_pack_rows(bits))
+    return Register(list(islice(stream, n)), count, fresh=stream)
 
 
 def sample_molecule(
     n: int, epsilon0: float, seed: int, index: int, reset_rows: int = 0
 ) -> Register:
-    """One molecule's register, drawn from its (seed, index) substream."""
+    """One molecule's register, drawn from its (seed, index) substream:
+    n computation bits, then a thermal source of n RRTR bits and
+    ``reset_rows`` bits for its RESETs, which ``draw_reset_rows`` reads
+    on in draw order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= epsilon0 <= 1.0:

@@ -1,6 +1,7 @@
 """Gate-engine tests: semantics, provenance, accounting, serialization."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,17 @@ from algcool.circuit import (
     schedule_from_text,
     schedule_to_text,
     _pack_rows,
+    _split_lines,
+    _unpack_ints,
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
+
+
+@pytest.fixture(scope="module")
+def headline_text():
+    """The headline plan's schedule text: 818,526 lines, 11.5 MB."""
+    return schedule_to_text(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
 
 
 def single(bits, **kwargs):
@@ -76,8 +85,9 @@ class TestGateSemantics:
         assert reg.molecule_bits() == [1, 1, 0]
 
     def test_reset_swaps_in_rrtr_row(self):
-        # any pool will do: it is drawn into the RRTR row, not read back
-        reg = single([1, 1, 1], reset_pool=np.zeros((3, 1), dtype=np.uint64))
+        # the first three fresh rows are the RRTR row; the next three are
+        # drawn into it by the RESET, not read back
+        reg = single([1, 1, 1], fresh=[0] * 6)
         set_flags(reg, [0, 0, 0])
         apply_gate(reg, Reset(0, 3))
         assert reg.molecule_bits() == [0, 0, 0]  # rrtr row starts all zero
@@ -227,7 +237,7 @@ class TestProvenanceOracle:
         flags = rng.random((n, n_mol)) < 0.7
         pool_rows = sum(g.length for g in gates if isinstance(g, Reset))
         pool = rng.random((pool_rows, n_mol)) < 0.5
-        reg = Register.from_comp_bits(bits, reset_pool=_pack_rows(pool))
+        reg = Register.from_comp_bits(bits, fresh=[0] * n + _pack_rows(pool))
         set_flags(reg, flags)
         # per molecule: bits, flags and the RRTR row, which starts all zero
         model = [(bits[:, i].astype(int).tolist(), flags[:, i].astype(int).tolist(), [0] * n)
@@ -281,7 +291,7 @@ class TestLevelTagEquivalence:
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.reset_rows()))
-        reg = Register(_pack_rows(bits), _pack_rows(rrtr), n_mol, reset_pool=_pack_rows(pool))
+        reg = Register(_pack_rows(bits), n_mol, fresh=_pack_rows(np.vstack([rrtr, pool])))
         run = run_cooling(reg, plan, schedule)
         assert (~run.success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
@@ -339,9 +349,8 @@ class TestCensus:
         assert sched.census is sched.census  # counted once
         assert (sched.step_total(), sched.reset_rows()) == (steps, rows)
 
-    def test_parsed_headline(self):
-        text = schedule_to_text(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
-        sched = schedule_from_text(text)
+    def test_parsed_headline(self, headline_text):
+        sched = schedule_from_text(headline_text)
         steps, resets, rows, marks = sched.census
         assert (steps, resets, rows, list(marks)) == plain_census(sched)
         assert (steps, resets, rows, len(marks)) == (817750, 125, 6250, 186)
@@ -374,6 +383,22 @@ class TestValidation:
         assert len(out) == 4
         assert out[0] == out[1] == out[3] == bad.check(8)
         assert out[2] == other.check(8)
+
+    def test_annotation_positions(self):
+        # the positions an annotation names must lie on the register
+        bad = ["# count: level=1 at=-3 round=1", "# cut: level=1 at=99 m=2",
+               "# bcs: m=4 nu=-1 nu0=7", "# bcs: m=2 nu=1 nu0=2", "# cut: level=1 at=2 m=0"]
+        good = ["# count: level=1 at=3 round=1", "# cut: level=1 at=2 m=2",
+                "# bcs: m=2 nu=2 nu0=0", "# phase: M_1 depth=0 offset=99"]
+        sched = schedule_from_text("\n".join(good[:2] + bad + good[2:]))
+        assert validate_schedule(sched, 4) == [
+            f"{bad[0]}: position out of range for n=4",
+            f"{bad[1]}: position out of range for n=4",
+            f"{bad[2]}: position out of range for n=4",
+            f"{bad[3]}: push target not in [0, nu]",
+            f"{bad[4]}: empty",
+        ]
+        assert validate_schedule(schedule_from_text("\n".join(good)), 4) == []
 
     def test_apply_rejects_bad_gate(self):
         reg = single([0, 0, 0])
@@ -421,7 +446,7 @@ class TestGateChecks:
     def test_apply_raises_exactly_when_validation_reports(self, data, n):
         bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
         pool = _pack_rows(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
-        reg = Register.from_comp_bits(bits, reset_pool=pool)
+        reg = Register.from_comp_bits(bits, fresh=[0] * n + pool)
         for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
             errors = validate_schedule(Schedule([g]), n)
             assert errors == [e for e in [reference_violation(g, n)] if e]
@@ -451,8 +476,8 @@ class TestRowMap:
 
     def test_reset_writes_through_the_map(self):
         # logical 0 lives in physical row 1 after the swap; RRTR stays logical
-        reg = single([1, 0, 1], reset_pool=np.array([[1], [0]], dtype=np.uint64))
-        reg.rrtr[:] = [0, 1, 0]
+        reg = single([1, 0, 1], fresh=[0, 1, 0, 1, 0])
+        assert reg.rrtr == [0, 1, 0]  # the first three fresh rows
         apply_gate(reg, Swap(0, 1))
         apply_gate(reg, Reset(0, 2))
         assert reg.molecule_bits() == [0, 1, 1]
@@ -500,18 +525,32 @@ class TestSerialization:
             with pytest.raises(ValueError, match="line 2"):
                 schedule_from_text("SWAP 0 1\n" + typed + "\n")
 
+    @settings(max_examples=300)
+    @given(st.text(alphabet="ab\n\r ", max_size=40), st.sampled_from([1, 2, 3, 5]))
+    def test_sliced_split_matches_splitlines(self, text, size):
+        assert list(_split_lines(text, size)) == text.splitlines()
+
+    def test_parse_peak_is_bounded_by_the_text(self, headline_text):
+        # slices keep the line strings from all living at once (a whole split peaks at 5.6x)
+        tracemalloc.start()
+        try:
+            schedule_from_text(headline_text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(headline_text)
+
     def test_repeated_line_then_malformed(self):
         with pytest.raises(ValueError, match="line 3: non-integer"):
             schedule_from_text("SWAP 0 1\nSWAP 0 1\nSWAP 0 x\n")
 
-    def test_parse_shares_equal_lines(self):
-        text = schedule_to_text(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
-        items = schedule_from_text(text).items
-        distinct_lines = {raw for raw in text.splitlines() if raw.strip()}
+    def test_parse_shares_equal_lines(self, headline_text):
+        items = schedule_from_text(headline_text).items
+        distinct_lines = {raw for raw in headline_text.splitlines() if raw.strip()}
         assert len(items) == 818526
         assert len({id(it) for it in items}) == len(distinct_lines) == 1236
         # shared objects still re-serialize line for line
-        assert schedule_to_text(Schedule(items)) == text
+        assert schedule_to_text(Schedule(items)) == headline_text
 
 
 class TestBatchedExecution:
@@ -561,7 +600,7 @@ class TestPlaneBounds:
         bits = rng.random((5, n_mol)) < 0.5
         bits[0], bits[1], bits[2] = False, True, False  # row 0 vs 1 compare unequal
         pool = _pack_rows(np.ones((6, n_mol), dtype=bool))
-        reg = Register.from_comp_bits(bits, reset_pool=pool)
+        reg = Register.from_comp_bits(bits, fresh=[0] * 5 + pool)
         assert reg.full == (1 << n_mol) - 1 and self.in_bounds(reg)
         gates = [Cnot(0, 1),  # fails the compare on every molecule
                  ZcSwap(0, 1, 2),  # control row 0 reads 0 everywhere: fires everywhere
@@ -572,10 +611,19 @@ class TestPlaneBounds:
             assert self.in_bounds(reg), gate
         assert reg.clean_rows(0, 5).shape == (5, n_mol)
 
+    @pytest.mark.parametrize("n_mol", [1, 7, 8, 9, 63, 64, 65, 70])
+    def test_pack_round_trip(self, n_mol):
+        bits = np.random.default_rng(n_mol).random((4, n_mol)) < 0.5
+        bits[0], bits[1] = True, False
+        rows = _pack_rows(bits)
+        assert rows == [as_int(row) for row in bits]
+        assert rows[0] == (1 << n_mol) - 1 and rows[1] == 0
+        assert _unpack_ints(rows, n_mol).tolist() == bits.astype(int).tolist()
+
     def test_packed_padding_is_masked(self):
-        # words with every bit set, padding included, hold 70 molecules
-        words = np.full((3, 2), ~np.uint64(0))
-        reg = Register(words, words, 70, reset_pool=words)
+        # rows from outside with every bit set, past the 70th molecule too
+        ones = (1 << 128) - 1
+        reg = Register([ones] * 3, 70, fresh=[ones] * 6)
         assert reg.bits == reg.rrtr == [reg.full] * 3
         apply_gate(reg, Reset(0, 3))
         assert self.in_bounds(reg) and reg.rrtr == [reg.full] * 3
@@ -615,6 +663,13 @@ class TestPurifiedRunLength:
         got = reg.purified_run_length(start, max_rows)
         assert got.dtype == np.int64 and got.shape == (self.N_MOL,)
         assert got.tolist() == self.plain(flags, start, max_rows)
+
+    @pytest.mark.parametrize("start,max_rows", [(-1, 4), (-3, 2)])
+    def test_negative_start_is_rejected(self, start, max_rows):
+        # rows[start:] would read positions from the far end of the register
+        reg, _ = self.register([3] * self.N_MOL)
+        with pytest.raises(ValueError, match="start"):
+            reg.purified_run_length(start, max_rows)
 
     def test_empty_at_start(self):
         reg, flags = self.register([0] * self.N_MOL)

@@ -109,7 +109,7 @@ class TestRunCooling:
         rng = np.random.default_rng(3)
         bits = rng.random((plan.n_required, 64)) < 0.45
         pool = rng.random((sched.reset_rows(), 64)) < 0.45
-        reg = Register.from_comp_bits(bits, reset_pool=_pack_rows(pool))
+        reg = Register.from_comp_bits(bits, fresh=[0] * plan.n_required + _pack_rows(pool))
         run = run_cooling(reg, plan, sched)
         assert len(run.truncation_log) == truncation_count(5, 2)
         recomputed = np.ones(64, dtype=bool)

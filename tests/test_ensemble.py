@@ -10,7 +10,7 @@ import pytest
 
 from algcool import ensemble
 from algcool.analytic import CoolingPlan
-from algcool.circuit import GateError
+from algcool.circuit import GateError, _unpack_ints
 from algcool.ensemble import (
     compare_to_analytic,
     run_ensemble,
@@ -124,13 +124,13 @@ class TestSampleMolecule:
         # 10^6 pooled reset bits of one molecule: P(0) within 3 binomial sigma
         for eps, p_zero in [(0.0, 0.5), (0.1, 0.55)]:
             reg = sample_molecule(1, eps, seed=42, index=0, reset_rows=10**6)
-            ones = reg.draw_reset_rows(10**6) & np.uint64(1)
+            ones = np.array(reg.draw_reset_rows(10**6))
             freq = 1.0 - ones.mean()
             sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
             assert abs(freq - p_zero) < 3 * sigma
 
     def test_packing_a_long_pool_stays_small(self):
-        # 10^6 rows of one molecule pack to 8 MB, one uint64 word a row
+        # 10^6 rows of one molecule pack to 8 MB, one pointer to a shared small int a row
         tracemalloc.start()
         try:
             sample_molecule(1, 0.1, seed=42, index=0, reset_rows=10**6)
@@ -138,6 +138,22 @@ class TestSampleMolecule:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_draw_order(self):
+        # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
+        n, k, eps, seed = 5, 7, 0.1, 3
+        draws = [ensemble._molecule_bits(seed, i, 2 * n + k, (1 - eps) / 2).astype(int).tolist()
+                 for i in range(70)]
+        reg = sample_molecule(n, eps, seed, 11, reset_rows=k)
+        assert reg.molecule_bits() == draws[11][:n]
+        assert reg.rrtr == draws[11][n : 2 * n]
+        assert reg.draw_reset_rows(3) + reg.draw_reset_rows(k - 3) == draws[11][2 * n :]
+        with pytest.raises(GateError):
+            reg.draw_reset_rows(1)  # the source holds exactly the schedule's reset rows
+        batch = ensemble._build_registers(n, eps, seed, 0, 70, k)  # the same, 70 at once
+        assert batch.comp_bit_rows(0, n).T.tolist() == [d[:n] for d in draws]
+        assert _unpack_ints(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
+        assert _unpack_ints(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
 
     def test_validation(self):
         with pytest.raises(ValueError):
