@@ -272,9 +272,10 @@ class Schedule:
         return self.census.reset_rows
 
 
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """A bool array (rows, molecules) as one int bitset a row: bit k is molecule k."""
-    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+def _pack_rows(packed: np.ndarray) -> list[int]:
+    """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
+    packs each row's molecules, as one int bitset a row: bit k is molecule k."""
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def _unpack_ints(ints: list[int], n_mol: int) -> np.ndarray:
@@ -324,7 +325,8 @@ class Register:
     def from_comp_bits(cls, bits: np.ndarray, **kwargs) -> "Register":
         """Build a register from explicit computation bits (rows, molecules)."""
         bits = np.asarray(bits, dtype=bool)
-        return cls(_pack_rows(bits), bits.shape[1], **kwargs)
+        return cls(_pack_rows(np.packbits(bits, axis=1, bitorder="little")), bits.shape[1],
+                   **kwargs)
 
     # -- thermal source -------------------------------------------------
 

@@ -23,6 +23,7 @@ from .circuit import (
     Annotation,
     Count,
     Cut,
+    GateError,
     Marker,
     Register,
     Reset,
@@ -107,7 +108,9 @@ def run_cooling(
     short are flagged unsuccessful, not aborted. A position counts toward
     a purified length only if its purified flag is set; the ``Count`` or
     ``Cut`` names the level, and a failed comparison clears the flag, so
-    lucky dirty bits never inflate the count.
+    lucky dirty bits never inflate the count. A ``Count`` or ``Cut`` mark
+    naming positions outside the register raises ``GateError`` before any
+    gate runs.
     """
     if reg.n < plan.n_required:
         raise ValueError(
@@ -115,6 +118,10 @@ def run_cooling(
         )
     if schedule is None:
         schedule = compile_cooling(plan)
+    for mark in schedule.census.marks:  # counted once; the gates check themselves
+        err = mark.check(reg.n)
+        if err is not None:
+            raise GateError(err)
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     logs: dict[type, list] = {Count: [], Cut: []}

@@ -3,19 +3,24 @@
 Every molecule draws its randomness (initial thermal bits plus all later
 reset redraws) from its own counter-based substream keyed by the run
 seed and the molecule index, so results are bit-identical no matter how
-the batch is chunked. With ``threads > 1`` the chunks run in forked
-worker processes, each folding its chunk to integer totals; the totals
-are merged in fixed chunk order.
+the batch is chunked. The substream is numpy's Philox keyed by
+``SeedSequence(seed, spawn_key=(index,))``: a chunk derives all its keys
+in one vectorised pass over SeedSequence's hash and re-keys a single
+Philox generator per molecule (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011). With ``threads > 1`` the chunks run in
+forked worker processes, each folding its chunk to integer totals; the
+totals are merged in fixed chunk order.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,12 +39,102 @@ __all__ = [
 #: Molecules per execution batch; results never depend on it or on threads.
 CHUNK_SIZE = 16384
 
+#: Molecules drawn as bools before they are packed, so a chunk's draws are
+#: never all held as bools; a multiple of 8, so each block packs to whole bytes.
+_DRAW_BLOCK = 64
 
-def _molecule_bits(seed: int, index: int, rows: int, p_one: float) -> np.ndarray:
-    """The molecule's full random bit budget from its private substream."""
-    ss = np.random.SeedSequence(seed, spawn_key=(index,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.random(rows) < p_one
+
+_MASK32 = 0xFFFFFFFF
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _words(x: int) -> list[int]:
+    """A non-negative int's 32-bit words, low first, as SeedSequence splits it."""
+    return [(x >> s) & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant, as the (xor, multiplier) pair
+    of each successive hash; it never depends on the data hashed."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hash(value: np.ndarray, constants: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _philox_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``
+    for every i in [start, stop), as uint64 (molecules, 2), in one uint32
+    pass: numpy's hash, mix and output steps run over all molecules at once.
+
+    The entropy is the seed's words padded to the pool size of 4, then the
+    index's words. Only the index words differ between molecules, and they
+    come last, so the pool is hashed and cross-mixed once for the chunk.
+    The index's high words are those of ``start >> 32`` or one more; a
+    molecule without a word skips that step, so a chunk straddling 2**32
+    stays one pass."""
+    seed = operator.index(seed)
+    if seed < 0 or start < 0:
+        raise ValueError("seed and molecule index must be non-negative")
+    count = stop - start
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(np.full(count, w, np.uint32), consts) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    low = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK32)
+    carry = low > _MASK32  # these molecules' high part is one more than start's
+    high, higher = (_words(h) if h else [] for h in (start >> 32, (start >> 32) + 1))
+    # (word, the molecules that have it, True for all), in entropy order
+    tail = [(np.full(count, w, np.uint32), True) for w in entropy[4:]]
+    tail.append((low.astype(np.uint32), True))
+    for j, w in enumerate(higher):  # never shorter than high
+        was = high[j] if j < len(high) else 0
+        tail.append((np.where(carry, np.uint32(w), np.uint32(was)), j < len(high) or carry))
+    for word, present in tail:
+        for dst in range(4):
+            pool[dst] = np.where(present, _mix(pool[dst], _hash(word, consts)), pool[dst])
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hash(word, consts).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def _molecule_bits(gen: np.random.Generator, key: np.ndarray, p_one: float,
+                   buf: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the molecule's full random bit budget: ``gen``'s
+    Philox re-keyed to the molecule's substream, at counter zero, exactly
+    as ``Philox(SeedSequence(seed, spawn_key=(index,)))`` starts."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    gen.random(out=buf)
+    np.less(buf, p_one, out=out)
+
+
+def _drain(rows: list[int]) -> Iterator[int]:
+    """The rows in order, each dropped from the list once it is read."""
+    rows.reverse()
+    while rows:
+        yield rows.pop()
 
 
 def _build_registers(
@@ -48,15 +143,26 @@ def _build_registers(
     """A batched register for molecules [start, stop). Each molecule's
     draws [0, n) are its computation bits; the rest, in order, are the
     register's thermal source: draws [n, 2n) the initial RRTR row, then
-    ``reset_rows`` more for the RESETs."""
+    ``reset_rows`` more for the RESETs. The chunk's keys come from one
+    vectorised pass, and one Philox generator is re-keyed per molecule.
+    Molecules are drawn ``_DRAW_BLOCK`` at a time and packed to byte rows
+    as they go; the source drops each row once the register has read it."""
     count = stop - start
     p_one = (1.0 - epsilon0) / 2.0
     rows = 2 * n + reset_rows
-    bits = np.empty((rows, count), dtype=bool)
-    for i in range(count):
-        bits[:, i] = _molecule_bits(seed, start + i, rows, p_one)
-    stream = iter(_pack_rows(bits))
-    return Register(list(islice(stream, n)), count, fresh=stream)
+    gen = np.random.Generator(np.random.Philox(0))
+    buf = np.empty(rows)
+    keys = _philox_keys(seed, start, stop)
+    packed = np.empty((rows, (count + 7) // 8), dtype=np.uint8)
+    bits = np.empty((min(count, _DRAW_BLOCK), rows), dtype=bool)  # one molecule a row
+    for b in range(0, count, _DRAW_BLOCK):
+        block = bits[: min(_DRAW_BLOCK, count - b)]
+        for i, key in enumerate(keys[b : b + len(block)]):
+            _molecule_bits(gen, key, p_one, buf, block[i])
+        packed[:, b // 8 : (b + len(block) + 7) // 8] = np.packbits(
+            block, axis=0, bitorder="little").T
+    source = _drain(_pack_rows(packed))
+    return Register(list(islice(source, n)), count, fresh=source)
 
 
 def sample_molecule(

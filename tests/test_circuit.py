@@ -50,6 +50,11 @@ def as_int(row):
     return sum(1 << k for k, bit in enumerate(row) if bit)
 
 
+def pack(bits):
+    """Bool rows (rows, molecules) as int bitsets, packed as the engine packs them."""
+    return _pack_rows(np.packbits(bits, axis=1, bitorder="little"))
+
+
 def set_flags(reg, flags):
     """Write purified flags (rows, molecules) into the flag plane of
     physical rows 0.., one int a row."""
@@ -237,7 +242,7 @@ class TestProvenanceOracle:
         flags = rng.random((n, n_mol)) < 0.7
         pool_rows = sum(g.length for g in gates if isinstance(g, Reset))
         pool = rng.random((pool_rows, n_mol)) < 0.5
-        reg = Register.from_comp_bits(bits, fresh=[0] * n + _pack_rows(pool))
+        reg = Register.from_comp_bits(bits, fresh=[0] * n + pack(pool))
         set_flags(reg, flags)
         # per molecule: bits, flags and the RRTR row, which starts all zero
         model = [(bits[:, i].astype(int).tolist(), flags[:, i].astype(int).tolist(), [0] * n)
@@ -291,7 +296,7 @@ class TestLevelTagEquivalence:
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.reset_rows()))
-        reg = Register(_pack_rows(bits), n_mol, fresh=_pack_rows(np.vstack([rrtr, pool])))
+        reg = Register(pack(bits), n_mol, fresh=pack(np.vstack([rrtr, pool])))
         run = run_cooling(reg, plan, schedule)
         assert (~run.success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
@@ -445,7 +450,7 @@ class TestGateChecks:
     @given(st.data(), st.integers(min_value=1, max_value=6))
     def test_apply_raises_exactly_when_validation_reports(self, data, n):
         bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
-        pool = _pack_rows(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
+        pool = pack(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
         reg = Register.from_comp_bits(bits, fresh=[0] * n + pool)
         for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
             errors = validate_schedule(Schedule([g]), n)
@@ -599,7 +604,7 @@ class TestPlaneBounds:
         rng = np.random.default_rng(n_mol)
         bits = rng.random((5, n_mol)) < 0.5
         bits[0], bits[1], bits[2] = False, True, False  # row 0 vs 1 compare unequal
-        pool = _pack_rows(np.ones((6, n_mol), dtype=bool))
+        pool = pack(np.ones((6, n_mol), dtype=bool))
         reg = Register.from_comp_bits(bits, fresh=[0] * 5 + pool)
         assert reg.full == (1 << n_mol) - 1 and self.in_bounds(reg)
         gates = [Cnot(0, 1),  # fails the compare on every molecule
@@ -615,7 +620,7 @@ class TestPlaneBounds:
     def test_pack_round_trip(self, n_mol):
         bits = np.random.default_rng(n_mol).random((4, n_mol)) < 0.5
         bits[0], bits[1] = True, False
-        rows = _pack_rows(bits)
+        rows = pack(bits)
         assert rows == [as_int(row) for row in bits]
         assert rows[0] == (1 << n_mol) - 1 and rows[1] == 0
         assert _unpack_ints(rows, n_mol).tolist() == bits.astype(int).tolist()

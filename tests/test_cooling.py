@@ -5,7 +5,17 @@ import pytest
 
 from algcool import cooling
 from algcool.analytic import CoolingPlan, truncation_count
-from algcool.circuit import Bcs, Count, Cut, Register, Reset, _pack_rows, validate_schedule
+from algcool.circuit import (
+    Bcs,
+    Count,
+    Cut,
+    GateError,
+    Register,
+    Reset,
+    _pack_rows,
+    schedule_from_text,
+    validate_schedule,
+)
 from algcool.compression import compile_bcs
 from algcool.cooling import (
     compile_cooling,
@@ -109,7 +119,8 @@ class TestRunCooling:
         rng = np.random.default_rng(3)
         bits = rng.random((plan.n_required, 64)) < 0.45
         pool = rng.random((sched.reset_rows(), 64)) < 0.45
-        reg = Register.from_comp_bits(bits, fresh=[0] * plan.n_required + _pack_rows(pool))
+        fresh = _pack_rows(np.packbits(pool, axis=1, bitorder="little"))
+        reg = Register.from_comp_bits(bits, fresh=[0] * plan.n_required + fresh)
         run = run_cooling(reg, plan, sched)
         assert len(run.truncation_log) == truncation_count(5, 2)
         recomputed = np.ones(64, dtype=bool)
@@ -117,6 +128,15 @@ class TestRunCooling:
             recomputed &= lengths >= cut.m
         assert (run.success == recomputed).all()
         assert sched.step_total() <= plan.step_bound
+
+    def test_marks_out_of_range_raise_before_any_gate(self):
+        plan = CoolingPlan(0.1, 2, 4, 0)
+        reg = Register([0, 0], 3)
+        for marks in ["# count: level=1 at=99 round=1\n# cut: level=1 at=99 m=2",
+                      "# cut: level=1 at=99 m=2"]:
+            with pytest.raises(GateError, match="out of range for n=2"):
+                run_cooling(reg, plan, schedule_from_text(f"SWAP 0 1\n{marks}\n"))
+            assert reg.rows == [0, 1]  # the SWAP never ran
 
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algcool import ensemble
 from algcool.analytic import CoolingPlan
@@ -16,6 +17,14 @@ from algcool.ensemble import (
     run_ensemble,
     sample_molecule,
 )
+
+
+def numpy_draws(seed, index, rows, eps):
+    """A molecule's draws straight from numpy: a fresh Philox keyed by its
+    SeedSequence, as 0/1 ints."""
+    ss = np.random.SeedSequence(seed, spawn_key=(index,))
+    gen = np.random.Generator(np.random.Philox(ss))
+    return (gen.random(rows) < (1 - eps) / 2).astype(int).tolist()
 
 
 def stats_equal(a, b):
@@ -142,8 +151,7 @@ class TestSampleMolecule:
     def test_draw_order(self):
         # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
         n, k, eps, seed = 5, 7, 0.1, 3
-        draws = [ensemble._molecule_bits(seed, i, 2 * n + k, (1 - eps) / 2).astype(int).tolist()
-                 for i in range(70)]
+        draws = [numpy_draws(seed, i, 2 * n + k, eps) for i in range(70)]
         reg = sample_molecule(n, eps, seed, 11, reset_rows=k)
         assert reg.molecule_bits() == draws[11][:n]
         assert reg.rrtr == draws[11][n : 2 * n]
@@ -155,11 +163,56 @@ class TestSampleMolecule:
         assert _unpack_ints(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
         assert _unpack_ints(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
 
+    @pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32])
+    def test_draws_match_numpy_across_the_index_word_boundary(self, index):
+        n, k, eps, seed = 4, 5, 0.1, 12
+        draws = numpy_draws(seed, index, 2 * n + k, eps)
+        reg = sample_molecule(n, eps, seed, index, reset_rows=k)
+        assert reg.molecule_bits() + reg.rrtr + reg.draw_reset_rows(k) == draws
+
+    def test_a_batch_straddling_the_index_word_boundary(self):
+        n, k, eps, seed, start = 3, 2, 0.1, 5, 2**32 - 6
+        draws = [numpy_draws(seed, i, 2 * n + k, eps) for i in range(start, start + 12)]
+        batch = ensemble._build_registers(n, eps, seed, start, start + 12, k)
+        assert batch.comp_bit_rows(0, n).T.tolist() == [d[:n] for d in draws]
+        assert _unpack_ints(batch.draw_reset_rows(k), 12).T.tolist() == [d[2 * n :] for d in draws]
+
+    def test_draining_the_source_releases_its_rows(self):
+        # 4,000 reset rows of 1,024 molecules, 128 bytes of bits each, read once
+        tracemalloc.start()
+        try:
+            reg = ensemble._build_registers(1, 0.1, 7, 0, 1024, 4000)
+            held = tracemalloc.get_traced_memory()[0]
+            reg.draw_reset_rows(4000)
+            drained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held - drained > 4000 * 128
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_molecule(0, 0.1, seed=0, index=0)
         with pytest.raises(ValueError):
             sample_molecule(4, 1.2, seed=0, index=0)
+        with pytest.raises(ValueError):
+            sample_molecule(4, 0.1, seed=-1, index=0)
+        with pytest.raises(ValueError):
+            sample_molecule(4, 0.1, seed=0, index=-1)
+
+
+class TestKeys:
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.one_of(st.integers(0, 2**128), st.sampled_from([2**32, 2**70 + 3])),
+           start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 40, 2**32 + 40)),
+           count=st.integers(1, 40))
+    @example(seed=2**32 - 1, start=2**32 - 3, count=6)
+    @example(seed=2**70 + 3, start=2**64 - 2, count=4)
+    def test_keys_match_seed_sequence(self, seed, start, count):
+        keys = ensemble._philox_keys(seed, start, start + count)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).tolist()
+            for i in range(start, start + count)]
 
 
 class TestPureInput:
