@@ -289,8 +289,10 @@ def feasibility_table(threshold: float = UNFEASIBLE_THRESHOLD) -> list[Feasibili
 
     Rows cover epsilon0 in {0.1, 0.01} with their interesting round counts;
     the signal estimate is the scaling form p ~ (1 - delta_f)^m. Entries
-    below ``threshold`` are reported as unfeasible by consumers.
+    below ``threshold``, a probability in [0, 1], are reported as
+    unfeasible by consumers.
     """
+    threshold = _check_eps(threshold, "threshold")
     rows = []
     for e0, jfs in TABLE_GRID:
         for jf in jfs:

@@ -3,7 +3,9 @@
 The model is a ladder: a row of computation bits and a parallel row of
 rapidly-relaxing reset (RRTR) bits. Gates are CNOT, SWAP, a
 zero-controlled SWAP, and a column-wise RESET that swaps computation
-bits with their thermal neighbours.
+bits with their thermal neighbours. Each gate acts on neighbouring
+positions; every item checks such n-independent shape rules once, when
+built, so fitting a register is one comparison of its highest position.
 
 Each position also carries a purified flag. RESET sets it; SWAP/ZCSWAP
 move it with the bit; CNOT, the compression comparator, keeps the
@@ -59,10 +61,48 @@ __all__ = [
 ]
 
 class GateError(ValueError):
-    """A gate is malformed for the register it is applied to."""
+    """A schedule item is ill-formed, or does not fit its register."""
 
 
-class _GateText:
+class _Item:
+    """What every schedule item shares: its shape is checked once, when it
+    is built, and ``top`` (not a dataclass field) is its highest position,
+    or -1 when it names none. Fitting a register is then one comparison."""
+
+    def __post_init__(self):
+        top, error = self._shape()
+        if error is not None:
+            raise GateError(f"{self.line()}: {error}")
+        object.__setattr__(self, "top", top)
+
+    def check(self, n: int) -> Optional[str]:
+        """None if the item fits an n-position register, else why not."""
+        if self.top < n:
+            return None
+        return f"{self.line()}: position out of range for n={n}"
+
+
+def _pair_shape(i: int, j: int) -> tuple[int, Optional[str]]:
+    """The shape of a two-operand gate (CNOT, SWAP) on positions i and j."""
+    if i < 0 or j < 0:
+        return -1, "negative position"
+    if i == j:
+        return -1, "operands must be pairwise distinct"
+    if abs(i - j) > 1:
+        return -1, "operands farther than 1 apart"
+    return max(i, j), None
+
+
+def _span_shape(start: int, length: int) -> tuple[int, Optional[str]]:
+    """The shape of an item naming positions [start, start + length)."""
+    if length < 1:
+        return -1, "empty"
+    if start < 0:
+        return -1, "negative position"
+    return start + length - 1, None
+
+
+class _GateText(_Item):
     """The text form every gate shares: its KIND, then its fields in order."""
 
     def line(self) -> str:
@@ -75,11 +115,8 @@ class Cnot(_GateText):
     target: int
     KIND = "CNOT"
 
-    def positions(self) -> tuple[int, ...]:
-        return (self.control, self.target)
-
-    def check(self, n: int) -> Optional[str]:
-        return _pair_violation(self, self.control, self.target, n)
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return _pair_shape(self.control, self.target)
 
 
 @dataclass(frozen=True)
@@ -88,11 +125,8 @@ class Swap(_GateText):
     b: int
     KIND = "SWAP"
 
-    def positions(self) -> tuple[int, ...]:
-        return (self.a, self.b)
-
-    def check(self, n: int) -> Optional[str]:
-        return _pair_violation(self, self.a, self.b, n)
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return _pair_shape(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -104,20 +138,17 @@ class ZcSwap(_GateText):
     b: int
     KIND = "ZCSWAP"
 
-    def positions(self) -> tuple[int, ...]:
-        return (self.zero_control, self.a, self.b)
-
-    def check(self, n: int) -> Optional[str]:
+    def _shape(self) -> tuple[int, Optional[str]]:
         z, a, b = self.zero_control, self.a, self.b
-        if not (0 <= z < n and 0 <= a < n and 0 <= b < n):
-            return f"{self.line()}: position out of range for n={n}"
+        if z < 0 or a < 0 or b < 0:
+            return -1, "negative position"
         if z == a or z == b or a == b:
-            return f"{self.line()}: operands must be pairwise distinct"
+            return -1, "operands must be pairwise distinct"
         if abs(a - b) > 1:
-            return f"{self.line()}: swap operands farther than 1 apart"
+            return -1, "swap operands farther than 1 apart"
         if abs(z - a) > 1 and abs(z - b) > 1:
-            return f"{self.line()}: control not adjacent to swap operands"
-        return None
+            return -1, "control not adjacent to swap operands"
+        return max(z, a, b), None
 
 
 @dataclass(frozen=True)
@@ -128,39 +159,15 @@ class Reset(_GateText):
     length: int
     KIND = "RESET"
 
-    def positions(self) -> tuple[int, ...]:
-        return tuple(range(self.start, self.start + self.length))
-
-    def check(self, n: int) -> Optional[str]:
-        return _span_violation(self, self.start, self.length, n)  # column-wise: no adjacency
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return _span_shape(self.start, self.length)  # column-wise: no adjacency
 
 
 Gate = Union[Cnot, Swap, ZcSwap, Reset]
 
 
-def _pair_violation(gate: Gate, i: int, j: int, n: int) -> Optional[str]:
-    """The check of a two-operand gate (CNOT, SWAP) on positions i and j."""
-    if not (0 <= i < n and 0 <= j < n):
-        return f"{gate.line()}: position out of range for n={n}"
-    if i == j:
-        return f"{gate.line()}: operands must be pairwise distinct"
-    if abs(i - j) > 1:
-        return f"{gate.line()}: operands farther than 1 apart"
-    return None
-
-
-def _span_violation(item: Union[Gate, Annotation], start: int, length: int,
-                    n: int) -> Optional[str]:
-    """The check of an item naming positions [start, start + length)."""
-    if length < 1:
-        return f"{item.line()}: empty"
-    if start < 0 or start + length > n:
-        return f"{item.line()}: position out of range for n={n}"
-    return None
-
-
 @dataclass(frozen=True)
-class Annotation:
+class Annotation(_Item):
     """A non-gate schedule item, written as ``# TAG: field=value ...``."""
 
     TAG = ""
@@ -169,8 +176,8 @@ class Annotation:
         pairs = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return f"# {self.TAG}: {pairs}"
 
-    def check(self, n: int) -> Optional[str]:
-        return None  # a marker names no positions
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return -1, None  # a marker names no positions
 
 
 @dataclass(frozen=True)
@@ -192,11 +199,11 @@ class Bcs(Annotation):
     nu0: int
     TAG = "bcs"
 
-    def check(self, n: int) -> Optional[str]:
-        err = _span_violation(self, self.nu, self.m, n)
+    def _shape(self) -> tuple[int, Optional[str]]:
+        top, err = _span_shape(self.nu, self.m)
         if err is None and not 0 <= self.nu0 <= self.nu:
-            err = f"{self.line()}: push target not in [0, nu]"
-        return err
+            err = "push target not in [0, nu]"
+        return top, err
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,8 @@ class Count(Annotation):
     round: int
     TAG = "count"
 
-    def check(self, n: int) -> Optional[str]:
-        return _span_violation(self, self.at, 1, n)
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return _span_shape(self.at, 1)
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,8 @@ class Cut(Annotation):
     m: int
     TAG = "cut"
 
-    def check(self, n: int) -> Optional[str]:
-        return _span_violation(self, self.at, self.m, n)
+    def _shape(self) -> tuple[int, Optional[str]]:
+        return _span_shape(self.at, self.m)
 
 
 class Census(NamedTuple):
@@ -303,9 +310,9 @@ class Register:
     row starts as its first n rows, and each RESET takes the next rows in
     order. Without it the RRTR row starts at zero and a RESET raises.
 
-    Every gate is checked before it acts: its operands must be in range,
-    distinct, and on neighbouring positions of the ladder (a RESET is
-    column-wise and needs no neighbours).
+    A gate cannot be built with negative or repeated operands, or off
+    neighbouring positions of the ladder (a RESET is column-wise and needs
+    no neighbours); before it acts, it is checked only to fit the register.
     """
 
     def __init__(self, comp: list[int], num_molecules: int, *,
@@ -409,13 +416,12 @@ _EXECUTORS = {Cnot: _cnot, Swap: _swap, ZcSwap: _zcswap, Reset: _reset}
 
 
 def apply_gate(reg: Register, gate: Gate) -> None:
-    """Check one gate against the register, then apply it in place."""
+    """Check that one gate fits the register, then apply it in place."""
     execute = _EXECUTORS.get(type(gate))
     if execute is None:
         raise GateError(f"unknown gate {gate!r}")
-    err = gate.check(reg.n)
-    if err is not None:
-        raise GateError(err)
+    if gate.top >= reg.n:  # its shape was checked when it was built
+        raise GateError(gate.check(reg.n))
     execute(reg, gate)
 
 
@@ -427,21 +433,14 @@ def run_schedule(reg: Register, schedule: Schedule) -> None:
 
 
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:
-    """Pure static check of index ranges and adjacency; no execution.
-
-    Gates are checked as ``apply_gate`` checks them, and ``Bcs``,
-    ``Count`` and ``Cut`` annotations by the positions they name. Returns
-    the list of violations (empty means ok): one message per failing
-    occurrence, in schedule order. Each distinct item object is checked
-    once.
+    """Pure static check that every item fits an n-position register; no
+    execution. Adjacency and the other shape rules hold for every item
+    from the moment it is built, so only the highest position each gate,
+    ``Bcs``, ``Count`` or ``Cut`` names is compared with n, as
+    ``apply_gate`` compares it. Returns the list of violations (empty
+    means ok): one message per failing occurrence, in schedule order.
     """
-    # compiled and parsed schedules share equal items: check each object
-    # once, keyed by id (schedule.items keeps every object, so its id, alive)
-    distinct = dict(zip(map(id, schedule.items), schedule.items))
-    failing = {key: err for key, item in distinct.items() if (err := item.check(n))}
-    if not failing:
-        return []
-    return [failing[key] for key in map(id, schedule.items) if key in failing]
+    return [item.check(n) for item in schedule.items if item.top >= n]
 
 
 # -- serialization ------------------------------------------------------
@@ -460,9 +459,10 @@ def _parse_annotation(body: str, lineno: int) -> Annotation:
         pairs = [p.split("=") for p in rest.split()]
         if [k for k, _ in pairs] != [f.name for f in fields(cls)]:
             raise ValueError
-        return cls(*(int(v) for _, v in pairs))
+        args = [int(v) for _, v in pairs]
     except ValueError as exc:
         raise ValueError(f"line {lineno}: malformed {tag} annotation") from exc
+    return cls(*args)
 
 
 def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
@@ -510,9 +510,10 @@ def schedule_from_text(text: str) -> Schedule:
     """Parse the text format back; bit-exact round trip with to_text.
 
     Each distinct line is parsed once per call, and every occurrence of it
-    is the same object. A malformed line raises at its first occurrence,
-    naming its line number. Lines are split a slice of the text at a
-    time, so they are never all held at once.
+    is the same object. A malformed line, an ill-formed gate or annotation
+    included, raises at its first occurrence, naming its line number.
+    Lines are split a slice of the text at a time, so they are never all
+    held at once.
     """
     items: list[Union[Gate, Annotation]] = []
     parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
@@ -522,6 +523,9 @@ def schedule_from_text(text: str) -> Schedule:
             line = raw.strip()
             if not line:
                 continue
-            item = parsed[raw] = _parse_line(line, lineno)
+            try:
+                item = parsed[raw] = _parse_line(line, lineno)
+            except GateError as exc:  # an ill-formed gate or annotation
+                raise ValueError(f"line {lineno}: {exc}") from exc
         items.append(item)
     return Schedule(items)

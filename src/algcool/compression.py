@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Bcs, Cnot, Register, Schedule, Swap, ZcSwap, run_schedule
+from .circuit import Bcs, Cnot, GateError, Register, Schedule, Swap, ZcSwap, run_schedule
 
 __all__ = ["BcsOutcome", "compile_bcs", "run_bcs", "reference_bcs"]
 
@@ -55,10 +55,7 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be a positive even count, got {m}")
     nu0 = nu if nu0 is None else nu0
-    if nu0 > nu or nu0 < 0:
-        raise ValueError(f"need 0 <= nu0 <= nu, got nu0={nu0}, nu={nu}")
-
-    items: list = [Bcs(m, nu, nu0)]
+    items: list = [Bcs(m, nu, nu0)]  # raises GateError unless 0 <= nu0 <= nu
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
         items.append(_cnot(q))
@@ -89,13 +86,10 @@ def run_bcs(reg: Register, schedule: Schedule) -> BcsOutcome:
     geometry = next((it for it in schedule.items if isinstance(it, Bcs)), None)
     if geometry is None:
         raise ValueError("schedule carries no bcs geometry annotation")
-    m, nu, nu0 = geometry.m, geometry.nu, geometry.nu0
-    if nu + m > reg.n:
-        raise ValueError(
-            f"schedule compiled for region [{nu}, {nu + m}) but register has n={reg.n}"
-        )
+    if geometry.top >= reg.n:
+        raise GateError(geometry.check(reg.n))
     run_schedule(reg, schedule)
-    return BcsOutcome(reg.purified_run_length(nu0, reg.n - nu0))
+    return BcsOutcome(reg.purified_run_length(geometry.nu0, reg.n - geometry.nu0))
 
 
 def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:

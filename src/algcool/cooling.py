@@ -118,10 +118,9 @@ def run_cooling(
         )
     if schedule is None:
         schedule = compile_cooling(plan)
-    for mark in schedule.census.marks:  # counted once; the gates check themselves
-        err = mark.check(reg.n)
-        if err is not None:
-            raise GateError(err)
+    for mark in schedule.census.marks:  # counted once; each gate is checked as it runs
+        if mark.top >= reg.n:
+            raise GateError(mark.check(reg.n))
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     logs: dict[type, list] = {Count: [], Cut: []}

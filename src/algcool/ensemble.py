@@ -160,7 +160,7 @@ def _build_registers(
         for i, key in enumerate(keys[b : b + len(block)]):
             _molecule_bits(gen, key, p_one, buf, block[i])
         packed[:, b // 8 : (b + len(block) + 7) // 8] = np.packbits(
-            block, axis=0, bitorder="little").T
+            np.ascontiguousarray(block.T), axis=1, bitorder="little")
     source = _drain(_pack_rows(packed))
     return Register(list(islice(source, n)), count, fresh=source)
 

@@ -273,6 +273,12 @@ class TestFeasibilityTable:
         n_tight = sum(r.feasible(m) for r in tight for m in r.p_for_m)
         assert n_tight < n_loose
 
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), 1.5])
+    def test_threshold_outside_unit_interval_is_rejected(self, threshold):
+        # -1 would mark every signal feasible, NaN none
+        with pytest.raises(ValueError, match="threshold must be in"):
+            feasibility_table(threshold)
+
 
 class TestTimingFeasibility:
     def test_twenty_bit_setup_feasible(self):

@@ -224,7 +224,7 @@ def model_gate(bits, tags, rrtr, gate, fresh, rule):
         tags[c], tags[t] = cnot(bits[c], bits[t], tags[c], tags[t])
         bits[t] ^= bits[c]
     elif isinstance(gate, Reset):
-        for i, new in zip(gate.positions(), fresh):
+        for i, new in zip(range(gate.start, gate.start + gate.length), fresh):
             bits[i], rrtr[i], tags[i] = rrtr[i], new, reset_tag
     elif isinstance(gate, Swap) or bits[gate.zero_control] == 0:
         a, b = gate.a, gate.b
@@ -373,76 +373,104 @@ class TestValidation:
         assert validate_schedule(Schedule([]), 4) == []
 
     def test_distance_violation(self):
-        out = validate_schedule(Schedule([Swap(0, 5)]), 8)
-        assert len(out) == 1 and "apart" in out[0]
+        # adjacency is a shape rule: a far SWAP cannot be built at all
+        with pytest.raises(GateError, match="^SWAP 0 5: operands farther than 1 apart$"):
+            Swap(0, 5)
 
     def test_range_and_distinctness(self):
-        assert validate_schedule(Schedule([Cnot(3, 4)]), 4)
-        assert validate_schedule(Schedule([Swap(2, 2)]), 4)
-        assert validate_schedule(Schedule([Reset(3, 2)]), 4)
+        assert validate_schedule(Schedule([Cnot(3, 4)]), 4) == [
+            "CNOT 3 4: position out of range for n=4"]
+        assert validate_schedule(Schedule([Reset(3, 2)]), 4) == [
+            "RESET 3 2: position out of range for n=4"]
+        assert validate_schedule(Schedule([Cnot(3, 4), Reset(3, 2)]), 5) == []
+        with pytest.raises(GateError, match="^SWAP 2 2: operands must be pairwise distinct$"):
+            Swap(2, 2)
 
     def test_shared_bad_gate_reported_per_occurrence_in_order(self):
-        bad, other = Swap(0, 5), Cnot(3, 3)
+        bad, other = Swap(8, 9), Reset(6, 3)
         sched = Schedule([Swap(0, 1), bad, Cnot(1, 2), bad, other, Marker("x"), bad])
         out = validate_schedule(sched, 8)
         assert len(out) == 4
-        assert out[0] == out[1] == out[3] == bad.check(8)
+        assert out[0] == out[1] == out[3] == bad.check(8) == "SWAP 8 9: position out of range for n=8"
         assert out[2] == other.check(8)
 
     def test_annotation_positions(self):
-        # the positions an annotation names must lie on the register
-        bad = ["# count: level=1 at=-3 round=1", "# cut: level=1 at=99 m=2",
-               "# bcs: m=4 nu=-1 nu0=7", "# bcs: m=2 nu=1 nu0=2", "# cut: level=1 at=2 m=0"]
+        # the highest position an annotation names must lie on the register
+        bad = ["# count: level=1 at=4 round=1", "# cut: level=1 at=3 m=2",
+               "# bcs: m=4 nu=1 nu0=0"]
         good = ["# count: level=1 at=3 round=1", "# cut: level=1 at=2 m=2",
                 "# bcs: m=2 nu=2 nu0=0", "# phase: M_1 depth=0 offset=99"]
         sched = schedule_from_text("\n".join(good[:2] + bad + good[2:]))
         assert validate_schedule(sched, 4) == [
-            f"{bad[0]}: position out of range for n=4",
-            f"{bad[1]}: position out of range for n=4",
-            f"{bad[2]}: position out of range for n=4",
-            f"{bad[3]}: push target not in [0, nu]",
-            f"{bad[4]}: empty",
-        ]
+            f"{line}: position out of range for n=4" for line in bad]
         assert validate_schedule(schedule_from_text("\n".join(good)), 4) == []
+        assert [it.top for it in sched.items] == [3, 3, 4, 4, 4, 3, -1]
 
     def test_apply_rejects_bad_gate(self):
+        with pytest.raises(GateError):
+            Cnot(0, 2)  # ill-formed: never reaches a register
         reg = single([0, 0, 0])
-        with pytest.raises(GateError):
-            apply_gate(reg, Cnot(0, 2))
-        with pytest.raises(GateError):
-            apply_gate(reg, Swap(0, 9))
+        with pytest.raises(GateError, match="^SWAP 2 3: position out of range for n=3$"):
+            apply_gate(reg, Swap(2, 3))
+        assert reg.rows == [0, 1, 2]
 
 
-def any_gate(n):
-    """A gate of any kind whose operands may be out of range, repeated or
-    far apart, so that it may be malformed for an n-position register."""
+def raw_item(kinds, n):
+    """A kind and a raw operand tuple, whose positions may be negative,
+    repeated, far apart or past the end of an n-position register."""
     idx = st.integers(min_value=-2, max_value=n + 1)
-    return st.one_of(
-        st.builds(Cnot, idx, idx),
-        st.builds(Swap, idx, idx),
-        st.builds(ZcSwap, idx, idx, idx),
-        st.builds(Reset, idx, st.integers(min_value=-1, max_value=n + 2)),
-    )
+    return st.sampled_from(kinds).flatmap(
+        lambda cls: st.tuples(st.just(cls), st.tuples(*[idx] * len(dataclasses.fields(cls)))))
 
 
-def reference_violation(gate, n):
-    """The gate rules restated from the operand tuple, gate kind by kind."""
-    pos, line = gate.positions(), gate.line()
+def raw_line(cls, ops):
+    """The text line of an item built from ``ops``."""
+    if issubclass(cls, Annotation):
+        names = [f.name for f in dataclasses.fields(cls)]
+        return f"# {cls.TAG}: " + " ".join(f"{k}={v}" for k, v in zip(names, ops))
+    return " ".join([cls.KIND, *map(str, ops)])
+
+
+def reference_shape(cls, ops):
+    """The positions a raw operand tuple names and the shape rule it
+    breaks (None if none), restated kind by kind."""
+    if cls in (Cnot, Swap, ZcSwap):
+        pos = list(ops)
+    else:  # a span [start, start + length)
+        start, length = {Reset: ops, Bcs: (ops[1], ops[0]), Count: (ops[1], 1), Cut: ops[1:]}[cls]
+        pos = list(range(start, start + length))
     if not pos:
-        return f"{line}: empty"
-    if min(pos) < 0 or max(pos) >= n:
-        return f"{line}: position out of range for n={n}"
-    if not isinstance(gate, Reset) and len(set(pos)) != len(pos):
-        return f"{line}: operands must be pairwise distinct"
-    if isinstance(gate, (Cnot, Swap)) and abs(pos[0] - pos[1]) > 1:
-        return f"{line}: operands farther than 1 apart"
-    if isinstance(gate, ZcSwap):
+        return pos, "empty"
+    if min(pos) < 0:
+        return pos, "negative position"
+    if len(set(pos)) != len(pos):
+        return pos, "operands must be pairwise distinct"
+    if cls in (Cnot, Swap) and abs(pos[0] - pos[1]) > 1:
+        return pos, "operands farther than 1 apart"
+    if cls is ZcSwap:
         z, a, b = pos
         if abs(a - b) > 1:
-            return f"{line}: swap operands farther than 1 apart"
+            return pos, "swap operands farther than 1 apart"
         if min(abs(z - a), abs(z - b)) > 1:
-            return f"{line}: control not adjacent to swap operands"
-    return None
+            return pos, "control not adjacent to swap operands"
+    if cls is Bcs and not 0 <= ops[2] <= ops[1]:
+        return pos, "push target not in [0, nu]"
+    return pos, None
+
+
+def build_or_reject(cls, ops):
+    """The item built from ``ops``, after checking that construction raises
+    exactly when ``reference_shape`` finds a broken rule (then None)."""
+    pos, rule = reference_shape(cls, ops)
+    if rule is not None:
+        with pytest.raises(GateError) as exc:
+            cls(*ops)
+        assert str(exc.value) == f"{raw_line(cls, ops)}: {rule}"
+        return None
+    item = cls(*ops)
+    assert item.line() == raw_line(cls, ops)
+    assert item.top == max(pos)
+    return item
 
 
 class TestGateChecks:
@@ -452,9 +480,13 @@ class TestGateChecks:
         bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
         pool = pack(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
         reg = Register.from_comp_bits(bits, fresh=[0] * n + pool)
-        for g in data.draw(st.lists(any_gate(n), min_size=1, max_size=8)):
+        raw = data.draw(st.lists(raw_item([Cnot, Swap, ZcSwap, Reset], n), min_size=1, max_size=8))
+        for cls, ops in raw:
+            g = build_or_reject(cls, ops)
+            if g is None:
+                continue
             errors = validate_schedule(Schedule([g]), n)
-            assert errors == [e for e in [reference_violation(g, n)] if e]
+            assert errors == ([] if g.top < n else [f"{g.line()}: position out of range for n={n}"])
             before = [list(plane) for plane in (reg.bits, reg.flags, reg.rows, reg.rrtr)]
             if errors:
                 with pytest.raises(GateError) as exc:
@@ -462,7 +494,16 @@ class TestGateChecks:
                 assert [str(exc.value)] == errors
                 assert [reg.bits, reg.flags, reg.rows, reg.rrtr] == before
             else:
-                apply_gate(reg, g)  # a well-formed gate never raises GateError
+                apply_gate(reg, g)  # a gate that fits never raises GateError
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), st.integers(min_value=1, max_value=6))
+    def test_annotation_shape_and_fit(self, data, n):
+        for cls, ops in data.draw(st.lists(raw_item([Bcs, Count, Cut], n), min_size=1)):
+            note = build_or_reject(cls, ops)
+            if note is not None:
+                errors = validate_schedule(Schedule([note]), n)
+                assert errors == ([] if note.top < n else [note.check(n)])
 
     def test_unknown_gate(self):
         with pytest.raises(GateError, match="unknown gate"):
@@ -544,6 +585,11 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(headline_text)
+
+    @pytest.mark.parametrize("bad", ["SWAP 0 5", "# cut: level=1 at=2 m=0"])
+    def test_ill_formed_item_names_its_line(self, bad):
+        with pytest.raises(ValueError, match=f"^line 2: {bad}: "):
+            schedule_from_text(f"SWAP 0 1\n{bad}\nSWAP 0 1\n")
 
     def test_repeated_line_then_malformed(self):
         with pytest.raises(ValueError, match="line 3: non-integer"):

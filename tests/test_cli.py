@@ -37,6 +37,23 @@ class TestTable:
         _, tight = run_cli(capsys, "table", "--threshold", "1e-6")
         assert tight.count("unfeasible") > loose.count("unfeasible")
 
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_threshold_outside_unit_interval_errors(self, capsys, threshold):
+        code = main(["table", "--threshold", threshold])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold must be in [0, 1]")
+
+    def test_threshold_from_config_is_checked(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("threshold=-1\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        code = main(["table"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: threshold must be in [0, 1]")
+
     def test_json_schema(self, capsys):
         code, out = run_cli(capsys, "table", "--format", "json")
         record = json.loads(out)

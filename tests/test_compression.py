@@ -35,8 +35,8 @@ class TestCompileBcs:
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             compile_bcs(7)
-        with pytest.raises(ValueError):
-            compile_bcs(4, nu=2, nu0=5)
+        with pytest.raises(ValueError, match="push target not in"):
+            compile_bcs(4, nu=2, nu0=5)  # the Bcs geometry itself rejects it
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(deadline=None, max_examples=30)
@@ -71,7 +71,7 @@ class TestRunBcs:
 
     def test_geometry_mismatch(self):
         reg = register_for([[0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range for n=2"):
             run_bcs(reg, compile_bcs(4))
 
     def test_contiguity_no_junk_left_of_purified(self):

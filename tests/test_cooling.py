@@ -1,5 +1,7 @@
 """Recursive scheduler tests: structure, space, step bounds, execution."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,9 @@ def reset_phases(schedule):
 
 
 def highest_index(schedule):
-    return max(max(g.positions()) for g in schedule.gates())
+    """The highest position any gate names, read from its fields."""
+    return max(g.start + g.length - 1 if isinstance(g, Reset) else max(astuple(g))
+               for g in schedule.gates())
 
 
 class TestCompileStructure:
