@@ -319,9 +319,10 @@ class TimingModel:
     margin: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.t_switch <= 0 or self.t_rrtr <= 0 or self.t_comput <= 0:
+        # written as "not x > 0" so that NaN fails too
+        if not (self.t_switch > 0 and self.t_rrtr > 0 and self.t_comput > 0):
             raise ValueError("all times must be > 0")
-        if self.margin < 1:
+        if not self.margin >= 1:
             raise ValueError("margin must be >= 1")
 
 

@@ -200,6 +200,8 @@ class Bcs(Annotation):
     TAG = "bcs"
 
     def _shape(self) -> tuple[int, Optional[str]]:
+        if self.m < 1 or self.m % 2:
+            return -1, "m must be a positive even count"
         top, err = _span_shape(self.nu, self.m)
         if err is None and not 0 <= self.nu0 <= self.nu:
             err = "push target not in [0, nu]"
@@ -216,6 +218,8 @@ class Count(Annotation):
     TAG = "count"
 
     def _shape(self) -> tuple[int, Optional[str]]:
+        if self.level < 1 or self.round < 1:
+            return -1, "level and round must be >= 1"
         return _span_shape(self.at, 1)
 
 
@@ -229,6 +233,8 @@ class Cut(Annotation):
     TAG = "cut"
 
     def _shape(self) -> tuple[int, Optional[str]]:
+        if self.level < 1:
+            return -1, "level must be >= 1"
         return _span_shape(self.at, self.m)
 
 

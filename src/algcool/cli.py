@@ -3,11 +3,12 @@
 Subcommands: ``table`` (feasibility table), ``plan`` (resource report for
 one parameter set), ``compile`` (write a gate schedule), ``simulate``
 (Monte Carlo ensemble run plus deviation report), and ``feasibility``
-(timing checks). ``compile`` writes schedule text; every other command
-writes text, JSON, or CSV, and its JSON records carry a schema_version
-field and stable key order so equal runs produce byte-identical files.
-Only ``simulate`` and ``feasibility`` give a verdict, so only they take
-``--strict``.
+(timing checks). ``compile`` writes schedule text. Every other command
+builds one record and writes it as JSON, CSV or text: the JSON is the
+record, and the CSV rows and text lines are views read from it. Records
+carry a schema_version field and stable key order, so equal runs
+produce byte-identical files. Only ``simulate`` and ``feasibility``
+give a verdict, so only they take ``--strict``.
 
 Defaults can be preloaded from a flat ``key=value`` config file named by
 the ALGCOOL_CONFIG environment variable; explicit flags win over the
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -42,6 +44,7 @@ from .ensemble import compare_to_analytic, run_ensemble
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "ALGCOOL_CONFIG"
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _load_config(path: Optional[str]) -> dict[str, str]:
@@ -97,12 +100,6 @@ def _plan_from_args(args) -> CoolingPlan:
 
 
 def cmd_table(args) -> int:
-    rows = feasibility_table(args.threshold)
-
-    def cell(row, m):
-        p = row.p_for_m[m]
-        return repr(p) if row.feasible(m) else "unfeasible"
-
     record = {
         "schema_version": SCHEMA_VERSION,
         "threshold": args.threshold,
@@ -112,31 +109,30 @@ def cmd_table(args) -> int:
                 "j_f": r.j_f,
                 "epsilon_f": r.epsilon_f,
                 "delta_f": r.delta_f,
-                "p": {str(m): cell(r, m) for m in analytic.TABLE_M_VALUES},
+                "p": {
+                    str(m): repr(r.p_for_m[m]) if r.feasible(m) else "unfeasible"
+                    for m in analytic.TABLE_M_VALUES
+                },
             }
-            for r in rows
+            for r in feasibility_table(args.threshold)
         ],
     }
     header = ["epsilon0", "j_f", "epsilon_f", "delta_f"] + [
         f"p_m{m}" for m in analytic.TABLE_M_VALUES
     ]
     data = [
-        [repr(r.epsilon0), r.j_f, repr(r.epsilon_f), repr(r.delta_f)]
-        + [cell(r, m) for m in analytic.TABLE_M_VALUES]
-        for r in rows
+        [r["epsilon0"], r["j_f"], r["epsilon_f"], r["delta_f"], *r["p"].values()]
+        for r in record["rows"]
     ]
     lines = [
         f"{'eps0':>6} {'j_f':>3} {'eps_f':>8} {'delta_f':>8} "
         f"{'p(m=20)':>10} {'p(m=50)':>10} {'p(m=200)':>10}"
     ]
-    for r in rows:
-        cells = [
-            f"{r.p_for_m[m]:.2g}" if r.feasible(m) else "unfeasible"
-            for m in analytic.TABLE_M_VALUES
-        ]
+    for r in record["rows"]:
+        cells = [c if c == "unfeasible" else f"{float(c):.2g}" for c in r["p"].values()]
         lines.append(
-            f"{r.epsilon0:>6g} {r.j_f:>3d} {r.epsilon_f:>8.3g} "
-            f"{r.delta_f:>8.3g} {cells[0]:>10} {cells[1]:>10} {cells[2]:>10}"
+            f"{r['epsilon0']:>6g} {r['j_f']:>3d} {r['epsilon_f']:>8.3g} "
+            f"{r['delta_f']:>8.3g} {cells[0]:>10} {cells[1]:>10} {cells[2]:>10}"
         )
     _render(args, record, header, data, lines)
     return 0
@@ -148,10 +144,7 @@ def cmd_table(args) -> int:
 def _plan_record(plan: CoolingPlan) -> dict:
     bound = plan.success_bound
     return {
-        "epsilon0": plan.epsilon0,
-        "m": plan.m,
-        "ell": plan.ell,
-        "j_final": plan.j_final,
+        **dataclasses.asdict(plan),  # epsilon0, m, ell, j_final
         "bias_schedule": plan.bias_schedule,
         "epsilon_final": plan.epsilon_final,
         "n_required": plan.n_required,
@@ -162,22 +155,20 @@ def _plan_record(plan: CoolingPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    plan = _plan_from_args(args)
-    record = {"schema_version": SCHEMA_VERSION, **_plan_record(plan)}
+    record = {"schema_version": SCHEMA_VERSION, **_plan_record(_plan_from_args(args))}
     keys = [k for k in record if k not in ("schema_version", "bias_schedule")]
-    row = [repr(record[k]) if isinstance(record[k], float) else record[k] for k in keys]
     lines = [
-        f"epsilon0       {plan.epsilon0:g}",
-        f"m              {plan.m}",
-        f"ell            {plan.ell}",
-        f"j_final        {plan.j_final}",
-        "bias schedule  " + " ".join(f"{e:.6g}" for e in plan.bias_schedule),
-        f"n required     {plan.n_required}",
-        f"step bound     {plan.step_bound}",
+        f"epsilon0       {record['epsilon0']:g}",
+        f"m              {record['m']}",
+        f"ell            {record['ell']}",
+        f"j_final        {record['j_final']}",
+        "bias schedule  " + " ".join(f"{e:.6g}" for e in record["bias_schedule"]),
+        f"n required     {record['n_required']}",
+        f"step bound     {record['step_bound']}",
         f"success bound  {record['success_lower_bound']:.6g}"
         + (" (vacuous)" if record["success_bound_vacuous"] else ""),
     ]
-    _render(args, record, keys, [row], lines)
+    _render(args, record, keys, [[record[k] for k in keys]], lines)
     return 0
 
 
@@ -240,46 +231,27 @@ def cmd_simulate(args) -> int:
                 if report.position_z_scores is not None
                 else None
             ),
-            "rounds": [
-                {
-                    "level": r.level,
-                    "round": r.round_index,
-                    "observed_mean": r.observed_mean,
-                    "expected_mean": r.expected_mean,
-                    "z_score": r.z_score,
-                }
-                for r in report.rounds
-            ],
+            "rounds": [dataclasses.asdict(r) for r in report.rounds],
         },
     }
     header = ["position", "zero_freq", "bias", "success_bias"]
-    rows = [
-        [
-            i,
-            repr(float(stats.per_position_zero_freq[i])),
-            repr(float(stats.empirical_bias[i])),
-            repr(float(stats.success_bias[i]))
-            if stats.success_bias is not None
-            else "",
-        ]
-        for i in range(plan.m)
-    ]
+    success_bias = record["success_bias"]  # None when no molecule succeeded
+    columns = zip_longest(record["per_position_zero_freq"], record["empirical_bias"],
+                          success_bias or (), fillvalue="")  # None leaves its cells blank
+    rows = [[i, *cells] for i, cells in enumerate(columns)]
+    deviation = record["deviation"]
     lines = [
-        f"molecules      {stats.num_molecules}",
-        f"seed           {stats.seed}",
-        f"success rate   {stats.success_rate:.6g} "
-        f"(bound {report.success_lower_bound:.6g}"
-        + (", vacuous)" if report.bound_vacuous else ")"),
-        f"mean |bias|    {float(np.mean(np.abs(stats.empirical_bias))):.6g}",
+        f"molecules      {record['molecules']}",
+        f"seed           {record['seed']}",
+        f"success rate   {record['success_rate']:.6g} "
+        f"(bound {deviation['success_lower_bound']:.6g}"
+        + (", vacuous)" if deviation["bound_vacuous"] else ")"),
+        f"mean |bias|    {float(np.mean(np.abs(record['empirical_bias']))):.6g}",
         "success bias   "
-        + (
-            " ".join(f"{b:.4f}" for b in stats.success_bias)
-            if stats.success_bias is not None
-            else "n/a"
-        ),
+        + (" ".join(f"{b:.4f}" for b in success_bias) if success_bias is not None else "n/a"),
     ]
     _render(args, record, header, rows, lines)
-    if args.strict and not report.success_consistent:
+    if args.strict and not deviation["success_consistent"]:
         return 1
     return 0
 
@@ -299,17 +271,14 @@ def cmd_feasibility(args) -> int:
         "feasible": report.feasible,
     }
     header = ["name", "description", "lhs", "rhs", "passed"]
-    rows = [
-        [c.name, c.description, repr(c.lhs), repr(c.rhs), c.passed]
-        for c in report.checks
+    lines = [
+        f"{'PASS' if c['passed'] else 'FAIL'}  "
+        f"{c['name']}: {c['description']} ({c['lhs']:g} vs {c['rhs']:g})"
+        for c in record["checks"]
     ]
-    lines = []
-    for c in report.checks:
-        verdict = "PASS" if c.passed else "FAIL"
-        lines.append(f"{verdict}  {c.name}: {c.description} ({c.lhs:g} vs {c.rhs:g})")
-    lines.append("feasible" if report.feasible else "infeasible")
-    _render(args, record, header, rows, lines)
-    if args.strict and not report.feasible:
+    lines.append("feasible" if record["feasible"] else "infeasible")
+    _render(args, record, header, [list(c.values()) for c in record["checks"]], lines)
+    if args.strict and not record["feasible"]:
         return 1
     return 0
 
@@ -355,9 +324,9 @@ def _set_config_defaults(parsers, config: dict[str, str]) -> None:
     """Make config values the commands' defaults, so explicit flags win.
 
     argparse converts a string default with the option's type; a
-    store_true flag has no type, so its value is converted here. A key
-    that some command defines is accepted for all; a key that none
-    defines is an error.
+    store_true flag has no type, so its value is converted here: 1, true
+    or yes, or 0, false or no, in any case. A key that some command
+    defines is accepted for all; a key that none defines is an error.
     """
     known = set()
     for parser in parsers:
@@ -371,7 +340,9 @@ def _set_config_defaults(parsers, config: dict[str, str]) -> None:
             if action.choices is not None and raw not in action.choices:
                 raise ValueError(f"config {action.dest}={raw!r}: not in {list(action.choices)}")
             if isinstance(action.default, bool):
-                action.default = raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in _BOOLEANS:
+                    raise ValueError(f"config {action.dest}={raw!r}: not a boolean")
+                action.default = _BOOLEANS[raw.lower()]
             else:
                 action.default = raw
     unknown = sorted(config.keys() - known)

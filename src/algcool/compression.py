@@ -52,10 +52,8 @@ def compile_bcs(m: int, nu: int = 0, nu0: Optional[int] = None) -> Schedule:
     Every gate is fixed by one position, so equal gates are one shared
     object, built once per position and kind for the whole process.
     """
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"m must be a positive even count, got {m}")
     nu0 = nu if nu0 is None else nu0
-    items: list = [Bcs(m, nu, nu0)]  # raises GateError unless 0 <= nu0 <= nu
+    items: list = [Bcs(m, nu, nu0)]  # raises GateError unless m is even and 0 <= nu0 <= nu
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
         items.append(_cnot(q))

@@ -81,35 +81,32 @@ def _philox_keys(seed: int, start: int, stop: int) -> np.ndarray:
     pass: numpy's hash, mix and output steps run over all molecules at once.
 
     The entropy is the seed's words padded to the pool size of 4, then the
-    index's words. Only the index words differ between molecules, and they
-    come last, so the pool is hashed and cross-mixed once for the chunk.
-    The index's high words are those of ``start >> 32`` or one more; a
-    molecule without a word skips that step, so a chunk straddling 2**32
-    stays one pass."""
+    index's words. Only the index's low word differs between molecules of
+    a range that stays below one multiple of 2**32, and it comes after the
+    pool, so the pool is hashed and cross-mixed once for the range. A
+    chunk starts at a multiple of ``CHUNK_SIZE``, which divides 2**32, so
+    no chunk, and no single molecule, straddles one; a range that does
+    is an error."""
     seed = operator.index(seed)
     if seed < 0 or start < 0:
         raise ValueError("seed and molecule index must be non-negative")
+    if start >> 32 != (stop - 1) >> 32:
+        raise ValueError("molecule indices straddle a multiple of 2**32")
     count = stop - start
+    full = partial(np.full, count, dtype=np.uint32)
     entropy = _words(seed)
     entropy += [0] * (4 - len(entropy))
     consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(np.full(count, w, np.uint32), consts) for w in entropy[:4]]
+    pool = [_hash(full(w), consts) for w in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    low = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK32)
-    carry = low > _MASK32  # these molecules' high part is one more than start's
-    high, higher = (_words(h) if h else [] for h in (start >> 32, (start >> 32) + 1))
-    # (word, the molecules that have it, True for all), in entropy order
-    tail = [(np.full(count, w, np.uint32), True) for w in entropy[4:]]
-    tail.append((low.astype(np.uint32), True))
-    for j, w in enumerate(higher):  # never shorter than high
-        was = high[j] if j < len(high) else 0
-        tail.append((np.where(carry, np.uint32(w), np.uint32(was)), j < len(high) or carry))
-    for word, present in tail:
+    low = np.arange(count, dtype=np.uint32) + np.uint32(start & _MASK32)
+    # the seed's words past the pool, the index's low word, its high words
+    for word in [*map(full, entropy[4:]), low, *map(full, _words(start)[1:])]:
         for dst in range(4):
-            pool[dst] = np.where(present, _mix(pool[dst], _hash(word, consts)), pool[dst])
+            pool[dst] = _mix(pool[dst], _hash(word, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
     state = [_hash(word, consts).astype(np.uint64) for word in pool]
     return np.stack([state[0] | state[1] << np.uint64(32),
@@ -318,7 +315,7 @@ def run_ensemble(
 @dataclass(frozen=True)
 class RoundDeviation:
     level: int
-    round_index: int
+    round: int
     observed_mean: float
     expected_mean: float
     z_score: float

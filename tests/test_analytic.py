@@ -302,3 +302,12 @@ class TestTimingFeasibility:
             TimingModel(0.0, 1e-3, 10.0)
         with pytest.raises(ValueError):
             TimingModel(1e-5, 1e-3, 10.0, margin=0.5)
+
+    @pytest.mark.parametrize("times,margin", [
+        ((float("nan"), 1e-3, 10.0), 2.0),
+        ((1e-5, 1e-3, float("nan")), 2.0),
+        ((1e-5, 1e-3, 10.0), float("nan")),
+    ])
+    def test_nan_is_rejected(self, times, margin):
+        with pytest.raises(ValueError):
+            TimingModel(*times, margin=margin)

@@ -434,6 +434,12 @@ def raw_line(cls, ops):
 def reference_shape(cls, ops):
     """The positions a raw operand tuple names and the shape rule it
     breaks (None if none), restated kind by kind."""
+    if cls is Bcs and (ops[0] < 1 or ops[0] % 2):
+        return [], "m must be a positive even count"
+    if cls is Count and min(ops[0], ops[2]) < 1:
+        return [], "level and round must be >= 1"
+    if cls is Cut and ops[0] < 1:
+        return [], "level must be >= 1"
     if cls in (Cnot, Swap, ZcSwap):
         pos = list(ops)
     else:  # a span [start, start + length)
@@ -586,10 +592,23 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 2 * len(headline_text)
 
-    @pytest.mark.parametrize("bad", ["SWAP 0 5", "# cut: level=1 at=2 m=0"])
+    @pytest.mark.parametrize("bad", [
+        "SWAP 0 5", "# cut: level=1 at=2 m=0", "# bcs: m=3 nu=0 nu0=0",
+        "# count: level=1 at=0 round=0", "# cut: level=0 at=0 m=1",
+    ])
     def test_ill_formed_item_names_its_line(self, bad):
         with pytest.raises(ValueError, match=f"^line 2: {bad}: "):
             schedule_from_text(f"SWAP 0 1\n{bad}\nSWAP 0 1\n")
+
+    def test_annotation_counters_are_shape(self):
+        # an odd m, a level below 1 and a round below 1 never come from a compile
+        text = "# bcs: m=3 nu=0 nu0=0\n# count: level=-5 at=0 round=0\n# cut: level=0 at=0 m=1\n"
+        with pytest.raises(ValueError, match="^line 1: # bcs: m=3 nu=0 nu0=0: m must be a positive even count"):
+            schedule_from_text(text)
+        for line, rule in [("# count: level=-5 at=0 round=0", "level and round must be >= 1"),
+                           ("# cut: level=0 at=0 m=1", "level must be >= 1")]:
+            with pytest.raises(ValueError, match=f"^line 1: {line}: {rule}$"):
+                schedule_from_text(line + "\n")
 
     def test_repeated_line_then_malformed(self):
         with pytest.raises(ValueError, match="line 3: non-integer"):

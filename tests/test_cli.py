@@ -191,6 +191,25 @@ class TestFeasibility:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--margin", "margin must be >= 1"), ("--t-switch", "all times must be > 0"),
+    ])
+    def test_nan_timing_errors(self, capsys, flag, message):
+        code = main(["feasibility", flag, "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_nan_timing_from_config_errors(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("margin=nan\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        code = main(["feasibility"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: margin must be >= 1\n"
+
 
 class Recording(argparse.Namespace):
     """A parsed namespace that remembers which attributes were read."""
@@ -272,10 +291,19 @@ class TestConfigFile:
     def test_config_booleans(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
-        for value, code in (("false", 0), ("true", 1)):
+        for value, code in (("false", 0), ("true", 1), ("No", 0), ("YES", 1), ("0", 0), ("1", 1)):
             cfg.write_text(f"strict={value}\n")
             got, _ = run_cli(capsys, "feasibility", "--m", "20", "--t-comput", "0.001")
             assert got == code
+
+    def test_misspelt_config_boolean_errors(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("strict=ture\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        code = main(["feasibility", "--m", "20", "--t-comput", "0.001"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: config strict='ture': not a boolean\n"
 
     def test_config_value_outside_choices_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
@@ -341,3 +369,30 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest()[:16] == prefix
+
+    @pytest.mark.parametrize(
+        "command,prefix",
+        [
+            ("table", "728cd35e7a00ff6f"),
+            ("table --format csv", "21211981b361367d"),
+            ("plan", "875adfe0b9f4bce9"),
+            ("plan --format csv", "6316badaefca5947"),
+            ("feasibility", "e93ffe523e632ef3"),
+            ("feasibility --format csv", "e769b5f0e533c4db"),
+            ("simulate --epsilon0 0.1 --m 10 --jf 1 --ell 4 --molecules 5000 --seed 2",
+             "33596ea005cc32d5"),
+            ("simulate --epsilon0 0.1 --m 10 --jf 1 --ell 4 --molecules 5000 --seed 2"
+             " --format csv", "784d042314a9d3c1"),
+            # no molecule succeeds, so success_bias is null
+            ("simulate --epsilon0 0.0 --m 40 --ell 4 --jf 2 --molecules 5 --seed 0",
+             "3ee6ca252333a5be"),
+            ("simulate --epsilon0 0.0 --m 40 --ell 4 --jf 2 --molecules 5 --seed 0"
+             " --format csv", "71a59439f4d4f1ca"),
+            ("simulate --epsilon0 0.0 --m 40 --ell 4 --jf 2 --molecules 5 --seed 0"
+             " --format json", "bbac79648c25fe7c"),
+        ],
+    )
+    def test_stdout_sha256_prefix(self, capsys, command, prefix):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix

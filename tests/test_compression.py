@@ -33,8 +33,9 @@ class TestCompileBcs:
         assert validate_schedule(sched, 25) == []
 
     def test_bad_geometry(self):
-        with pytest.raises(ValueError):
-            compile_bcs(7)
+        for m in (7, 0):  # the Bcs geometry rejects it
+            with pytest.raises(ValueError, match="m must be a positive even count"):
+                compile_bcs(m)
         with pytest.raises(ValueError, match="push target not in"):
             compile_bcs(4, nu=2, nu0=5)  # the Bcs geometry itself rejects it
 

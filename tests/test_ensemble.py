@@ -171,11 +171,12 @@ class TestSampleMolecule:
         assert reg.molecule_bits() + reg.rrtr + reg.draw_reset_rows(k) == draws
 
     def test_a_batch_straddling_the_index_word_boundary(self):
-        n, k, eps, seed, start = 3, 2, 0.1, 5, 2**32 - 6
-        draws = [numpy_draws(seed, i, 2 * n + k, eps) for i in range(start, start + 12)]
-        batch = ensemble._build_registers(n, eps, seed, start, start + 12, k)
-        assert batch.comp_bit_rows(0, n).T.tolist() == [d[:n] for d in draws]
-        assert _unpack_ints(batch.draw_reset_rows(k), 12).T.tolist() == [d[2 * n :] for d in draws]
+        # chunks never straddle a multiple of 2**32, so a batch that does is refused
+        with pytest.raises(ValueError, match="straddle a multiple of 2"):
+            ensemble._build_registers(3, 0.1, 5, 2**32 - 6, 2**32 + 6, 2)
+
+    def test_chunks_never_straddle_the_index_word_boundary(self):
+        assert (1 << 32) % ensemble.CHUNK_SIZE == 0
 
     def test_draining_the_source_releases_its_rows(self):
         # 4,000 reset rows of 1,024 molecules, 128 bytes of bits each, read once
@@ -205,14 +206,21 @@ class TestKeys:
     @given(seed=st.one_of(st.integers(0, 2**128), st.sampled_from([2**32, 2**70 + 3])),
            start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 40, 2**32 + 40)),
            count=st.integers(1, 40))
-    @example(seed=2**32 - 1, start=2**32 - 3, count=6)
-    @example(seed=2**70 + 3, start=2**64 - 2, count=4)
+    @example(seed=2**32 - 1, start=2**32 - 3, count=3)
+    @example(seed=2**70 + 3, start=2**64 - 2, count=2)
+    @example(seed=2**70 + 3, start=2**64, count=4)
     def test_keys_match_seed_sequence(self, seed, start, count):
-        keys = ensemble._philox_keys(seed, start, start + count)
+        stop = min(start + count, ((start >> 32) + 1) << 32)  # up to the next multiple of 2**32
+        keys = ensemble._philox_keys(seed, start, stop)
         assert keys.dtype == np.uint64
         assert keys.tolist() == [
             np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).tolist()
-            for i in range(start, start + count)]
+            for i in range(start, stop)]
+
+    @pytest.mark.parametrize("seed,start,count", [(2**32 - 1, 2**32 - 3, 6), (2**70 + 3, 2**64 - 2, 4)])
+    def test_a_range_straddling_the_index_word_boundary_is_refused(self, seed, start, count):
+        with pytest.raises(ValueError, match="straddle a multiple of 2"):
+            ensemble._philox_keys(seed, start, start + count)
 
 
 class TestPureInput:
@@ -235,7 +243,7 @@ class TestStatistics:
         report = compare_to_analytic(stats, plan)
         assert len(report.rounds) == 6
         for r in report.rounds:
-            assert r.expected_mean == pytest.approx(r.round_index * 0.2525 * 20)
+            assert r.expected_mean == pytest.approx(r.round * 0.2525 * 20)
             assert abs(r.z_score) < 4.0
 
     def test_success_conditioned_bias(self):
