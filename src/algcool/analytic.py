@@ -32,7 +32,6 @@ __all__ = [
     "shannon_yield",
     "bcs_cascade_yield",
     "pps_signal",
-    "pps_decompose",
     "required_input_bits",
     "step_bound",
     "truncation_count",
@@ -157,12 +156,6 @@ def pps_signal(e: float, n: int) -> float:
     log_num = log_num_pow + math.log1p(-math.exp(-log_num_pow))
     log_den = n * math.log(2.0) + math.log1p(-(2.0 ** -n) if n < 1074 else 0.0)
     return math.exp(log_num - log_den)
-
-
-def pps_decompose(e: float, n: int) -> tuple[float, float]:
-    """Split a pseudo-pure state into (pure weight p, mixed weight 1 - p)."""
-    p = pps_signal(e, n)
-    return p, 1.0 - p
 
 
 class SuccessBound(NamedTuple):
@@ -319,11 +312,12 @@ class TimingModel:
     margin: float = 2.0
 
     def __post_init__(self) -> None:
-        # written as "not x > 0" so that NaN fails too
-        if not (self.t_switch > 0 and self.t_rrtr > 0 and self.t_comput > 0):
-            raise ValueError("all times must be > 0")
-        if not self.margin >= 1:
-            raise ValueError("margin must be >= 1")
+        # NaN fails every comparison and isfinite, so it is rejected too
+        times = (self.t_switch, self.t_rrtr, self.t_comput)
+        if not all(math.isfinite(t) and t > 0 for t in times):
+            raise ValueError("all times must be finite and > 0")
+        if not (math.isfinite(self.margin) and self.margin >= 1):
+            raise ValueError("margin must be finite and >= 1")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ __all__ = [
     "GateError",
     "Register",
     "apply_gate",
-    "run_schedule",
     "validate_schedule",
     "schedule_to_text",
     "schedule_from_text",
@@ -272,18 +271,6 @@ class Schedule:
         return Census(len(self.items) - len(notes), len(resets),
                       sum(r.length for r in resets), marks)
 
-    def gates(self) -> list[Gate]:
-        return [g for g in self.items if not isinstance(g, Annotation)]
-
-    def step_total(self) -> int:
-        """Time steps of a run; the schedule is data-independent, so every
-        run takes exactly this many."""
-        return self.census.steps
-
-    def reset_rows(self) -> int:
-        """Total fresh rows a run's RESETs will draw from the thermal source."""
-        return self.census.reset_rows
-
 
 def _pack_rows(packed: np.ndarray) -> list[int]:
     """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
@@ -314,32 +301,22 @@ class Register:
     ``comp`` and ``fresh`` hold rows of the same kind, as ``_pack_rows``
     makes them. ``fresh`` is the register's one thermal source: the RRTR
     row starts as its first n rows, and each RESET takes the next rows in
-    order. Without it the RRTR row starts at zero and a RESET raises.
+    order; a source that runs dry raises.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs
     no neighbours); before it acts, it is checked only to fit the register.
     """
 
-    def __init__(self, comp: list[int], num_molecules: int, *,
-                 fresh: Optional[Iterable[int]] = None):
+    def __init__(self, comp: list[int], num_molecules: int, *, fresh: Iterable[int]):
         self.n = len(comp)
         self.num_molecules = num_molecules
         self.full = (1 << num_molecules) - 1
         self.bits = [x & self.full for x in comp]
         self.flags = [self.full] * self.n
         self.rows = list(range(self.n))
-        self._fresh = iter(() if fresh is None else fresh)
-        self.rrtr = [0] * self.n if fresh is None else self.draw_reset_rows(self.n)
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_comp_bits(cls, bits: np.ndarray, **kwargs) -> "Register":
-        """Build a register from explicit computation bits (rows, molecules)."""
-        bits = np.asarray(bits, dtype=bool)
-        return cls(_pack_rows(np.packbits(bits, axis=1, bitorder="little")), bits.shape[1],
-                   **kwargs)
+        self._fresh = iter(fresh)
+        self.rrtr = self.draw_reset_rows(self.n)
 
     # -- thermal source -------------------------------------------------
 
@@ -356,15 +333,6 @@ class Register:
         """Computation bits of logical positions [start, stop) as uint8
         (rows, molecules)."""
         return _unpack_ints([self.bits[r] for r in self.rows[start:stop]], self.num_molecules)
-
-    def clean_rows(self, start: int, stop: int) -> np.ndarray:
-        """Purified flags of logical positions [start, stop) as uint8
-        (rows, molecules)."""
-        return _unpack_ints([self.flags[r] for r in self.rows[start:stop]], self.num_molecules)
-
-    def molecule_bits(self, index: int = 0) -> list[int]:
-        """All computation bits of one molecule, as a plain list."""
-        return self.comp_bit_rows(0, self.n)[:, index].tolist()
 
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
@@ -431,13 +399,6 @@ def apply_gate(reg: Register, gate: Gate) -> None:
     execute(reg, gate)
 
 
-def run_schedule(reg: Register, schedule: Schedule) -> None:
-    """Apply every gate of a schedule in order, skipping annotations."""
-    for item in schedule.items:
-        if not isinstance(item, Annotation):
-            apply_gate(reg, item)
-
-
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:
     """Pure static check that every item fits an n-position register; no
     execution. Adjacency and the other shape rules hold for every item
@@ -492,7 +453,7 @@ def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
 def schedule_to_text(schedule: Schedule) -> str:
     """Line-oriented text form, one gate per line; annotations as comments.
     Each distinct item object is formatted once, with its newline."""
-    items = schedule.items  # keyed by id, as in validate_schedule
+    items = schedule.items
     line = {key: item.line() + "\n" for key, item in dict(zip(map(id, items), items)).items()}
     return "".join(map(line.__getitem__, map(id, items)))
 

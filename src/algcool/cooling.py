@@ -12,7 +12,6 @@ sequence cannot branch per molecule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 import warnings
 from itertools import chain
 
@@ -43,7 +42,7 @@ __all__ = [
 @dataclass
 class CoolingRun:
     """What one batch's run observed; the plan and schedule it ran are the
-    caller's, and its steps are the schedule's ``step_total()``. Each log
+    caller's, and its steps are the schedule's ``census.steps``. Each log
     entry is ``(mark, lengths)``: one of the schedule's own ``Count``
     (round log) or ``Cut`` (truncation log) marks, in schedule order, and
     the per-molecule purified length observed there."""
@@ -97,11 +96,7 @@ def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None
     parts.append((Cut(j, mu, m),))
 
 
-def run_cooling(
-    reg: Register,
-    plan: CoolingPlan,
-    schedule: Optional[Schedule] = None,
-) -> CoolingRun:
+def run_cooling(reg: Register, plan: CoolingPlan, schedule: Schedule) -> CoolingRun:
     """Execute a compiled cooling schedule with per-molecule bookkeeping.
 
     Execution always runs to completion; molecules whose truncations fall
@@ -116,8 +111,6 @@ def run_cooling(
         raise ValueError(
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
-    if schedule is None:
-        schedule = compile_cooling(plan)
     for mark in schedule.census.marks:  # counted once; each gate is checked as it runs
         if mark.top >= reg.n:
             raise GateError(mark.check(reg.n))

@@ -33,7 +33,6 @@ __all__ = [
     "DeviationReport",
     "run_ensemble",
     "compare_to_analytic",
-    "sample_molecule",
 ]
 
 #: Molecules per execution batch; results never depend on it or on threads.
@@ -162,20 +161,6 @@ def _build_registers(
     return Register(list(islice(source, n)), count, fresh=source)
 
 
-def sample_molecule(
-    n: int, epsilon0: float, seed: int, index: int, reset_rows: int = 0
-) -> Register:
-    """One molecule's register, drawn from its (seed, index) substream:
-    n computation bits, then a thermal source of n RRTR bits and
-    ``reset_rows`` bits for its RESETs, which ``draw_reset_rows`` reads
-    on in draw order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= epsilon0 <= 1.0:
-        raise ValueError("epsilon0 must be in [0, 1]")
-    return _build_registers(n, epsilon0, seed, index, index + 1, reset_rows)
-
-
 @dataclass
 class EnsembleStats:
     """Order-independent aggregates of many molecules through one plan."""
@@ -243,7 +228,7 @@ def _chunk_totals(
     counted once per run."""
     stop = min(start + CHUNK_SIZE, num_molecules)
     reg = _build_registers(
-        plan.n_required, plan.epsilon0, seed, start, stop, schedule.reset_rows())
+        plan.n_required, plan.epsilon0, seed, start, stop, schedule.census.reset_rows)
     acc = _Accumulator.empty(plan.m, schedule.census.marks)
     acc.fold(run_cooling(reg, plan, schedule))
     return acc

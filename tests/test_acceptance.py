@@ -20,11 +20,12 @@ from algcool.analytic import (
     shannon_yield,
     success_lower_bound,
 )
-from algcool.circuit import Register, Reset
+from algcool.circuit import Reset
 from algcool.cli import main
-from algcool.compression import compile_bcs, reference_bcs, run_bcs
+from algcool.compression import compile_bcs
 from algcool.cooling import compile_cooling, run_cooling
-from algcool.ensemble import compare_to_analytic, run_ensemble, sample_molecule
+from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
+from support import compress, gates, reference_bcs, register
 
 # Published feasibility-table cells: (eps0, j_f) -> (eps_f, delta_f,
 # {m: p or None for unfeasible}). Values as displayed; numeric comparison
@@ -88,9 +89,8 @@ def test_criterion_05_oracle_equivalence_exhaustive():
     start = time.perf_counter()
     for m in (2, 4, 6, 8, 10, 12, 14, 16):
         inputs = np.array(list(product([0, 1], repeat=m)), dtype=bool)
-        reg = Register.from_comp_bits(inputs.T)
-        out = run_bcs(reg, compile_bcs(m))
-        counts = np.atleast_1d(out.purified_count)
+        reg = register(inputs.T)
+        counts = np.atleast_1d(compress(reg, m))
         bits = reg.comp_bit_rows(0, m).T.tolist()
         for i, molecule in enumerate(inputs.astype(int).tolist()):
             purified, dirty, supervisors = reference_bcs(molecule)
@@ -118,13 +118,13 @@ def test_criterion_06_exact_pair_law_rational():
 
 def test_criterion_07_step_bounds():
     for m in range(2, 257, 2):
-        assert compile_bcs(m).step_total() < m * m
+        assert compile_bcs(m, 0, 0).census.steps < m * m
     for m, ell, jf in product((4, 8, 20), (4, 5, 6), (1, 2, 3)):
         plan = CoolingPlan(0.1, m, ell, jf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # depth-4 vacuous-bound warning
             sched = compile_cooling(plan)
-        assert sched.step_total() <= plan.step_bound, (m, ell, jf)
+        assert sched.census.steps <= plan.step_bound, (m, ell, jf)
 
 
 def test_criterion_08_monte_carlo_bias_and_success_bound():
@@ -175,10 +175,8 @@ def test_criterion_10_simulate_byte_identical_across_threads(tmp_path):
 def test_criterion_11_structural_counts():
     plan = CoolingPlan(0.1, 4, 5, 3)
     sched = compile_cooling(plan)
-    resets = [g for g in sched.gates() if isinstance(g, Reset)]
+    resets = [g for g in gates(sched) if isinstance(g, Reset)]
     assert len(resets) == 125
-    reg = sample_molecule(
-        plan.n_required, 0.1, seed=1, index=0, reset_rows=sched.reset_rows()
-    )
+    reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
     run = run_cooling(reg, plan, sched)
     assert len(run.truncation_log) == 31

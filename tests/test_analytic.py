@@ -18,7 +18,6 @@ from algcool.analytic import (
     feasibility_table,
     min_rounds,
     next_bias,
-    pps_decompose,
     pps_signal,
     required_input_bits,
     shannon_yield,
@@ -175,11 +174,8 @@ class TestPpsSignal:
         # beyond float range the ratio correctly underflows to zero
         assert pps_signal(0.1, 10_000) == 0.0
 
-    def test_decompose(self):
-        assert pps_decompose(1.0, 3) == (1.0, 0.0)
-        p, mix = pps_decompose(0.1, 2)
-        assert (p, mix) == (pytest.approx(0.07), pytest.approx(0.93))
-        assert pps_decompose(0.01, 50)[0] < UNFEASIBLE_THRESHOLD
+    def test_unobservable_at_small_bias(self):
+        assert pps_signal(0.01, 50) < UNFEASIBLE_THRESHOLD
 
     @given(st.integers(min_value=1, max_value=300), open_eps, open_eps)
     def test_monotone_in_bias(self, n, e1, e2):
@@ -307,7 +303,9 @@ class TestTimingFeasibility:
         ((float("nan"), 1e-3, 10.0), 2.0),
         ((1e-5, 1e-3, float("nan")), 2.0),
         ((1e-5, 1e-3, 10.0), float("nan")),
+        ((1e-5, float("inf"), 10.0), 2.0),
+        ((1e-5, 1e-3, 10.0), float("inf")),
     ])
-    def test_nan_is_rejected(self, times, margin):
+    def test_non_finite_is_rejected(self, times, margin):
         with pytest.raises(ValueError):
             TimingModel(*times, margin=margin)

@@ -22,15 +22,14 @@ from algcool.circuit import (
     Swap,
     ZcSwap,
     apply_gate,
-    run_schedule,
     schedule_from_text,
     schedule_to_text,
-    _pack_rows,
     _split_lines,
     _unpack_ints,
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
+from support import bits_of, flag_rows, gates, pack, register, run_gates
 
 
 @pytest.fixture(scope="module")
@@ -41,18 +40,12 @@ def headline_text():
 
 def single(bits, **kwargs):
     """One-molecule register from a plain bit list."""
-    arr = np.array(bits, dtype=bool).reshape(-1, 1)
-    return Register.from_comp_bits(arr, **kwargs)
+    return register(np.array(bits, dtype=bool).reshape(-1, 1), **kwargs)
 
 
 def as_int(row):
     """One row of bits as an int bitset: molecule k is bit k."""
     return sum(1 << k for k, bit in enumerate(row) if bit)
-
-
-def pack(bits):
-    """Bool rows (rows, molecules) as int bitsets, packed as the engine packs them."""
-    return _pack_rows(np.packbits(bits, axis=1, bitorder="little"))
 
 
 def set_flags(reg, flags):
@@ -70,24 +63,24 @@ class TestGateSemantics:
     def test_cnot_truth_table(self, c, t, expect_c, expect_t):
         reg = single([c, t])
         apply_gate(reg, Cnot(0, 1))
-        assert reg.molecule_bits() == [expect_c, expect_t]
+        assert bits_of(reg) == [expect_c, expect_t]
 
     def test_swap(self):
         reg = single([1, 0])
         apply_gate(reg, Swap(0, 1))
-        assert reg.molecule_bits() == [0, 1]
+        assert bits_of(reg) == [0, 1]
         apply_gate(reg, Swap(0, 1))
-        assert reg.molecule_bits() == [1, 0]  # involution
+        assert bits_of(reg) == [1, 0]  # involution
 
     def test_zcswap_fires_on_zero_control(self):
         reg = single([0, 1, 0])
         apply_gate(reg, ZcSwap(0, 1, 2))
-        assert reg.molecule_bits() == [0, 0, 1]
+        assert bits_of(reg) == [0, 0, 1]
 
     def test_zcswap_idle_on_one_control(self):
         reg = single([1, 1, 0])
         apply_gate(reg, ZcSwap(0, 1, 2))
-        assert reg.molecule_bits() == [1, 1, 0]
+        assert bits_of(reg) == [1, 1, 0]
 
     def test_reset_swaps_in_rrtr_row(self):
         # the first three fresh rows are the RRTR row; the next three are
@@ -95,8 +88,8 @@ class TestGateSemantics:
         reg = single([1, 1, 1], fresh=[0] * 6)
         set_flags(reg, [0, 0, 0])
         apply_gate(reg, Reset(0, 3))
-        assert reg.molecule_bits() == [0, 0, 0]  # rrtr row starts all zero
-        assert (reg.clean_rows(0, 3) == 1).all()
+        assert bits_of(reg) == [0, 0, 0]  # rrtr row starts all zero
+        assert (flag_rows(reg, 0, 3) == 1).all()
 
     def test_reset_without_source_raises(self):
         reg = single([1, 0])
@@ -108,27 +101,27 @@ class TestProvenance:
     def test_cnot_comparator_on_equal_pair(self):
         reg = single([1, 1])
         apply_gate(reg, Cnot(0, 1))
-        assert reg.clean_rows(0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
+        assert flag_rows(reg, 0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
 
     def test_cnot_comparator_on_unequal_pair(self):
         reg = single([1, 0])
         apply_gate(reg, Cnot(0, 1))
-        assert reg.clean_rows(0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
+        assert flag_rows(reg, 0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
 
     def test_unflagged_operand_is_dirty(self):
         for flags in ([1, 0], [0, 1], [0, 0]):
             reg = single([0, 0])
             set_flags(reg, flags)
             apply_gate(reg, Cnot(0, 1))
-            assert reg.clean_rows(0, 2)[:, 0].tolist() == [0, 0]
+            assert flag_rows(reg, 0, 2)[:, 0].tolist() == [0, 0]
 
     def test_tags_travel_with_swaps(self):
         reg = single([0, 1, 0])
         set_flags(reg, [1, 1, 0])
         apply_gate(reg, Swap(1, 2))
-        assert reg.clean_rows(0, 3)[:, 0].tolist() == [1, 0, 1]
+        assert flag_rows(reg, 0, 3)[:, 0].tolist() == [1, 0, 1]
         apply_gate(reg, ZcSwap(0, 1, 2))  # control reads 0 -> fires
-        assert reg.clean_rows(0, 3)[:, 0].tolist() == [1, 1, 0]
+        assert flag_rows(reg, 0, 3)[:, 0].tolist() == [1, 1, 0]
 
     def test_purified_run_length(self):
         reg = single([0, 0, 0, 0, 0])
@@ -171,17 +164,17 @@ class TestAlgebraicProperties:
             apply_gate(reg, g)
         for g in reversed(gates):
             apply_gate(reg, g)
-        assert reg.molecule_bits() == [int(b) for b in bits]
+        assert bits_of(reg) == [int(b) for b in bits]
 
     @settings(deadline=None)
     @given(st.lists(st.booleans(), min_size=6, max_size=6), reversible_gates(6))
     def test_swaps_preserve_bit_multiset(self, bits, gates):
         reg = single(bits)
-        before = sorted(reg.molecule_bits())
+        before = sorted(bits_of(reg))
         for g in gates:
             if not isinstance(g, Cnot):
                 apply_gate(reg, g)
-        assert sorted(reg.molecule_bits()) == before
+        assert sorted(bits_of(reg)) == before
 
 
 @st.composite
@@ -242,7 +235,7 @@ class TestProvenanceOracle:
         flags = rng.random((n, n_mol)) < 0.7
         pool_rows = sum(g.length for g in gates if isinstance(g, Reset))
         pool = rng.random((pool_rows, n_mol)) < 0.5
-        reg = Register.from_comp_bits(bits, fresh=[0] * n + pack(pool))
+        reg = register(bits, fresh=[0] * n + pack(pool))
         set_flags(reg, flags)
         # per molecule: bits, flags and the RRTR row, which starts all zero
         model = [(bits[:, i].astype(int).tolist(), flags[:, i].astype(int).tolist(), [0] * n)
@@ -256,7 +249,7 @@ class TestProvenanceOracle:
                 model_gate(b, f, r, gate, fresh, FLAGS)
             used += width
             assert reg.comp_bit_rows(0, n).T.tolist() == [b for b, _, _ in model]
-            assert reg.clean_rows(0, n).T.tolist() == [f for _, f, _ in model]
+            assert flag_rows(reg, 0, n).T.tolist() == [f for _, f, _ in model]
             assert reg.rrtr == [as_int(row) for row in np.array([r for _, _, r in model]).T]
             for k in (1, n - start):
                 runs = [(f[start : start + k] + [0]).index(0) for _, f, _ in model]
@@ -295,7 +288,7 @@ class TestLevelTagEquivalence:
         n, n_mol = plan.n_required, 130
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
-                            for rows in (n, n, schedule.reset_rows()))
+                            for rows in (n, n, schedule.census.reset_rows))
         reg = Register(pack(bits), n_mol, fresh=pack(np.vstack([rrtr, pool])))
         run = run_cooling(reg, plan, schedule)
         assert (~run.success).sum() >= n_mol // 10  # failed truncations are exercised
@@ -310,19 +303,19 @@ class TestLevelTagEquivalence:
 class TestStepAccounting:
     def test_unit_costs_and_wide_reset(self):
         sched = Schedule([Cnot(0, 1), Swap(1, 2), ZcSwap(0, 1, 2), Reset(0, 4)])
-        assert sched.step_total() == 4  # RESET of width 4 is one parallel step
+        assert sched.census.steps == 4  # RESET of width 4 is one parallel step
 
     def test_zcswap_at_cost_two(self):
         # a slower conditional swap adds one step per ZCSWAP to the gate count
         sched = Schedule([Marker("x"), ZcSwap(0, 1, 2), Cnot(1, 2)])
-        zcswaps = sum(isinstance(g, ZcSwap) for g in sched.gates())
-        assert sched.step_total() + zcswaps == 3
+        zcswaps = sum(isinstance(g, ZcSwap) for g in gates(sched))
+        assert sched.census.steps + zcswaps == 3
 
     def test_schedule_step_total(self):
         sched = Schedule([Marker("x"), Swap(0, 1), Reset(0, 3), Cnot(1, 2)])
-        assert sched.step_total() == 3
-        assert sched.reset_rows() == 3
-        assert len(sched.gates()) == 3
+        assert sched.census.steps == 3
+        assert sched.census.reset_rows == 3
+        assert len(gates(sched)) == 3
 
     def test_items_are_an_immutable_tuple(self):
         items = [Marker("x"), Swap(0, 1)]
@@ -336,9 +329,9 @@ class TestStepAccounting:
 
 def plain_census(schedule):
     """The census restated from the items: steps, RESETs, reset rows, marks."""
-    resets = [g for g in schedule.gates() if isinstance(g, Reset)]
+    resets = [g for g in gates(schedule) if isinstance(g, Reset)]
     marks = [it for it in schedule.items if isinstance(it, (Count, Cut))]
-    return len(schedule.gates()), len(resets), sum(r.length for r in resets), marks
+    return len(gates(schedule)), len(resets), sum(r.length for r in resets), marks
 
 
 class TestCensus:
@@ -352,7 +345,6 @@ class TestCensus:
         steps, resets, rows, marks = sched.census
         assert (steps, resets, rows, list(marks)) == plain_census(sched)
         assert sched.census is sched.census  # counted once
-        assert (sched.step_total(), sched.reset_rows()) == (steps, rows)
 
     def test_parsed_headline(self, headline_text):
         sched = schedule_from_text(headline_text)
@@ -485,7 +477,7 @@ class TestGateChecks:
     def test_apply_raises_exactly_when_validation_reports(self, data, n):
         bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
         pool = pack(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
-        reg = Register.from_comp_bits(bits, fresh=[0] * n + pool)
+        reg = register(bits, fresh=[0] * n + pool)
         raw = data.draw(st.lists(raw_item([Cnot, Swap, ZcSwap, Reset], n), min_size=1, max_size=8))
         for cls, ops in raw:
             g = build_or_reject(cls, ops)
@@ -524,7 +516,7 @@ class TestRowMap:
         apply_gate(reg, Swap(0, 1))
         assert (reg.bits, reg.flags) == before
         assert reg.rows == [2, 0, 1, 3]
-        assert reg.molecule_bits() == [1, 1, 0, 1]
+        assert bits_of(reg) == [1, 1, 0, 1]
 
     def test_reset_writes_through_the_map(self):
         # logical 0 lives in physical row 1 after the swap; RRTR stays logical
@@ -532,7 +524,7 @@ class TestRowMap:
         assert reg.rrtr == [0, 1, 0]  # the first three fresh rows
         apply_gate(reg, Swap(0, 1))
         apply_gate(reg, Reset(0, 2))
-        assert reg.molecule_bits() == [0, 1, 1]
+        assert bits_of(reg) == [0, 1, 1]
         assert reg.bits == [1, 0, 1]  # physical rows 0, 1, 2
         assert reg.rrtr == [1, 0, 0]
 
@@ -631,23 +623,23 @@ class TestBatchedExecution:
         sched = Schedule(
             [Cnot(0, 1), ZcSwap(1, 2, 3), Swap(3, 4), Cnot(4, 5), ZcSwap(5, 3, 4)]
         )
-        batch = Register.from_comp_bits(bits)
+        batch = register(bits)
         set_flags(batch, flags)
-        run_schedule(batch, sched)
+        run_gates(batch, sched)
         for i in range(0, 200, 37):
-            solo = Register.from_comp_bits(bits[:, i : i + 1])
+            solo = register(bits[:, i : i + 1])
             set_flags(solo, flags[:, i : i + 1])
-            run_schedule(solo, sched)
+            run_gates(solo, sched)
             assert batch.comp_bit_rows(0, 6)[:, i].tolist() == [
                 b[0] for b in solo.comp_bit_rows(0, 6).tolist()
             ]
-            assert batch.clean_rows(0, 6)[:, i].tolist() == solo.clean_rows(0, 6)[:, 0].tolist()
+            assert flag_rows(batch, 0, 6)[:, i].tolist() == flag_rows(solo, 0, 6)[:, 0].tolist()
 
     def test_padding_stays_clean(self):
         # 70 molecules straddle a word boundary; ops must not leak into padding
         bits = np.ones((4, 70), dtype=bool)
         bits[3] = False
-        reg = Register.from_comp_bits(bits)
+        reg = register(bits)
         apply_gate(reg, Cnot(0, 1))
         apply_gate(reg, ZcSwap(1, 2, 3))  # fires everywhere: row 1 now reads 0
         out = reg.comp_bit_rows(0, 4)
@@ -670,7 +662,7 @@ class TestPlaneBounds:
         bits = rng.random((5, n_mol)) < 0.5
         bits[0], bits[1], bits[2] = False, True, False  # row 0 vs 1 compare unequal
         pool = pack(np.ones((6, n_mol), dtype=bool))
-        reg = Register.from_comp_bits(bits, fresh=[0] * 5 + pool)
+        reg = register(bits, fresh=[0] * 5 + pool)
         assert reg.full == (1 << n_mol) - 1 and self.in_bounds(reg)
         gates = [Cnot(0, 1),  # fails the compare on every molecule
                  ZcSwap(0, 1, 2),  # control row 0 reads 0 everywhere: fires everywhere
@@ -679,7 +671,7 @@ class TestPlaneBounds:
         for gate in gates:
             apply_gate(reg, gate)
             assert self.in_bounds(reg), gate
-        assert reg.clean_rows(0, 5).shape == (5, n_mol)
+        assert flag_rows(reg, 0, 5).shape == (5, n_mol)
 
     @pytest.mark.parametrize("n_mol", [1, 7, 8, 9, 63, 64, 65, 70])
     def test_pack_round_trip(self, n_mol):
@@ -712,7 +704,7 @@ class TestPurifiedRunLength:
         for k, length in enumerate(runs):
             flags[:length, k] = True
         flags[-1] = True
-        reg = Register.from_comp_bits(np.zeros((self.N, self.N_MOL), dtype=bool))
+        reg = register(np.zeros((self.N, self.N_MOL), dtype=bool))
         set_flags(reg, flags)
         return reg, flags
 

@@ -123,7 +123,7 @@ class TestCompile:
         code, out = run_cli(capsys, "compile", "--m", "4", "--jf", "1")
         assert code == 0
         sched = schedule_from_text(out)
-        assert sched.step_total() <= 4 * 4 * 5**2
+        assert sched.census.steps <= 4 * 4 * 5**2
 
 
 class TestSimulate:
@@ -192,7 +192,8 @@ class TestFeasibility:
         assert code == 1
 
     @pytest.mark.parametrize("flag,message", [
-        ("--margin", "margin must be >= 1"), ("--t-switch", "all times must be > 0"),
+        ("--margin", "margin must be finite and >= 1"),
+        ("--t-switch", "all times must be finite and > 0"),
     ])
     def test_nan_timing_errors(self, capsys, flag, message):
         code = main(["feasibility", flag, "nan"])
@@ -201,6 +202,16 @@ class TestFeasibility:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag", ["--t-comput", "--t-switch", "--margin"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_infinite_timing_errors(self, capsys, flag, fmt):
+        # an infinite time would be written to JSON as Infinity, which is not JSON
+        code = main(["feasibility", flag, "inf", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+
     def test_nan_timing_from_config_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("margin=nan\n")
@@ -208,7 +219,7 @@ class TestFeasibility:
         code = main(["feasibility"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == "error: margin must be >= 1\n"
+        assert captured.err == "error: margin must be finite and >= 1\n"
 
 
 class Recording(argparse.Namespace):

@@ -7,26 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcool.circuit import Cnot, Register, ZcSwap, validate_schedule
-from algcool.compression import compile_bcs, reference_bcs, run_bcs
+from algcool.circuit import Cnot, ZcSwap, validate_schedule
+from algcool.compression import compile_bcs
+from support import bits_of, compress, flag_rows, gates, reference_bcs, register
 
 
 def register_for(bits_by_molecule):
     """Batched register from a list of per-molecule bit lists."""
-    arr = np.array(bits_by_molecule, dtype=bool).T
-    return Register.from_comp_bits(arr)
+    return register(np.array(bits_by_molecule, dtype=bool).T)
 
 
 class TestCompileBcs:
     def test_single_pair_is_one_cnot(self):
-        sched = compile_bcs(2)
-        assert sched.gates() == [Cnot(0, 1)]
+        sched = compile_bcs(2, 0, 0)
+        assert gates(sched) == [Cnot(0, 1)]
 
     def test_validates_and_meets_step_bound(self):
         for m in (8, 20):
-            sched = compile_bcs(m)
+            sched = compile_bcs(m, 0, 0)
             assert validate_schedule(sched, m) == []
-            assert sched.step_total() < m * m
+            assert sched.census.steps < m * m
 
     def test_offset_region_validates(self):
         sched = compile_bcs(10, nu=15, nu0=5)
@@ -35,7 +35,7 @@ class TestCompileBcs:
     def test_bad_geometry(self):
         for m in (7, 0):  # the Bcs geometry rejects it
             with pytest.raises(ValueError, match="m must be a positive even count"):
-                compile_bcs(m)
+                compile_bcs(m, 0, 0)
         with pytest.raises(ValueError, match="push target not in"):
             compile_bcs(4, nu=2, nu0=5)  # the Bcs geometry itself rejects it
 
@@ -43,44 +43,40 @@ class TestCompileBcs:
     @settings(deadline=None, max_examples=30)
     def test_step_bound_property(self, half_m):
         m = 2 * half_m
-        assert compile_bcs(m).step_total() < m * m
+        assert compile_bcs(m, 0, 0).census.steps < m * m
 
 
 class TestRunBcs:
     def test_equal_zero_pair(self):
         reg = register_for([[0, 0]])
-        out = run_bcs(reg, compile_bcs(2))
-        assert out.purified_count.tolist() == [1]
-        assert reg.clean_rows(0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
-        assert reg.molecule_bits() == [0, 0]
+        assert compress(reg, 2).tolist() == [1]
+        assert flag_rows(reg, 0, 2)[:, 0].tolist() == [1, 0]  # kept, supervisor
+        assert bits_of(reg) == [0, 0]
 
     def test_unequal_pair_not_purified(self):
         reg = register_for([[1, 0]])
-        out = run_bcs(reg, compile_bcs(2))
-        assert out.purified_count.tolist() == [0]
-        assert reg.clean_rows(0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
-        assert reg.molecule_bits()[1] == 1  # supervisor holds the parity
+        assert compress(reg, 2).tolist() == [0]
+        assert flag_rows(reg, 0, 2)[:, 0].tolist() == [0, 0]  # dirty, supervisor
+        assert bits_of(reg)[1] == 1  # supervisor holds the parity
 
     def test_all_zero_register(self):
         reg = register_for([[0] * 8])
-        sched = compile_bcs(8)
-        out = run_bcs(reg, sched)
-        assert out.purified_count.tolist() == [4]
-        bcs = sched.items[0]  # the push target and supervisors are the geometry's
+        assert compress(reg, 8).tolist() == [4]
+        bcs = compile_bcs(8, 0, 0).items[0]  # the push target and supervisors are the geometry's
         assert bcs.nu0 == 0
         assert (bcs.nu + bcs.m // 2, bcs.nu + bcs.m) == (4, 8)
 
     def test_geometry_mismatch(self):
+        # the first gate past the register's end raises as it is applied
         reg = register_for([[0, 0]])
         with pytest.raises(ValueError, match="out of range for n=2"):
-            run_bcs(reg, compile_bcs(4))
+            compress(reg, 4)
 
     def test_contiguity_no_junk_left_of_purified(self):
         rng = np.random.default_rng(5)
-        reg = Register.from_comp_bits(rng.random((10, 500)) < 0.4)
-        out = run_bcs(reg, compile_bcs(10))
-        counts = out.purified_count
-        clean = reg.clean_rows(0, reg.n)
+        reg = register(rng.random((10, 500)) < 0.4)
+        counts = compress(reg, 10)
+        clean = flag_rows(reg, 0, reg.n)
         for i in range(500):
             assert (clean[: counts[i], i] == 1).all()
 
@@ -99,8 +95,8 @@ class TestReferenceBcs:
 def compiled_outputs(m, inputs):
     """Run the compiled schedule on a batch of inputs; return bits and counts."""
     reg = register_for(inputs)
-    out = run_bcs(reg, compile_bcs(m))
-    return reg.comp_bit_rows(0, m).T.tolist(), out.purified_count
+    counts = compress(reg, m)
+    return reg.comp_bit_rows(0, m).T.tolist(), counts
 
 
 def assert_oracle_agreement(m, inputs):
@@ -151,13 +147,13 @@ class TestExactPairLaw:
 
 class TestSteps:
     def test_steps_used_matches_schedule(self):
-        sched = compile_bcs(12)  # a run takes one step per gate
+        sched = compile_bcs(12, 0, 0)  # a run takes one step per gate
         # 6 CNOTs, 30 escort gates and 45 parking swaps
-        assert sched.step_total() == len(sched.gates()) == 81
+        assert sched.census.steps == len(gates(sched)) == 81
 
     def test_double_cost_controlled_swap_still_within_bound(self):
         # the bound survives even if a conditional swap costs two steps
         for m in (8, 20, 50):
-            sched = compile_bcs(m)
-            zcswaps = sum(isinstance(g, ZcSwap) for g in sched.gates())
-            assert sched.step_total() + zcswaps < 2 * m * m
+            sched = compile_bcs(m, 0, 0)
+            zcswaps = sum(isinstance(g, ZcSwap) for g in gates(sched))
+            assert sched.census.steps + zcswaps < 2 * m * m

@@ -12,11 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from algcool import ensemble
 from algcool.analytic import CoolingPlan
 from algcool.circuit import GateError, _unpack_ints
-from algcool.ensemble import (
-    compare_to_analytic,
-    run_ensemble,
-    sample_molecule,
-)
+from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
+from support import bits_of
 
 
 def numpy_draws(seed, index, rows, eps):
@@ -63,13 +60,13 @@ class TestDeterminism:
         assert stats_equal(a, b)
         assert not stats_equal(a, c)
 
-    def test_sample_molecule_matches_ensemble_substream(self):
-        # molecule i is the same register whether drawn alone or in a batch
-        a = sample_molecule(16, 0.1, seed=9, index=17)
-        b = sample_molecule(16, 0.1, seed=9, index=17)
-        other = sample_molecule(16, 0.1, seed=9, index=18)
-        assert a.molecule_bits() == b.molecule_bits()
-        assert a.molecule_bits() != other.molecule_bits()
+    def test_molecule_draws_follow_seed_and_index(self):
+        # molecule i draws the same register every time, another molecule another
+        a = _build_registers(16, 0.1, 9, 17, 18, 0)
+        b = _build_registers(16, 0.1, 9, 17, 18, 0)
+        other = _build_registers(16, 0.1, 9, 18, 19, 0)
+        assert bits_of(a) == bits_of(b)
+        assert bits_of(a) != bits_of(other)
 
 
 class TestWorkerPool:
@@ -125,14 +122,14 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
-class TestSampleMolecule:
+class TestMoleculeDraws:
     def test_pure_input_all_zero(self):
-        assert sample_molecule(8, 1.0, seed=0, index=0).molecule_bits() == [0] * 8
+        assert bits_of(_build_registers(8, 1.0, 0, 0, 1, 0)) == [0] * 8
 
     def test_fair_coin_and_thermal_frequencies(self):
         # 10^6 pooled reset bits of one molecule: P(0) within 3 binomial sigma
         for eps, p_zero in [(0.0, 0.5), (0.1, 0.55)]:
-            reg = sample_molecule(1, eps, seed=42, index=0, reset_rows=10**6)
+            reg = _build_registers(1, eps, 42, 0, 1, 10**6)
             ones = np.array(reg.draw_reset_rows(10**6))
             freq = 1.0 - ones.mean()
             sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
@@ -142,7 +139,7 @@ class TestSampleMolecule:
         # 10^6 rows of one molecule pack to 8 MB, one pointer to a shared small int a row
         tracemalloc.start()
         try:
-            sample_molecule(1, 0.1, seed=42, index=0, reset_rows=10**6)
+            _build_registers(1, 0.1, 42, 0, 1, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -152,13 +149,13 @@ class TestSampleMolecule:
         # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
         n, k, eps, seed = 5, 7, 0.1, 3
         draws = [numpy_draws(seed, i, 2 * n + k, eps) for i in range(70)]
-        reg = sample_molecule(n, eps, seed, 11, reset_rows=k)
-        assert reg.molecule_bits() == draws[11][:n]
+        reg = _build_registers(n, eps, seed, 11, 12, k)
+        assert bits_of(reg) == draws[11][:n]
         assert reg.rrtr == draws[11][n : 2 * n]
         assert reg.draw_reset_rows(3) + reg.draw_reset_rows(k - 3) == draws[11][2 * n :]
         with pytest.raises(GateError):
             reg.draw_reset_rows(1)  # the source holds exactly the schedule's reset rows
-        batch = ensemble._build_registers(n, eps, seed, 0, 70, k)  # the same, 70 at once
+        batch = _build_registers(n, eps, seed, 0, 70, k)  # the same, 70 at once
         assert batch.comp_bit_rows(0, n).T.tolist() == [d[:n] for d in draws]
         assert _unpack_ints(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
         assert _unpack_ints(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
@@ -167,13 +164,13 @@ class TestSampleMolecule:
     def test_draws_match_numpy_across_the_index_word_boundary(self, index):
         n, k, eps, seed = 4, 5, 0.1, 12
         draws = numpy_draws(seed, index, 2 * n + k, eps)
-        reg = sample_molecule(n, eps, seed, index, reset_rows=k)
-        assert reg.molecule_bits() + reg.rrtr + reg.draw_reset_rows(k) == draws
+        reg = _build_registers(n, eps, seed, index, index + 1, k)
+        assert bits_of(reg) + reg.rrtr + reg.draw_reset_rows(k) == draws
 
     def test_a_batch_straddling_the_index_word_boundary(self):
         # chunks never straddle a multiple of 2**32, so a batch that does is refused
         with pytest.raises(ValueError, match="straddle a multiple of 2"):
-            ensemble._build_registers(3, 0.1, 5, 2**32 - 6, 2**32 + 6, 2)
+            _build_registers(3, 0.1, 5, 2**32 - 6, 2**32 + 6, 2)
 
     def test_chunks_never_straddle_the_index_word_boundary(self):
         assert (1 << 32) % ensemble.CHUNK_SIZE == 0
@@ -182,23 +179,13 @@ class TestSampleMolecule:
         # 4,000 reset rows of 1,024 molecules, 128 bytes of bits each, read once
         tracemalloc.start()
         try:
-            reg = ensemble._build_registers(1, 0.1, 7, 0, 1024, 4000)
+            reg = _build_registers(1, 0.1, 7, 0, 1024, 4000)
             held = tracemalloc.get_traced_memory()[0]
             reg.draw_reset_rows(4000)
             drained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held - drained > 4000 * 128
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_molecule(0, 0.1, seed=0, index=0)
-        with pytest.raises(ValueError):
-            sample_molecule(4, 1.2, seed=0, index=0)
-        with pytest.raises(ValueError):
-            sample_molecule(4, 0.1, seed=-1, index=0)
-        with pytest.raises(ValueError):
-            sample_molecule(4, 0.1, seed=0, index=-1)
 
 
 class TestKeys:
@@ -221,6 +208,11 @@ class TestKeys:
     def test_a_range_straddling_the_index_word_boundary_is_refused(self, seed, start, count):
         with pytest.raises(ValueError, match="straddle a multiple of 2"):
             ensemble._philox_keys(seed, start, start + count)
+
+    @pytest.mark.parametrize("seed,start", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_index_is_refused(self, seed, start):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ensemble._philox_keys(seed, start, start + 1)
 
 
 class TestPureInput:
