@@ -27,14 +27,21 @@ other gate and every view reads through the map.
 Rows enter as such ints (``_pack_rows``) and leave through
 ``_unpack_ints``. The RRTR row and every RESET's fresh rows are read in
 order from one thermal source, as reset bits are draws from one heat bath.
+
+A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
+a block that recurs is one shared tuple: the recursive cooling repeats its
+compression blocks ell^j times. Its census, its gate runs, its validation
+and its text are worked out once per distinct block and combined in block
+order. A parse cuts the text at annotation lines and shares each chunk
+that recurs, so a parsed schedule is blocked as a compiled one is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -248,28 +255,80 @@ class Census(NamedTuple):
 
 _STEP_ONLY = frozenset({Cnot, Swap, ZcSwap})  # the bulk, skipped by a cheap exact-type test
 
+T = TypeVar("T")
+Block = tuple[Union[Gate, Annotation], ...]
+Run = tuple[tuple[Gate, ...], Optional[Union[Count, Cut]]]
 
-@dataclass(frozen=True)
+
+def _per_block(blocks: tuple[Block, ...], work: Callable[[Block], T]) -> list[T]:
+    """``work`` of every block in order, done once per distinct block object."""
+    distinct = {id(block): block for block in blocks}  # ``blocks`` keeps each one alive
+    done = {key: work(block) for key, block in distinct.items()}
+    return [done[id(block)] for block in blocks]
+
+
+def _block_census(block: Block) -> Census:
+    rare = [it for it in block if type(it) not in _STEP_ONLY]
+    notes = [it for it in rare if isinstance(it, Annotation)]
+    resets = [it for it in rare if isinstance(it, Reset)]
+    marks = tuple(it for it in notes if isinstance(it, (Count, Cut)))
+    return Census(len(block) - len(notes), len(resets), sum(r.length for r in resets), marks)
+
+
+def _block_runs(block: Block) -> tuple[Run, ...]:
+    """The block's gates in runs, each ended by the ``Count``/``Cut`` mark
+    that follows it, or by None at the block's end; other annotations go."""
+    runs, start = [], 0
+    for i, item in enumerate(block):
+        if type(item) not in _STEP_ONLY and isinstance(item, Annotation):
+            runs.append((block[start:i], item if isinstance(item, (Count, Cut)) else None))
+            start = i + 1
+    runs.append((block[start:], None))
+    return tuple((gates, mark) for gates, mark in runs if gates or mark is not None)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Schedule:
     """An ordered, data-independent, immutable sequence of gates plus
-    annotations. ``items`` becomes a tuple on construction, so the
-    ``census`` counted by the first use stays true."""
+    annotations, held as its blocks: ``Schedule(*blocks)`` keeps each
+    block as a tuple of items, and a block that recurs is one shared tuple
+    object. ``census``, ``runs``, ``validate_schedule`` and
+    ``schedule_to_text`` do their per-item work once per distinct block.
+    ``items`` is the flat sequence, built on each use; two schedules are
+    equal when their items are, however they are blocked."""
 
-    items: tuple[Union[Gate, Annotation], ...] = ()
+    blocks: tuple[Block, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))  # a tuple is kept as is
+    def __init__(self, *blocks: Iterable[Union[Gate, Annotation]]):
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))  # a tuple is kept as is
+
+    @property
+    def items(self) -> Block:
+        return tuple(chain.from_iterable(self.blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
     @cached_property
     def census(self) -> Census:
         """The schedule's steps, RESETs, reset rows and ``Count``/``Cut``
-        marks, counted in one pass on first use."""
-        rare = [it for it in self.items if type(it) not in _STEP_ONLY]
-        notes = [it for it in rare if isinstance(it, Annotation)]
-        resets = [it for it in rare if isinstance(it, Reset)]
-        marks = tuple(it for it in notes if isinstance(it, (Count, Cut)))
-        return Census(len(self.items) - len(notes), len(resets),
-                      sum(r.length for r in resets), marks)
+        marks, counted once per distinct block on first use."""
+        parts = _per_block(self.blocks, _block_census)
+        return Census(sum(p.steps for p in parts), sum(p.resets for p in parts),
+                      sum(p.reset_rows for p in parts),
+                      tuple(chain.from_iterable(p.marks for p in parts)))
+
+    @cached_property
+    def runs(self) -> tuple[Run, ...]:
+        """Every gate in order, in runs of ``(gates, mark)``: the gates up to
+        a ``Count``/``Cut`` mark and that mark (None where a block ends
+        without one). Split once per distinct block on first use."""
+        return tuple(chain.from_iterable(_per_block(self.blocks, _block_runs)))
 
 
 def _pack_rows(packed: np.ndarray) -> list[int]:
@@ -404,10 +463,14 @@ def validate_schedule(schedule: Schedule, n: int) -> list[str]:
     execution. Adjacency and the other shape rules hold for every item
     from the moment it is built, so only the highest position each gate,
     ``Bcs``, ``Count`` or ``Cut`` names is compared with n, as
-    ``apply_gate`` compares it. Returns the list of violations (empty
-    means ok): one message per failing occurrence, in schedule order.
+    ``apply_gate`` compares it, once per distinct block. Returns the list
+    of violations (empty means ok): one message per failing occurrence,
+    in schedule order.
     """
-    return [item.check(n) for item in schedule.items if item.top >= n]
+    def violations(block: Block) -> list[str]:
+        return [item.check(n) for item in block if item.top >= n]
+
+    return list(chain.from_iterable(_per_block(schedule.blocks, violations)))
 
 
 # -- serialization ------------------------------------------------------
@@ -452,47 +515,78 @@ def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
 
 def schedule_to_text(schedule: Schedule) -> str:
     """Line-oriented text form, one gate per line; annotations as comments.
-    Each distinct item object is formatted once, with its newline."""
-    items = schedule.items
-    line = {key: item.line() + "\n" for key, item in dict(zip(map(id, items), items)).items()}
-    return "".join(map(line.__getitem__, map(id, items)))
+    Each distinct item is formatted once, with its newline, and each
+    distinct block's lines are joined once."""
+    line: dict[int, str] = {}  # id -> the line of a distinct item, which the schedule keeps alive
+
+    def text(block: Block) -> str:
+        for key, item in dict(zip(map(id, block), block)).items():
+            if key not in line:
+                line[key] = item.line() + "\n"
+        return "".join(map(line.__getitem__, map(id, block)))
+
+    return "".join(_per_block(schedule.blocks, text))
 
 
-_SLICE_CHARS = 1 << 20  # a parse holds the line strings of about this much text
+_CHUNK_CHARS = 1 << 20  # a parse holds the line strings of at most about this much text
 
 
-def _split_lines(text: str, size: int = _SLICE_CHARS) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split one slice at a time. Each
-    slice holds at least ``size`` characters and ends just after a
+def _chunks(text: str, size: int = _CHUNK_CHARS) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` spans that cut ``text`` into chunks of whole lines.
+    A chunk ends just before the next line that starts with ``#``, or once
+    it holds at least ``size`` characters. Either way it ends just after a
     newline, which always ends a line (after any carriage return before
-    it), so no line or line break straddles two slices."""
+    it), so the chunks' lines are the lines of ``text.splitlines()``."""
     start = 0
     while start < len(text):
-        stop = text.find("\n", start + size - 1) + 1 or len(text)
-        yield from text[start:stop].splitlines()
+        limit = text.find("\n", start + size - 1) + 1 or len(text)
+        stop = text.find("\n#", start, limit) + 1 or limit
+        yield start, stop
         start = stop
 
 
-def schedule_from_text(text: str) -> Schedule:
-    """Parse the text format back; bit-exact round trip with to_text.
-
-    Each distinct line is parsed once per call, and every occurrence of it
-    is the same object. A malformed line, an ill-formed gate or annotation
-    included, raises at its first occurrence, naming its line number.
-    Lines are split a slice of the text at a time, so they are never all
-    held at once.
-    """
-    items: list[Union[Gate, Annotation]] = []
-    parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
-    for lineno, raw in enumerate(_split_lines(text), start=1):
+def _parse_lines(lines: list[str], lineno: int, parsed: dict) -> tuple[Block, int]:
+    """The block of items on ``lines``, the first of which is line
+    ``lineno + 1``, and how many lines it spans. ``parsed`` maps each raw
+    line parsed so far to its item, and gains the new ones."""
+    block = []
+    for n, raw in enumerate(lines, start=lineno + 1):
         item = parsed.get(raw)
         if item is None:
             line = raw.strip()
             if not line:
                 continue
             try:
-                item = parsed[raw] = _parse_line(line, lineno)
+                item = parsed[raw] = _parse_line(line, n)
             except GateError as exc:  # an ill-formed gate or annotation
-                raise ValueError(f"line {lineno}: {exc}") from exc
-        items.append(item)
-    return Schedule(items)
+                raise ValueError(f"line {n}: {exc}") from exc
+        block.append(item)
+    return tuple(block), len(lines)
+
+
+def schedule_from_text(text: str) -> Schedule:
+    """Parse the text format back; bit-exact round trip with to_text.
+
+    The text is cut into chunks, each an annotation line and the gate
+    lines after it (at most about 1 MB), and each chunk becomes one block.
+    A chunk whose text recurs is parsed once, and every occurrence of it
+    is the same block, so a parsed schedule shares its compression blocks
+    as a compiled one does. Each distinct line is parsed once per call,
+    and every occurrence of it is the same object. A malformed line, an
+    ill-formed gate or annotation included, raises at its first
+    occurrence, naming its line number. Only one chunk's text and line
+    strings are held at a time.
+    """
+    blocks: list[Block] = []
+    parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
+    seen: dict[tuple[int, int], tuple[int, Block, int]] = {}  # -> first start, block, line count
+    lineno = 0
+    for start, stop in _chunks(text):
+        key = hash(text[start:stop]), stop - start  # a hit is confirmed against the text
+        hit = seen.get(key)
+        if hit is None or not text.startswith(text[start:stop], hit[0]):
+            hit = start, *_parse_lines(text[start:stop].splitlines(), lineno, parsed)
+            seen.setdefault(key, hit)
+        blocks.append(hit[1])
+        lineno += hit[2]
+    return Schedule(*blocks)

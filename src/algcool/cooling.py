@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import warnings
-from itertools import chain
 
 import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
-    Annotation,
     Count,
     Cut,
     GateError,
@@ -67,17 +65,18 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     start offset; the outermost pushes land at absolute position 0. The
     emitted schedule is fully data-independent and contains exactly
     ell^j_final reset phases. Compression blocks of equal geometry are
-    compiled once, and RESETs of equal offset are kept once, so equal
-    gates are one shared (immutable) object.
+    compiled once and recur as one shared block of the schedule, and
+    RESETs of equal offset are kept once, so equal gates are one shared
+    (immutable) object and the recursion is never flattened.
     """
     if plan.ell == 4:
         warnings.warn(
             "cooling depth 4 gives a vacuous success bound; use 5 or more",
             stacklevel=2,
         )
-    parts: list[tuple] = []  # runs of items, joined into one tuple with no list copy
+    parts: list[tuple] = []  # the schedule's blocks, in order
     _emit(parts, plan.j_final, 0, plan, {})
-    return Schedule(tuple(chain.from_iterable(parts)))
+    return Schedule(*parts)
 
 
 def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None:
@@ -89,10 +88,11 @@ def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None
         parts.append((Marker(f"phase: M_{j} depth={depth} offset={mu}"),))
         nu = mu + depth * m // 2
         _emit(parts, j - 1, nu, plan, blocks)
-        parts.append((Marker(f"phase: BCS {j - 1}->{j}"),))
         if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
-            blocks[nu, mu] = compile_bcs(m, nu=nu, nu0=mu).items
-        parts += (blocks[nu, mu], (Count(j, mu, depth + 1),))
+            bcs, *gates = compile_bcs(m, nu=nu, nu0=mu).items
+            blocks[nu, mu] = bcs, tuple(gates)  # a block of gates alone is one run as it is
+        bcs, gates = blocks[nu, mu]
+        parts += ((Marker(f"phase: BCS {j - 1}->{j}"), bcs), gates, (Count(j, mu, depth + 1),))
     parts.append((Cut(j, mu, m),))
 
 
@@ -117,11 +117,11 @@ def run_cooling(reg: Register, plan: CoolingPlan, schedule: Schedule) -> Cooling
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     logs: dict[type, list] = {Count: [], Cut: []}
-    for item in schedule.items:
-        if not isinstance(item, Annotation):
-            apply_gate(reg, item)
-        elif isinstance(item, (Count, Cut)):
-            logs[type(item)].append((item, reg.purified_run_length(item.at, window)))
+    for gates, mark in schedule.runs:  # split once per schedule, like its census
+        for gate in gates:
+            apply_gate(reg, gate)
+        if mark is not None:
+            logs[type(mark)].append((mark, reg.purified_run_length(mark.at, window)))
 
     success = np.ones(reg.num_molecules, dtype=bool)
     for cut, lengths in logs[Cut]:

@@ -1,12 +1,16 @@
 """Gate-engine tests: semantics, provenance, accounting, serialization."""
 
 import dataclasses
+import itertools
+import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algcool import circuit
 from algcool.analytic import CoolingPlan
 from algcool.circuit import (
     Annotation,
@@ -24,7 +28,7 @@ from algcool.circuit import (
     apply_gate,
     schedule_from_text,
     schedule_to_text,
-    _split_lines,
+    _chunks,
     _unpack_ints,
     validate_schedule,
 )
@@ -529,6 +533,12 @@ class TestRowMap:
         assert reg.rrtr == [1, 0, 0]
 
 
+#: Lines for random texts: gates, annotations that start runs, blank lines
+#: and one malformed line.
+PARSE_LINES = ["SWAP 0 1", "CNOT 1 2", "ZCSWAP 2 0 1", "RESET 0 2", "# bcs: m=2 nu=0 nu0=0",
+               "# count: level=1 at=0 round=1", "# phase: x", "", "  ", "SWAP 0 x"]
+
+
 class TestSerialization:
     def test_round_trip(self):
         sched = Schedule(
@@ -570,19 +580,71 @@ class TestSerialization:
                 schedule_from_text("SWAP 0 1\n" + typed + "\n")
 
     @settings(max_examples=300)
-    @given(st.text(alphabet="ab\n\r ", max_size=40), st.sampled_from([1, 2, 3, 5]))
-    def test_sliced_split_matches_splitlines(self, text, size):
-        assert list(_split_lines(text, size)) == text.splitlines()
+    @given(st.text(alphabet="ab#\n\r ", max_size=40), st.sampled_from([1, 2, 3, 5]))
+    def test_chunks_split_like_splitlines(self, text, size):
+        spans = list(_chunks(text, size))
+        assert [line for a, b in spans for line in text[a:b].splitlines()] == text.splitlines()
+        bounds = [0, *(b for _, b in spans)]
+        assert spans == list(zip(bounds, bounds[1:])) and bounds[-1] == len(text)  # a tiling
+        for a, b in spans:
+            chunk = text[a:b]
+            assert b == len(text) or chunk.endswith("\n")
+            assert "\n#" not in chunk[:-1]  # a line starting with # starts a chunk
+            assert chunk.find("\n", size - 1) in (-1, len(chunk) - 1)  # at most a line past size
 
     def test_parse_peak_is_bounded_by_the_text(self, headline_text):
-        # slices keep the line strings from all living at once (a whole split peaks at 5.6x)
+        # a whole split peaks at 5.6x the text; above what it returns, the
+        # parse of 1 MB slices into one flat tuple peaked at 6.78 MB (Python
+        # 3.11), and one chunk's lines at a time, each distinct chunk parsed
+        # once, peak about 1 MB above it
         tracemalloc.start()
         try:
-            schedule_from_text(headline_text)
-            peak = tracemalloc.get_traced_memory()[1]
+            sched = schedule_from_text(headline_text)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert sched.census.steps == 817750
         assert peak < 2 * len(headline_text)
+        assert peak - kept < 7e6
+
+    def test_parse_peak_without_annotations(self):
+        # no line starts a chunk, so each holds about 1 MB; the previous
+        # parse peaked 6.40 MB above its result here, and one more chunk's
+        # lines held at once would add about 5 MB
+        pick = random.Random(1).randrange
+        text = "".join(f"SWAP {i} {i + 1}\n" for i in (pick(10**4) for _ in range(300_000)))
+        tracemalloc.start()
+        try:
+            sched = schedule_from_text(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sched.blocks) == 5 and sched.census.steps == 300_000
+        assert peak - kept < 7e6
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(PARSE_LINES), max_size=30),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_chunks_parse_like_single_lines(self, lines, end, collide):
+        # with every chunk hashed alike, equal keys must still be told apart by text
+        text = end.join(lines)
+        with mock.patch.object(circuit, "hash", (lambda chunk: 0) if collide else hash, create=True):
+            try:
+                sched = schedule_from_text(text)
+            except ValueError as exc:
+                sched = str(exc)
+        bad = [n for n, raw in enumerate(lines, start=1) if raw == "SWAP 0 x"]
+        if bad:
+            assert sched == f"line {bad[0]}: non-integer operand"
+            return
+        assert sched.items == tuple(schedule_from_text(raw).items[0] for raw in lines if raw.strip())
+        chunks = [text[a:b] for a, b in _chunks(text)]
+        assert len(chunks) == len(sched.blocks)
+        for (chunk, block), (other, same) in itertools.combinations(zip(chunks, sched.blocks), 2):
+            if block and block is same:
+                assert chunk == other  # a shared block is one chunk's text
+            elif chunk == other and not collide:
+                assert block is same  # equal chunks are one block
 
     @pytest.mark.parametrize("bad", [
         "SWAP 0 5", "# cut: level=1 at=2 m=0", "# bcs: m=3 nu=0 nu0=0",
@@ -613,6 +675,101 @@ class TestSerialization:
         assert len({id(it) for it in items}) == len(distinct_lines) == 1236
         # shared objects still re-serialize line for line
         assert schedule_to_text(Schedule(items)) == headline_text
+
+
+def any_item(n):
+    """A well-formed item of any kind whose positions may lie past n."""
+    pos = st.integers(0, n)
+    return st.one_of(
+        pos.map(lambda q: Cnot(q, q + 1)),
+        pos.map(lambda q: Swap(q + 1, q)),
+        pos.map(lambda q: ZcSwap(q + 2, q, q + 1)),
+        st.builds(Reset, pos, st.integers(1, 3)),
+        st.builds(Marker, st.sampled_from(["phase: a", "b"])),
+        st.builds(Count, st.integers(1, 2), pos, st.integers(1, 3)),
+        st.builds(Cut, st.integers(1, 2), pos, st.integers(1, 3)),
+        pos.map(lambda nu: Bcs(2, nu, 0)),
+    )
+
+
+@st.composite
+def blocked_items(draw):
+    """A register size and blocks of items: each block is a tuple of
+    items from a small pool, so equal items are often one object, and a
+    block picked twice is one shared tuple."""
+    n = draw(st.integers(2, 6))
+    pool = draw(st.lists(any_item(n), min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    pieces = draw(st.lists(st.lists(index, min_size=1, max_size=8), min_size=1, max_size=4))
+    pieces = [tuple(pool[i] for i in piece) for piece in pieces]
+    picks = draw(st.lists(st.integers(0, len(pieces) - 1), max_size=8))
+    return n, [pieces[i] for i in picks]
+
+
+def distinct_refs(schedule):
+    """The item references a schedule holds: the summed lengths of its distinct blocks."""
+    return sum(map(len, {id(b): b for b in schedule.blocks}.values()))
+
+
+def flat_runs(schedule):
+    """A schedule's runs as one sequence: every gate, and each run's mark."""
+    return [x for gates, mark in schedule.runs for x in (*gates, mark) if x is not None]
+
+
+class TestBlocks:
+    """A schedule's blocks change how its work is shared, never its answers."""
+
+    @settings(max_examples=200)
+    @given(blocked_items())
+    def test_blocked_matches_one_block(self, case):
+        n, blocks = case
+        sched = Schedule(*blocks)
+        flat = Schedule(list(itertools.chain.from_iterable(blocks)))
+        assert len({id(b) for b in sched.blocks}) == len({id(b) for b in blocks})  # still shared
+        assert sched == flat and flat == sched and sched.items == flat.items
+        assert sched.census == flat.census
+        assert list(sched.census.marks) == plain_census(flat)[3]
+        plain = [item.check(n) for item in flat.items if item.top >= n]
+        assert validate_schedule(sched, n) == validate_schedule(flat, n) == plain
+        assert schedule_to_text(sched) == schedule_to_text(flat)
+        kept = [it for it in flat.items if not isinstance(it, Annotation)
+                or isinstance(it, (Count, Cut))]
+        assert flat_runs(sched) == flat_runs(flat) == kept
+
+    def test_equality_ignores_blocking(self):
+        a, b = (Swap(0, 1), Cnot(1, 2)), (Reset(0, 2),)
+        assert Schedule(a, b) == Schedule(a + b) == Schedule(a, (), b)
+        assert Schedule(a, b) != Schedule(b, a)
+        assert Schedule() == Schedule([]) == schedule_from_text("")
+
+    def test_repeated_block_failing_validation(self):
+        plan = CoolingPlan(0.1, 4, 5, 2)
+        sched = compile_cooling(plan)
+        flat = Schedule(sched.items)
+        repeats = [b for b in sched.blocks if sum(x is b for x in sched.blocks) > 1]
+        n = min(max(it.top for it in b) for b in repeats)  # the last position of one
+        assert any(max(it.top for it in b) >= n for b in repeats)  # a repeated block fails
+        out = validate_schedule(sched, n)
+        assert out == validate_schedule(flat, n) == [
+            it.check(n) for it in flat.items if it.top >= n]
+        assert len(out) > len(set(out))  # one message per failing occurrence
+
+    def test_parsed_headline_matches_compiled(self, headline_text):
+        plan = CoolingPlan(0.1, 50, 5, 3)
+        compiled, parsed = compile_cooling(plan), schedule_from_text(headline_text)
+        # one chunk per annotation line and the gate lines after it
+        assert len(parsed.blocks) == len(compiled.blocks)
+        assert distinct_refs(parsed) < distinct_refs(compiled) < compiled.census.steps / 2
+        assert parsed == compiled
+        assert parsed.census == compiled.census
+        n = plan.n_required - 1
+        assert validate_schedule(parsed, n) == validate_schedule(compiled, n) != []
+        assert schedule_to_text(parsed) == schedule_to_text(compiled) == headline_text
+
+    def test_compiled_headline_keeps_blocks_not_items(self):
+        sched = compile_cooling(CoolingPlan(0.1, 50, 5, 3))
+        assert distinct_refs(sched) < sched.census.steps / 2  # 238,276 of 817,750
+        assert "items" not in vars(sched)  # the flat view is built on use, never kept
 
 
 class TestBatchedExecution:

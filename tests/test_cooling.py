@@ -18,9 +18,11 @@ from algcool.circuit import (
     GateError,
     Register,
     Reset,
+    Schedule,
     Swap,
     ZcSwap,
     schedule_from_text,
+    schedule_to_text,
     validate_schedule,
 )
 from algcool.compression import compile_bcs
@@ -190,6 +192,24 @@ class TestRunCooling:
             marks = [it for it in sched.items if isinstance(it, kind)]
             assert len(log) == len(marks) > 0
             assert all(mark is it for (mark, _), it in zip(log, marks))  # in schedule order
+
+    @pytest.mark.parametrize("eps,m,ell,jf", [(0.1, 8, 5, 2), (0.3, 4, 5, 3)])
+    def test_blocked_and_single_block_runs_agree(self, eps, m, ell, jf):
+        plan = CoolingPlan(eps, m, ell, jf)
+        blocked = compile_cooling(plan)
+        single = Schedule(blocked.items)
+        parsed = schedule_from_text(schedule_to_text(blocked))  # blocked again, by its text
+        assert len(single.blocks) == 1 < len({id(b) for b in blocked.blocks}) < len(blocked.blocks)
+        a, *others = (run_cooling(_build_registers(plan.n_required, eps, 4, 0, 200,
+                                                   blocked.census.reset_rows), plan, sched)
+                      for sched in (blocked, single, parsed))
+        for b in others:
+            for log_a, log_b in ((a.round_log, b.round_log),
+                                 (a.truncation_log, b.truncation_log)):
+                assert [mark for mark, _ in log_a] == [mark for mark, _ in log_b]
+                assert all((x == y).all() for (_, x), (_, y) in zip(log_a, log_b))
+            assert (a.success == b.success).all() and 0 < a.success.sum() < 200
+            assert (a.output_bits == b.output_bits).all()
 
     def test_register_too_small(self):
         plan = CoolingPlan(0.1, 20, 5, 3)
