@@ -30,17 +30,20 @@ order from one thermal source, as reset bits are draws from one heat bath.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
-compression blocks ell^j times. Its census, its gate runs, its validation
-and its text are worked out once per distinct block and combined in block
-order. A parse cuts the text at annotation lines and shares each chunk
-that recurs, so a parsed schedule is blocked as a compiled one is.
+compression blocks ell^j times. Its census and gate runs (together), its
+validation and its text are worked out once per distinct block and
+combined in block order, and an item formats its line once. A parse cuts
+the text at annotation lines and shares each chunk that recurs, so a
+parsed schedule is blocked as a compiled one is.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
@@ -73,7 +76,8 @@ class GateError(ValueError):
 class _Item:
     """What every schedule item shares: its shape is checked once, when it
     is built, and ``top`` (not a dataclass field) is its highest position,
-    or -1 when it names none. Fitting a register is then one comparison."""
+    or -1 when it names none. Fitting a register is then one comparison.
+    ``text_line``, its line and newline, is formatted once, on first use."""
 
     def __post_init__(self):
         top, error = self._shape()
@@ -86,6 +90,10 @@ class _Item:
         if self.top < n:
             return None
         return f"{self.line()}: position out of range for n={n}"
+
+    @cached_property
+    def text_line(self) -> str:
+        return self.line() + "\n"
 
 
 def _pair_shape(i: int, j: int) -> tuple[int, Optional[str]]:
@@ -267,24 +275,23 @@ def _per_block(blocks: tuple[Block, ...], work: Callable[[Block], T]) -> list[T]
     return [done[id(block)] for block in blocks]
 
 
-def _block_census(block: Block) -> Census:
-    rare = [it for it in block if type(it) not in _STEP_ONLY]
-    notes = [it for it in rare if isinstance(it, Annotation)]
-    resets = [it for it in rare if isinstance(it, Reset)]
-    marks = tuple(it for it in notes if isinstance(it, (Count, Cut)))
-    return Census(len(block) - len(notes), len(resets), sum(r.length for r in resets), marks)
-
-
-def _block_runs(block: Block) -> tuple[Run, ...]:
-    """The block's gates in runs, each ended by the ``Count``/``Cut`` mark
-    that follows it, or by None at the block's end; other annotations go."""
-    runs, start = [], 0
-    for i, item in enumerate(block):
-        if type(item) not in _STEP_ONLY and isinstance(item, Annotation):
-            runs.append((block[start:i], item if isinstance(item, (Count, Cut)) else None))
-            start = i + 1
-    runs.append((block[start:], None))
-    return tuple((gates, mark) for gates, mark in runs if gates or mark is not None)
+def _block_census_runs(block: Block) -> tuple[Census, tuple[Run, ...]]:
+    """The block's census, and its gates in runs, each ended by the
+    ``Count``/``Cut`` mark that follows it or by None at the block's end
+    (other annotations go). The bulk, a block of gates alone, is one run as
+    it is, told from its item types; any other is split in one indexed pass."""
+    if set(map(type, block)) <= _STEP_ONLY:
+        return Census(len(block), 0, 0, ()), ((block, None),) if block else ()
+    rare = [(i, it) for i, it in enumerate(block) if type(it) not in _STEP_ONLY]
+    notes = [(i, it) for i, it in rare if isinstance(it, Annotation)]
+    resets = [it for _, it in rare if isinstance(it, Reset)]
+    ends = [-1, *(i for i, _ in notes), len(block)]
+    marks = [it if isinstance(it, (Count, Cut)) else None for _, it in notes] + [None]
+    runs = tuple((block[a + 1 : b], mark) for a, b, mark in zip(ends, ends[1:], marks)
+                 if a + 1 < b or mark is not None)
+    census = Census(len(block) - len(notes), len(resets), sum(r.length for r in resets),
+                    tuple(mark for mark in marks if mark is not None))
+    return census, runs
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -315,20 +322,23 @@ class Schedule:
         return hash(self.items)
 
     @cached_property
-    def census(self) -> Census:
-        """The schedule's steps, RESETs, reset rows and ``Count``/``Cut``
-        marks, counted once per distinct block on first use."""
-        parts = _per_block(self.blocks, _block_census)
-        return Census(sum(p.steps for p in parts), sum(p.resets for p in parts),
-                      sum(p.reset_rows for p in parts),
-                      tuple(chain.from_iterable(p.marks for p in parts)))
+    def _census_runs(self) -> tuple[Census, tuple[Run, ...]]:
+        """``census``, and ``runs``: every gate in order, in runs of ``(gates,
+        mark)``, the gates up to a ``Count``/``Cut`` mark and that mark (None
+        where a block ends without one). Both at once, per distinct block."""
+        parts = _per_block(self.blocks, _block_census_runs)
+        counts = [census for census, _ in parts]
+        return (Census(*(sum(c[k] for c in counts) for k in range(3)),  # steps, resets, rows
+                       tuple(chain.from_iterable(c.marks for c in counts))),
+                tuple(chain.from_iterable(runs for _, runs in parts)))
 
-    @cached_property
+    @property
+    def census(self) -> Census:
+        return self._census_runs[0]
+
+    @property
     def runs(self) -> tuple[Run, ...]:
-        """Every gate in order, in runs of ``(gates, mark)``: the gates up to
-        a ``Count``/``Cut`` mark and that mark (None where a block ends
-        without one). Split once per distinct block on first use."""
-        return tuple(chain.from_iterable(_per_block(self.blocks, _block_runs)))
+        return self._census_runs[1]
 
 
 def _pack_rows(packed: np.ndarray) -> list[int]:
@@ -515,17 +525,16 @@ def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
 
 def schedule_to_text(schedule: Schedule) -> str:
     """Line-oriented text form, one gate per line; annotations as comments.
-    Each distinct item is formatted once, with its newline, and each
-    distinct block's lines are joined once."""
-    line: dict[int, str] = {}  # id -> the line of a distinct item, which the schedule keeps alive
+    Each item's ``text_line`` is formatted once. A block that recurs is
+    joined once and its text reused; the lines of a block that occurs once
+    go straight into the one final join, so no second copy of them is held."""
+    recurs = {key for key, n in Counter(map(id, schedule.blocks)).items() if n > 1}
 
-    def text(block: Block) -> str:
-        for key, item in dict(zip(map(id, block), block)).items():
-            if key not in line:
-                line[key] = item.line() + "\n"
-        return "".join(map(line.__getitem__, map(id, block)))
+    def lines(block: Block) -> Iterable[str]:
+        text_lines = map(attrgetter("text_line"), block)
+        return ("".join(text_lines),) if id(block) in recurs else text_lines
 
-    return "".join(_per_block(schedule.blocks, text))
+    return "".join(chain.from_iterable(_per_block(schedule.blocks, lines)))
 
 
 _CHUNK_CHARS = 1 << 20  # a parse holds the line strings of at most about this much text

@@ -18,6 +18,7 @@ config file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -64,11 +65,9 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    size = 1 << 20  # written a slice at a time: no encoded copy of a whole schedule is held
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(text[i : i + size] for i in range(0, len(text), size))
 
 
 def _render(

@@ -35,16 +35,19 @@ def compile_bcs(m: int, nu: int, nu0: int) -> Schedule:
     already-processed prefix.
 
     Every gate is fixed by one position, so equal gates are one shared
-    object, built once per position and kind for the whole process.
+    object, built once per position and kind for the whole process. The
+    escorts are suffixes of one ladder, the last pair's, and the parkings
+    prefixes of the first pair's, so each gate is looked up once per call.
     """
     items: list = [Bcs(m, nu, nu0)]  # raises GateError unless m is even and 0 <= nu0 <= nu
+    last = nu + m // 2 - 1  # the last pair's left position
+    ladder = tuple(g for i in range(last - 1, nu0 - 1, -1) for g in (_zcswap(i), _swap(i + 1)))
+    parking = tuple(map(_swap, range(nu0 + 1, nu + m - 1)))
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
         items.append(_cnot(q))
-        for i in range(q - 1, nu0 - 1, -1):  # escort one hop left per step
-            items += (_zcswap(i), _swap(i + 1))
-        park = nu + m - 1 - k
-        items += map(_swap, range(nu0 + 1, park))
+        items += ladder[2 * (last - q) :]  # escort from q - 1 down to nu0
+        items += parking[: nu + m - 2 - nu0 - k]  # walk right to nu + m - 1 - k
     return Schedule(items)
 
 

@@ -89,8 +89,8 @@ def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None
         nu = mu + depth * m // 2
         _emit(parts, j - 1, nu, plan, blocks)
         if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
-            bcs, *gates = compile_bcs(m, nu=nu, nu0=mu).items
-            blocks[nu, mu] = bcs, tuple(gates)  # a block of gates alone is one run as it is
+            items = compile_bcs(m, nu=nu, nu0=mu).items
+            blocks[nu, mu] = items[0], items[1:]  # a block of gates alone is one run as it is
         bcs, gates = blocks[nu, mu]
         parts += ((Marker(f"phase: BCS {j - 1}->{j}"), bcs), gates, (Count(j, mu, depth + 1),))
     parts.append((Cut(j, mu, m),))

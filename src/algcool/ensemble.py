@@ -264,7 +264,7 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    census, _ = schedule.census, schedule.runs  # made here, so forked workers inherit both
+    census = schedule.census  # made here with its runs, so forked workers inherit both
     job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:

@@ -1,9 +1,11 @@
 """Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, and a gate-free oracle for one compression round."""
+register and a schedule, the compression compiler written gate by gate,
+and a gate-free oracle for one compression round."""
 
 import numpy as np
 
-from algcool.circuit import Annotation, Register, _pack_rows, _unpack_ints, apply_gate
+from algcool import compression
+from algcool.circuit import Annotation, Bcs, Register, _pack_rows, _unpack_ints, apply_gate
 from algcool.compression import compile_bcs
 
 
@@ -45,6 +47,20 @@ def compress(reg, m):
     purified run at position 0, which holds exactly the kept bits."""
     run_gates(reg, compile_bcs(m, 0, 0))
     return reg.purified_run_length(0, reg.n)
+
+
+def reference_compile_bcs(m, nu, nu0):
+    """``compile_bcs(m, nu, nu0)``'s items, each gate asked of the shared
+    factories one at a time: per pair its CNOT, its escort one hop left down
+    to nu0, then the supervisor's walk right to its parking slot."""
+    items = [Bcs(m, nu, nu0)]
+    for k in range(m // 2):
+        q = nu + k  # pair sits k slots left of its start after k parkings
+        items.append(compression._cnot(q))
+        for i in range(q - 1, nu0 - 1, -1):
+            items += (compression._zcswap(i), compression._swap(i + 1))
+        items += map(compression._swap, range(nu0 + 1, nu + m - 1 - k))
+    return items
 
 
 def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from algcool.circuit import Cnot, ZcSwap, validate_schedule
 from algcool.compression import compile_bcs
-from support import bits_of, compress, flag_rows, gates, reference_bcs, register
+from support import (
+    bits_of, compress, flag_rows, gates, reference_bcs, reference_compile_bcs, register,
+)
 
 
 def register_for(bits_by_molecule):
@@ -44,6 +46,14 @@ class TestCompileBcs:
     def test_step_bound_property(self, half_m):
         m = 2 * half_m
         assert compile_bcs(m, 0, 0).census.steps < m * m
+
+    @given(st.integers(1, 20), st.integers(0, 20), st.integers(0, 30))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_gate_by_gate_reference(self, half_m, nu0, rise):
+        m, nu = 2 * half_m, nu0 + rise
+        items, reference = compile_bcs(m, nu, nu0).items, reference_compile_bcs(m, nu, nu0)
+        assert items == tuple(reference)  # the same items in the same order
+        assert all(a is b for a, b in zip(items[1:], reference[1:]))  # each the shared gate
 
 
 class TestRunBcs:
