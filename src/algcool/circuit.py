@@ -34,7 +34,8 @@ compression blocks ell^j times. Its census and gate runs (together), its
 validation and its text are worked out once per distinct block and
 combined in block order, and an item formats its line once. A parse cuts
 the text at annotation lines and shares each chunk that recurs, so a
-parsed schedule is blocked as a compiled one is.
+parsed schedule is blocked as a compiled one is. A table parses each
+distinct line on first lookup; a line seen before is one dict lookup in C.
 """
 
 from __future__ import annotations
@@ -490,7 +491,7 @@ _GATES = {cls.KIND: (cls, len(fields(cls))) for cls in (Cnot, Swap, ZcSwap, Rese
 _ANNOTATIONS = {cls.TAG: cls for cls in (Bcs, Count, Cut)}
 
 
-def _parse_annotation(body: str, lineno: int) -> Annotation:
+def _parse_annotation(body: str) -> Annotation:
     tag, _, rest = body.partition(":")
     cls = _ANNOTATIONS.get(tag)
     if cls is None:
@@ -501,25 +502,25 @@ def _parse_annotation(body: str, lineno: int) -> Annotation:
             raise ValueError
         args = [int(v) for _, v in pairs]
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: malformed {tag} annotation") from exc
+        raise ValueError(f"malformed {tag} annotation") from exc
     return cls(*args)
 
 
-def _parse_line(line: str, lineno: int) -> Union[Gate, Annotation]:
-    """One stripped, non-blank line of the text format."""
+def _parse_line(line: str) -> Union[Gate, Annotation]:
+    """One stripped, non-blank line of the text format; raises ValueError."""
     if line.startswith("#"):
-        return _parse_annotation(line[1:].strip(), lineno)
+        return _parse_annotation(line[1:].strip())
     parts = line.split()
     kind = parts[0].upper()
     if kind not in _GATES:
-        raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
+        raise ValueError(f"unknown gate {parts[0]!r}")
     build, arity = _GATES[kind]
     if len(parts) - 1 != arity:
-        raise ValueError(f"line {lineno}: {kind} expects {arity} operands")
+        raise ValueError(f"{kind} expects {arity} operands")
     try:
         args = [int(p) for p in parts[1:]]
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: non-integer operand") from exc
+        raise ValueError("non-integer operand") from exc
     return build(*args)
 
 
@@ -549,28 +550,21 @@ def _chunks(text: str, size: int = _CHUNK_CHARS) -> Iterator[tuple[int, int]]:
     start = 0
     while start < len(text):
         limit = text.find("\n", start + size - 1) + 1 or len(text)
-        stop = text.find("\n#", start, limit) + 1 or limit
+        stop = text.find("#", start + 1, limit)
+        while stop > 0 and text[stop - 1] != "\n":  # one-character search: skip mid-line #
+            stop = text.find("#", stop + 1, limit)
+        stop = stop if stop > 0 else limit
         yield start, stop
         start = stop
 
 
-def _parse_lines(lines: list[str], lineno: int, parsed: dict) -> tuple[Block, int]:
-    """The block of items on ``lines``, the first of which is line
-    ``lineno + 1``, and how many lines it spans. ``parsed`` maps each raw
-    line parsed so far to its item, and gains the new ones."""
-    block = []
-    for n, raw in enumerate(lines, start=lineno + 1):
-        item = parsed.get(raw)
-        if item is None:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                item = parsed[raw] = _parse_line(line, n)
-            except GateError as exc:  # an ill-formed gate or annotation
-                raise ValueError(f"line {n}: {exc}") from exc
-        block.append(item)
-    return tuple(block), len(lines)
+class _LineTable(dict):
+    """Raw line -> its item, or None if blank; a new line is parsed on first lookup."""
+
+    def __missing__(self, raw: str) -> Optional[Union[Gate, Annotation]]:
+        line = raw.strip()
+        item = self[raw] = _parse_line(line) if line else None
+        return item
 
 
 def schedule_from_text(text: str) -> Schedule:
@@ -580,22 +574,30 @@ def schedule_from_text(text: str) -> Schedule:
     lines after it (at most about 1 MB), and each chunk becomes one block.
     A chunk whose text recurs is parsed once, and every occurrence of it
     is the same block, so a parsed schedule shares its compression blocks
-    as a compiled one does. Each distinct line is parsed once per call,
-    and every occurrence of it is the same object. A malformed line, an
-    ill-formed gate or annotation included, raises at its first
-    occurrence, naming its line number. Only one chunk's text and line
-    strings are held at a time.
+    as a compiled one does. A distinct chunk's lines are looked up in a
+    table that parses a line on first lookup, so each distinct line is
+    parsed once per call and every occurrence of it is one object. A
+    malformed line, an ill-formed item included, raises at its first
+    occurrence, naming its line number. One chunk's lines are held at once.
     """
     blocks: list[Block] = []
-    parsed: dict[str, Union[Gate, Annotation]] = {}  # raw line -> its item
+    table = _LineTable()
     seen: dict[tuple[int, int], tuple[int, Block, int]] = {}  # -> first start, block, line count
     lineno = 0
     for start, stop in _chunks(text):
-        key = hash(text[start:stop]), stop - start  # a hit is confirmed against the text
+        chunk = text[start:stop]
+        key = hash(chunk), len(chunk)  # a hit is confirmed against the text
         hit = seen.get(key)
-        if hit is None or not text.startswith(text[start:stop], hit[0]):
-            hit = start, *_parse_lines(text[start:stop].splitlines(), lineno, parsed)
+        if hit is None or not text.startswith(chunk, hit[0]):
+            lines = chunk.splitlines()
+            del chunk  # hold one chunk's text or its lines, never two chunks' lines
+            try:
+                hit = start, tuple(filter(None, map(table.__getitem__, lines))), len(lines)
+            except ValueError as exc:  # raised at the first line the table lacks
+                bad = next(raw for raw in lines if raw not in table)
+                raise ValueError(f"line {lineno + lines.index(bad) + 1}: {exc}") from exc
             seen.setdefault(key, hit)
+            del lines
         blocks.append(hit[1])
         lineno += hit[2]
     return Schedule(*blocks)

@@ -271,7 +271,8 @@ def run_ensemble(
         acc = reduce(_Accumulator.merge, map(job, starts))
     else:
         import multiprocessing  # only parallel runs pay for the import
-        workers = min(threads, len(starts), len(os.sched_getaffinity(0)))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        workers = min(threads, len(starts), cpus or os.cpu_count() or 1)  # macOS: no affinity
         ctx = multiprocessing.get_context("fork")  # workers inherit the job, never pickled
         with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
             acc = reduce(_Accumulator.merge, pool.imap(_run_chunk, starts))  # chunk order

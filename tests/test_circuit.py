@@ -545,10 +545,16 @@ class TestRowMap:
         assert reg.rrtr == [1, 0, 0]
 
 
+#: Malformed lines, each with the message its parse error gives: a
+#: non-integer operand, an ill-formed gate and a ``#`` in mid-line.
+PARSE_ERRORS = {"SWAP 0 x": "non-integer operand",
+                "SWAP 0 5": "SWAP 0 5: operands farther than 1 apart",
+                "SWAP 0 1 # x": "SWAP expects 2 operands"}
+
 #: Lines for random texts: gates, annotations that start runs, blank lines
-#: and one malformed line.
+#: and the malformed lines.
 PARSE_LINES = ["SWAP 0 1", "CNOT 1 2", "ZCSWAP 2 0 1", "RESET 0 2", "# bcs: m=2 nu=0 nu0=0",
-               "# count: level=1 at=0 round=1", "# phase: x", "", "  ", "SWAP 0 x"]
+               "# count: level=1 at=0 round=1", "# phase: x", "", "  ", *PARSE_ERRORS]
 
 
 class TestSerialization:
@@ -670,9 +676,9 @@ class TestSerialization:
                 sched = schedule_from_text(text)
             except ValueError as exc:
                 sched = str(exc)
-        bad = [n for n, raw in enumerate(lines, start=1) if raw == "SWAP 0 x"]
+        bad = [(n, PARSE_ERRORS[raw]) for n, raw in enumerate(lines, start=1) if raw in PARSE_ERRORS]
         if bad:
-            assert sched == f"line {bad[0]}: non-integer operand"
+            assert sched == "line {}: {}".format(*bad[0])  # the first bad line, exactly
             return
         assert sched.items == tuple(schedule_from_text(raw).items[0] for raw in lines if raw.strip())
         chunks = [text[a:b] for a, b in _chunks(text)]
@@ -706,10 +712,12 @@ class TestSerialization:
             schedule_from_text("SWAP 0 1\nSWAP 0 1\nSWAP 0 x\n")
 
     def test_parse_shares_equal_lines(self, headline_text):
-        items = schedule_from_text(headline_text).items
+        with mock.patch.object(circuit, "_parse_line", wraps=circuit._parse_line) as parse:
+            items = schedule_from_text(headline_text).items
         distinct_lines = {raw for raw in headline_text.splitlines() if raw.strip()}
         assert len(items) == 818526
         assert len({id(it) for it in items}) == len(distinct_lines) == 1236
+        assert parse.call_count == 1236  # the line table parses each distinct line once
         # shared objects still re-serialize line for line
         assert schedule_to_text(Schedule(items)) == headline_text
 

@@ -100,6 +100,16 @@ class TestWorkerPool:
         assert pool_sizes == [min(64, molecules // 100, cpus)] == [2]
         assert stats_equal(serial, wide)
 
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+    def test_pool_without_sched_getaffinity(self, monkeypatch, pool_sizes, cpus, workers):
+        # as on macOS: the usable CPUs fall back to os.cpu_count(), or 1 if unknown
+        serial = run_ensemble(self.PLAN, 300, seed=13, threads=1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = run_ensemble(self.PLAN, 300, seed=13, threads=64)
+        assert pool_sizes == [workers]
+        assert stats_equal(serial, wide)
+
     def test_single_chunk_runs_in_process(self, pool_sizes):
         run_ensemble(self.PLAN, 100, seed=13, threads=4)
         assert pool_sizes == []
