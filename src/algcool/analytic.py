@@ -61,9 +61,7 @@ def _check_eps(epsilon: float, name: str = "epsilon") -> float:
 
 def binary_entropy(p: float) -> float:
     """Binary entropy H(p) in bits; endpoints return exactly 0."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
+    p = _check_eps(p, "probability")
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -130,8 +128,6 @@ def bcs_cascade_yield(n0: int, epsilon0: float, j_final: int) -> float:
     Telescopes the per-round keep fraction (1 + eps_j^2)/4; equal to the
     closed form n0 * eps_0 / (2^j * eps_j) when eps_0 > 0.
     """
-    if j_final < 0:
-        raise ValueError("j_final must be >= 0")
     count = float(n0)
     for eps in bias_schedule(epsilon0, j_final)[:-1]:
         count *= expected_keep_fraction(eps)

@@ -26,7 +26,8 @@ its physical row, and a SWAP exchanges two entries of that map. Every
 other gate and every view reads through the map.
 Rows enter as such ints (``_pack_rows``) and leave through
 ``_unpack_ints``. The RRTR row and every RESET's fresh rows are read in
-order from one thermal source, as reset bits are draws from one heat bath.
+order from one thermal source, as reset bits are draws from one heat bath;
+a simulated molecule's bit is one Philox word below one integer threshold.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
@@ -86,10 +87,11 @@ class _Item:
             raise GateError(f"{self.line()}: {error}")
         object.__setattr__(self, "top", top)
 
-    def check(self, n: int) -> Optional[str]:
-        """None if the item fits an n-position register, else why not."""
-        if self.top < n:
-            return None
+    def line(self) -> str:
+        return " ".join([self.KIND, *(str(getattr(self, f.name)) for f in fields(self))])
+
+    def check(self, n: int) -> str:
+        """Why the item does not fit an n-position register; asked when top >= n."""
         return f"{self.line()}: position out of range for n={n}"
 
     @cached_property
@@ -117,15 +119,8 @@ def _span_shape(start: int, length: int) -> tuple[int, Optional[str]]:
     return start + length - 1, None
 
 
-class _GateText(_Item):
-    """The text form every gate shares: its KIND, then its fields in order."""
-
-    def line(self) -> str:
-        return " ".join([self.KIND, *(str(getattr(self, f.name)) for f in fields(self))])
-
-
 @dataclass(frozen=True)
-class Cnot(_GateText):
+class Cnot(_Item):
     control: int
     target: int
     KIND = "CNOT"
@@ -135,7 +130,7 @@ class Cnot(_GateText):
 
 
 @dataclass(frozen=True)
-class Swap(_GateText):
+class Swap(_Item):
     a: int
     b: int
     KIND = "SWAP"
@@ -145,7 +140,7 @@ class Swap(_GateText):
 
 
 @dataclass(frozen=True)
-class ZcSwap(_GateText):
+class ZcSwap(_Item):
     """Swap a and b on molecules whose zero_control bit reads 0."""
 
     zero_control: int
@@ -167,7 +162,7 @@ class ZcSwap(_GateText):
 
 
 @dataclass(frozen=True)
-class Reset(_GateText):
+class Reset(_Item):
     """Column-wise reset: swap [start, start+length) with the RRTR row."""
 
     start: int
@@ -399,18 +394,22 @@ class Register:
 
     # -- views ----------------------------------------------------------
 
+    def _rows_at(self, start: int, stop: int) -> list[int]:
+        """The physical rows of logical positions [start, stop)."""
+        if start < 0:  # a negative start would wrap to the far end
+            raise ValueError(f"start must be >= 0, got {start}")
+        return self.rows[start:stop]
+
     def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
         """Computation bits of logical positions [start, stop) as uint8
         (rows, molecules)."""
-        return _unpack_ints([self.bits[r] for r in self.rows[start:stop]], self.num_molecules)
+        return _unpack_ints([self.bits[r] for r in self._rows_at(start, stop)], self.num_molecules)
 
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
-        if start < 0:  # a negative start would wrap to the far end
-            raise ValueError(f"start must be >= 0, got {start}")
         flags, run, ands = self.flags, self.full, []
-        for r in self.rows[start : start + max_rows]:
+        for r in self._rows_at(start, start + max_rows):
             run &= flags[r]
             if not run:  # every molecule's run has ended
                 break

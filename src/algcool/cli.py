@@ -25,7 +25,6 @@ import io
 import json
 import os
 import sys
-import warnings
 from itertools import zip_longest
 from typing import Optional
 
@@ -402,17 +401,11 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         parser = build_parser(_load_config(os.environ.get(CONFIG_ENV_VAR)))
+        args = parser.parse_args(argv)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return args.func(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ __all__ = ["compile_bcs"]
 
 
 def compile_bcs(m: int, nu: int, nu0: int) -> Schedule:
-    """Fixed gate schedule compressing the m bits at [nu, nu+m).
+    """Fixed gate schedule compressing the m bits at [nu, nu+m): two
+    blocks, its ``Bcs`` annotation and then its gates.
 
     Kept bits are pushed (conditionally, one neighbour hop at a time) to
     the global target ``nu0 <= nu``, prepending to any purified prefix
@@ -39,16 +40,17 @@ def compile_bcs(m: int, nu: int, nu0: int) -> Schedule:
     escorts are suffixes of one ladder, the last pair's, and the parkings
     prefixes of the first pair's, so each gate is looked up once per call.
     """
-    items: list = [Bcs(m, nu, nu0)]  # raises GateError unless m is even and 0 <= nu0 <= nu
+    bcs = Bcs(m, nu, nu0)  # raises GateError unless m is even and 0 <= nu0 <= nu
     last = nu + m // 2 - 1  # the last pair's left position
     ladder = tuple(g for i in range(last - 1, nu0 - 1, -1) for g in (_zcswap(i), _swap(i + 1)))
     parking = tuple(map(_swap, range(nu0 + 1, nu + m - 1)))
+    gates: list = []
     for k in range(m // 2):
         q = nu + k  # pair sits k slots left of its start after k parkings
-        items.append(_cnot(q))
-        items += ladder[2 * (last - q) :]  # escort from q - 1 down to nu0
-        items += parking[: nu + m - 2 - nu0 - k]  # walk right to nu + m - 1 - k
-    return Schedule(items)
+        gates.append(_cnot(q))
+        gates += ladder[2 * (last - q) :]  # escort from q - 1 down to nu0
+        gates += parking[: nu + m - 2 - nu0 - k]  # walk right to nu + m - 1 - k
+    return Schedule((bcs,), gates)
 
 
 # One shared gate per position and kind: at most n entries each.

@@ -3,16 +3,17 @@
 A purification step at level j repeats ``ell`` times: run the level j-1
 step on a sub-array, then compress its m output bits and push the kept
 bits to the level-j array head. Level 0 is a single parallel reset
-against the thermal row. The truncation ("keep the first m bits") is
+against the thermal row, each of whose simulated bits is one Philox word
+below one integer threshold. The truncation ("keep the first m bits") is
 bookkeeping only and emits no gates; a run records the observed purified
 length at every truncation and never aborts, because the shared pulse
-sequence cannot branch per molecule.
+sequence cannot branch per molecule. A vacuous success bound (ell = 4)
+is data, ``plan.success_bound.vacuous``, and is never a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import warnings
 
 import numpy as np
 
@@ -69,11 +70,6 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     RESETs of equal offset are kept once, so equal gates are one shared
     (immutable) object and the recursion is never flattened.
     """
-    if plan.ell == 4:
-        warnings.warn(
-            "cooling depth 4 gives a vacuous success bound; use 5 or more",
-            stacklevel=2,
-        )
     parts: list[tuple] = []  # the schedule's blocks, in order
     _emit(parts, plan.j_final, 0, plan, {})
     return Schedule(*parts)
@@ -89,9 +85,8 @@ def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None
         nu = mu + depth * m // 2
         _emit(parts, j - 1, nu, plan, blocks)
         if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
-            items = compile_bcs(m, nu=nu, nu0=mu).items
-            blocks[nu, mu] = items[0], items[1:]  # a block of gates alone is one run as it is
-        bcs, gates = blocks[nu, mu]
+            blocks[nu, mu] = compile_bcs(m, nu=nu, nu0=mu).blocks
+        (bcs,), gates = blocks[nu, mu]
         parts += ((Marker(f"phase: BCS {j - 1}->{j}"), bcs), gates, (Count(j, mu, depth + 1),))
     parts.append((Cut(j, mu, m),))
 

@@ -86,3 +86,59 @@ def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:
         else:
             dirty.append(a)
     return purified, dirty, supervisors
+
+
+def reference_cooling(plan, draws):
+    """Gate-free oracle for ``run_cooling`` on one molecule.
+
+    ``draws`` is the molecule's thermal source as ``_build_registers`` reads
+    it: its n computation bits, its n-bit RRTR row, then the rows its RESETs
+    take, in order. Each position holds ``[bit, flagged]``. A RESET takes the
+    RRTR row's bits, flagged, and refills that stretch of the row from the
+    source. A compression of the m bits at nu, pushed to nu0, leaves
+    ``old[:nu0] + kept + old[nu0:nu] + dirty + supervisors[::-1]``: ``kept``
+    holds the left bit of each equal pair, newest first, flagged when both
+    operands were; ``dirty`` the left bit of each unequal pair, in pair
+    order; the supervisors their pair's XOR; all of these but ``kept``
+    unflagged. ``Count`` and ``Cut`` read the flagged run over the
+    ``ell * m / 2`` window. Returns the output bits, the ``Count`` lengths
+    and the ``Cut`` lengths in schedule order, and whether every cut held m.
+    """
+    m, ell, n = plan.m, plan.ell, plan.n_required
+    source = iter(draws)
+    pos = [[next(source), True] for _ in range(n)]
+    rrtr = [next(source) for _ in range(n)]
+    counts, cuts = [], []
+
+    def run_at(at):
+        length = 0
+        while length < ell * m // 2 and at + length < n and pos[at + length][1]:
+            length += 1
+        return length
+
+    def compress(nu, nu0):
+        kept, dirty, supervisors = [], [], []
+        for (a, fa), (b, fb) in zip(pos[nu : nu + m : 2], pos[nu + 1 : nu + m : 2]):
+            if a == b:
+                kept.insert(0, [a, fa and fb])
+            else:
+                dirty.append([a, False])
+            supervisors.append([a ^ b, False])
+        pos[nu0 : nu + m] = kept + pos[nu0:nu] + dirty + supervisors[::-1]
+
+    def level(j, mu):
+        if j == 0:
+            for p in range(mu, mu + m):
+                pos[p] = [rrtr[p], True]
+            for p in range(mu, mu + m):
+                rrtr[p] = next(source)
+            return
+        for depth in range(ell):
+            nu = mu + depth * m // 2
+            level(j - 1, nu)
+            compress(nu, mu)
+            counts.append(run_at(mu))
+        cuts.append(run_at(mu))
+
+    level(plan.j_final, 0)
+    return [bit for bit, _ in pos[:m]], counts, cuts, all(cut >= m for cut in cuts)

@@ -293,7 +293,6 @@ class TestLevelTagEquivalence:
     """On compiled plans one purified flag gives what the level tags gave:
     a compression only ever compares bits of its own input level."""
 
-    @pytest.mark.filterwarnings("ignore:cooling depth 4")
     @pytest.mark.parametrize(
         "eps,m,ell,jf",
         [(0.1, 4, 4, 3), (0.0, 4, 4, 3), (0.1, 2, 4, 4), (0.1, 6, 4, 2), (0.1, 4, 7, 2)],
@@ -351,7 +350,6 @@ def plain_census(schedule):
 
 
 class TestCensus:
-    @pytest.mark.filterwarnings("ignore:cooling depth 4")
     @pytest.mark.parametrize(
         "eps,m,ell,jf",
         [(0.1, 6, 5, 0), (0.1, 4, 4, 1), (0.1, 8, 5, 2), (0.1, 20, 5, 2), (0.1, 50, 5, 3)],
@@ -946,6 +944,13 @@ class TestPurifiedRunLength:
         reg, _ = self.register([3] * self.N_MOL)
         with pytest.raises(ValueError, match="start"):
             reg.purified_run_length(start, max_rows)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 8), (-3, 2)])
+    def test_comp_bit_rows_refuses_a_negative_start(self, start, stop):
+        # rows[-1:8] would read the last position as if it were the first
+        reg, _ = self.register([3] * self.N_MOL)
+        with pytest.raises(ValueError, match=f"start must be >= 0, got {start}"):
+            reg.comp_bit_rows(start, stop)
 
     def test_empty_at_start(self):
         reg, flags = self.register([0] * self.N_MOL)

@@ -55,6 +55,11 @@ class TestCompileBcs:
         assert items == tuple(reference)  # the same items in the same order
         assert all(a is b for a, b in zip(items[1:], reference[1:]))  # each the shared gate
 
+    def test_blocks_are_the_annotation_then_the_gates(self):
+        sched = compile_bcs(10, nu=15, nu0=5)
+        assert sched.blocks == ((sched.items[0],), sched.items[1:])
+        assert sched.census.marks == () and len(sched.runs) == 1  # the gates are one run
+
 
 class TestRunBcs:
     def test_equal_zero_pair(self):

@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algcool import cooling
 from algcool.analytic import CoolingPlan, truncation_count
@@ -32,7 +33,7 @@ from algcool.cooling import (
     run_cooling,
 )
 from algcool.ensemble import _build_registers
-from support import gates, pack, register
+from support import gates, pack, reference_cooling, register
 
 
 def reset_phases(schedule):
@@ -65,8 +66,7 @@ class TestCompileStructure:
         assert gates(sched) == [Reset(0, 6)]
 
     def test_depth_one_interleaving(self):
-        with pytest.warns(UserWarning):
-            sched = compile_cooling(CoolingPlan(0.1, 4, 4, 1))
+        sched = compile_cooling(CoolingPlan(0.1, 4, 4, 1))
         resets = reset_phases(sched)
         assert resets == [Reset(0, 4), Reset(2, 4), Reset(4, 4), Reset(6, 4)]
         offsets = [it.nu for it in sched.items if isinstance(it, Bcs)]
@@ -117,7 +117,6 @@ class TestCompileStructure:
             plan = CoolingPlan(0.1, m, ell, jf)
             assert compile_cooling(plan).census.steps <= plan.step_bound
 
-    @pytest.mark.filterwarnings("ignore:cooling depth 4")
     def test_gate_counts_match_closed_forms(self):
         for m, ell, jf in product((2, 4, 6, 8, 20), range(4, 8), range(4)):
             sched = compile_cooling(CoolingPlan(0.1, m, ell, jf))
@@ -210,6 +209,36 @@ class TestRunCooling:
                 assert all((x == y).all() for (_, x), (_, y) in zip(log_a, log_b))
             assert (a.success == b.success).all() and 0 < a.success.sum() < 200
             assert (a.output_bits == b.output_bits).all()
+
+    @staticmethod
+    def run_and_reference(plan, seed, p_one, molecules):
+        """``run_cooling`` on random draws, and ``reference_cooling`` per molecule."""
+        sched = compile_cooling(plan)
+        n = plan.n_required
+        draws = np.random.default_rng(seed).random((2 * n + sched.census.reset_rows,
+                                                    molecules)) < p_one
+        run = run_cooling(register(draws[:n], fresh=pack(draws[n:])), plan, sched)
+        return run, [reference_cooling(plan, col.tolist()) for col in draws.T.astype(int)]
+
+    @given(st.sampled_from([2, 4, 6, 8]), st.sampled_from([4, 5]), st.integers(0, 2),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 0.5]))
+    @example(8, 4, 2, 1, 0.45)  # failed truncations, so unflagged equal pairs
+    @settings(deadline=None, max_examples=40)
+    def test_matches_gate_free_reference(self, m, ell, jf, seed, p_one):
+        plan = CoolingPlan(0.1, m, ell, jf)
+        run, reference = self.run_and_reference(plan, seed, p_one, 24)
+        for k, (bits, counts, cuts, success) in enumerate(reference):
+            assert run.output_bits[:, k].tolist() == bits
+            assert [int(lengths[k]) for _, lengths in run.round_log] == counts
+            assert [int(lengths[k]) for _, lengths in run.truncation_log] == cuts
+            assert bool(run.success[k]) == success
+
+    def test_reference_sees_failed_truncations(self):
+        # at ell = 4 some molecules fail a level-1 cut, so level 2 compares
+        # pairs with an unflagged operand
+        run, reference = self.run_and_reference(CoolingPlan(0.1, 8, 4, 2), 1, 0.45, 24)
+        assert 0 < sum(success for *_, success in reference) < 24
+        assert run.success.tolist() == [success for *_, success in reference]
 
     def test_register_too_small(self):
         plan = CoolingPlan(0.1, 20, 5, 3)

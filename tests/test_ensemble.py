@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestMoleculeDraws:
             tracemalloc.stop()
         assert peak < 20e6
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_threshold_edges_match_the_float_draw(self, monkeypatch, eps):
+        # every word reads as numpy's float draw (w >> 11) * 2**-53 < p reads
+        # it; T = ceil(p * 2**53) << 11 is the first word that reads 0
+        p = (1 - eps) / 2
+        t = math.ceil(p * 2**53) << 11
+        if eps == 0.0:
+            assert p * 2**53 == 2**52  # exact: T - 1 is the last word below p = 1/2
+        words = [0, (t - 1) % 2**64, t, t + 2047, 2**64 - 1]
+        fake = SimpleNamespace(random_raw=lambda size: np.array(words[:size], dtype=np.uint64))
+        monkeypatch.setattr(np.random, "Philox", lambda seed: fake)
+        reg = _build_registers(2, eps, 0, 0, 1, len(words) - 4)
+        expected = [int((w >> 11) * 2**-53 < p) for w in words]
+        assert bits_of(reg) + reg.rrtr + reg.draw_reset_rows(len(words) - 4) == expected
+        assert expected[1:3] == ([0, 0] if eps == 1.0 else [1, 0])
+
     def test_draw_order(self):
         # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
         n, k, eps, seed = 5, 7, 0.1, 3
@@ -293,7 +310,6 @@ class TestExactSuccessProbability:
         assert exact_success_probability(CoolingPlan(0.1, 20, 6, 2)) == pytest.approx(
             0.98420, abs=5e-6)
 
-    @pytest.mark.filterwarnings("ignore:cooling depth 4")
     @pytest.mark.parametrize(
         "plan,seed",
         [(CoolingPlan(0.1, 20, 5, 2), 3), (CoolingPlan(0.1, 20, 6, 2), 4),
