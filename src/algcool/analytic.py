@@ -32,11 +32,8 @@ __all__ = [
     "shannon_yield",
     "bcs_cascade_yield",
     "pps_signal",
-    "required_input_bits",
-    "step_bound",
     "truncation_count",
     "chernoff_failure",
-    "success_lower_bound",
     "feasibility_table",
     "timing_feasibility",
 ]
@@ -213,45 +210,33 @@ class CoolingPlan:
 
     @property
     def n_required(self) -> int:
-        return required_input_bits(self)
+        """Input bits needed: ((ell - 1)/2 * j_final + 1) * m.
+
+        Exact for even m; (ell - 1) * m / 2 is then always integral.
+        """
+        half = (self.ell - 1) * self.m  # even m makes this divisible by 2
+        return (half // 2) * self.j_final + self.m
 
     @property
     def step_bound(self) -> int:
-        return step_bound(self)
+        """Operation-count bound m^2 * ell^(j_final + 1), as an exact integer."""
+        return self.m * self.m * self.ell ** (self.j_final + 1)
 
     @property
     def success_bound(self) -> SuccessBound:
-        return success_lower_bound(self)
+        """Lower bound on all truncations succeeding.
 
-
-def required_input_bits(plan: CoolingPlan) -> int:
-    """Input bits needed: ((ell - 1)/2 * j_final + 1) * m.
-
-    Exact for even m; (ell - 1) * m / 2 is then always integral.
-    """
-    half = (plan.ell - 1) * plan.m  # even m makes this divisible by 2
-    return (half // 2) * plan.j_final + plan.m
-
-
-def step_bound(plan: CoolingPlan) -> int:
-    """Operation-count bound m^2 * ell^(j_final + 1), as an exact integer."""
-    return plan.m * plan.m * plan.ell ** (plan.j_final + 1)
-
-
-def success_lower_bound(plan: CoolingPlan) -> SuccessBound:
-    """Lower bound on all truncations succeeding.
-
-    (1 - chernoff_failure)^truncation_count; vacuous (0 with flag) at
-    ell = 4 where the Chernoff exponent collapses.
-    """
-    if plan.j_final == 0:
-        return SuccessBound(1.0, False)
-    fail = chernoff_failure(plan.ell, plan.m)
-    count = truncation_count(plan.ell, plan.j_final)
-    if fail.vacuous:
-        return SuccessBound(0.0, True)
-    # log-space power keeps tiny bounds (e.g. 2.85e-5) accurate
-    return SuccessBound(math.exp(count * math.log1p(-fail.probability)), False)
+        (1 - chernoff_failure)^truncation_count; vacuous (0 with flag) at
+        ell = 4 where the Chernoff exponent collapses.
+        """
+        if self.j_final == 0:
+            return SuccessBound(1.0, False)
+        fail = chernoff_failure(self.ell, self.m)
+        count = truncation_count(self.ell, self.j_final)
+        if fail.vacuous:
+            return SuccessBound(0.0, True)
+        # log-space power keeps tiny bounds (e.g. 2.85e-5) accurate
+        return SuccessBound(math.exp(count * math.log1p(-fail.probability)), False)
 
 
 @dataclass(frozen=True)
@@ -346,7 +331,7 @@ def timing_feasibility(timing: TimingModel, plan: CoolingPlan) -> TimingReport:
     (b) a reset row re-thermalizes within one m^2-step compression block;
     (c) computation bits outlive all ell^(j_f+1) reset cycles.
     """
-    steps = step_bound(plan)
+    steps = plan.step_bound
     blocks = steps // (plan.m * plan.m)  # ell^(j_final + 1)
     mg = timing.margin
     checks = (

@@ -17,17 +17,15 @@ ever compares bits of its own input level, and a failed comparison
 clears the flag, so lucky dirty bits never count as purified.
 Flags never influence bit values.
 
-For throughput the register is batched: a physical row holds one
-position's bit and flag as two planes, each a Python int used as a bitset
-across all molecules (bit k is molecule k), so one gate is a handful of
-native int operations on bits and flags together, whatever the batch
-size. A SWAP moves no data: the register maps each logical position to
-its physical row, and a SWAP exchanges two entries of that map. Every
-other gate and every view reads through the map.
-Rows enter as such ints (``_pack_rows``) and leave through
-``_unpack_ints``. The RRTR row and every RESET's fresh rows are read in
-order from one thermal source, as reset bits are draws from one heat bath;
-a simulated molecule's bit is one Philox word below one integer threshold.
+For throughput the register is batched: each position's bit and flag
+are two planes, each a Python int used as a bitset across all molecules
+(bit k is molecule k), so one gate is a handful of native int operations
+on bits and flags together, whatever the batch size. A SWAP exchanges two
+list entries, which moves references, never bits. Rows enter as such ints
+(``_pack_rows``) and leave through ``_unpack_ints``. The RRTR row and
+every RESET's fresh rows are read in order from one thermal source, as
+reset bits are draws from one heat bath; a simulated molecule's bit is one
+Philox word below one integer threshold.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
@@ -46,7 +44,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union, get_args
 
 import numpy as np
 
@@ -257,7 +255,8 @@ class Census(NamedTuple):
     marks: tuple[Union[Count, Cut], ...]  # where rounds end and cuts fall, in order
 
 
-_STEP_ONLY = frozenset({Cnot, Swap, ZcSwap})  # the bulk, skipped by a cheap exact-type test
+_GATE_KINDS = frozenset(get_args(Gate))
+_STEP_ONLY = _GATE_KINDS - {Reset}  # the bulk, skipped by a cheap exact-type test
 
 T = TypeVar("T")
 Block = tuple[Union[Gate, Annotation], ...]
@@ -354,14 +353,12 @@ class Register:
     """Batched ladder register: bit and flag planes, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``bits`` and ``flags`` are lists of non-negative ints,
-    indexed by physical row: bit k of ``bits[r]`` is molecule k's bit in
-    row r, and the same bit of ``flags[r]`` its purified flag, set for
-    every fresh bit. No int has a bit at or above ``num_molecules`` set;
-    ``full`` is the int with every molecule's bit set. ``rows`` maps each
-    logical position to its physical row; gates, their checks and every
-    view speak of logical positions. ``rrtr`` is a list of such ints,
-    indexed by logical position.
+    independent. ``bits``, ``flags`` and ``rrtr`` are lists of non-negative
+    ints, indexed by position: bit k of ``bits[p]`` is molecule k's bit at
+    position p, the same bit of ``flags[p]`` its purified flag, set for
+    every fresh bit, and of ``rrtr[p]`` its RRTR bit. No int has a bit at
+    or above ``num_molecules`` set; ``full`` is the int with every
+    molecule's bit set.
 
     ``comp`` and ``fresh`` hold rows of the same kind, as ``_pack_rows``
     makes them. ``fresh`` is the register's one thermal source: the RRTR
@@ -379,7 +376,6 @@ class Register:
         self.full = (1 << num_molecules) - 1
         self.bits = [x & self.full for x in comp]
         self.flags = [self.full] * self.n
-        self.rows = list(range(self.n))
         self._fresh = iter(fresh)
         self.rrtr = self.draw_reset_rows(self.n)
 
@@ -394,23 +390,20 @@ class Register:
 
     # -- views ----------------------------------------------------------
 
-    def _rows_at(self, start: int, stop: int) -> list[int]:
-        """The physical rows of logical positions [start, stop)."""
+    def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
+        """Computation bits of positions [start, stop) as uint8 (rows, molecules)."""
         if start < 0:  # a negative start would wrap to the far end
             raise ValueError(f"start must be >= 0, got {start}")
-        return self.rows[start:stop]
-
-    def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
-        """Computation bits of logical positions [start, stop) as uint8
-        (rows, molecules)."""
-        return _unpack_ints([self.bits[r] for r in self._rows_at(start, stop)], self.num_molecules)
+        return _unpack_ints(self.bits[start:stop], self.num_molecules)
 
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
-        flags, run, ands = self.flags, self.full, []
-        for r in self._rows_at(start, start + max_rows):
-            run &= flags[r]
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
+        run, ands = self.full, []
+        for flags in self.flags[start : start + max_rows]:
+            run &= flags
             if not run:  # every molecule's run has ended
                 break
             ands.append(run)
@@ -420,52 +413,39 @@ class Register:
 # -- gate application ---------------------------------------------------
 
 
-def _cnot(reg: Register, gate: Cnot) -> None:
-    rows, bits, flags = reg.rows, reg.bits, reg.flags
-    c, t = rows[gate.control], rows[gate.target]
-    bc = bits[c]
-    flags[c] &= flags[t] & (reg.full ^ bc ^ bits[t])  # kept: both purified and equal
-    bits[t] ^= bc
-    flags[t] = 0  # the supervisor is never purified
-
-
-def _swap(reg: Register, gate: Swap) -> None:
-    rows = reg.rows
-    rows[gate.a], rows[gate.b] = rows[gate.b], rows[gate.a]
-
-
-def _zcswap(reg: Register, gate: ZcSwap) -> None:
-    rows, bits, flags = reg.rows, reg.bits, reg.flags
-    a, b = rows[gate.a], rows[gate.b]
-    fires = reg.full ^ bits[rows[gate.zero_control]]  # molecules whose control reads 0
-    diff = (bits[a] ^ bits[b]) & fires
-    bits[a] ^= diff
-    bits[b] ^= diff
-    diff = (flags[a] ^ flags[b]) & fires
-    flags[a] ^= diff
-    flags[b] ^= diff
-
-
-def _reset(reg: Register, gate: Reset) -> None:
-    start, stop = gate.start, gate.start + gate.length
-    fresh = reg.draw_reset_rows(gate.length)
-    for r, old in zip(reg.rows[start:stop], reg.rrtr[start:stop]):
-        reg.bits[r] = old
-        reg.flags[r] = reg.full
-    reg.rrtr[start:stop] = fresh
-
-
-_EXECUTORS = {Cnot: _cnot, Swap: _swap, ZcSwap: _zcswap, Reset: _reset}
-
-
 def apply_gate(reg: Register, gate: Gate) -> None:
     """Check that one gate fits the register, then apply it in place."""
-    execute = _EXECUTORS.get(type(gate))
-    if execute is None:
+    kind = type(gate)
+    if kind not in _GATE_KINDS:
         raise GateError(f"unknown gate {gate!r}")
     if gate.top >= reg.n:  # its shape was checked when it was built
         raise GateError(gate.check(reg.n))
-    execute(reg, gate)
+    bits, flags = reg.bits, reg.flags
+    if kind is Swap:
+        a, b = gate.a, gate.b
+        bits[a], bits[b] = bits[b], bits[a]
+        flags[a], flags[b] = flags[b], flags[a]
+    elif kind is ZcSwap:
+        a, b = gate.a, gate.b
+        fires = reg.full ^ bits[gate.zero_control]  # molecules whose control reads 0
+        diff = (bits[a] ^ bits[b]) & fires
+        bits[a] ^= diff
+        bits[b] ^= diff
+        diff = (flags[a] ^ flags[b]) & fires
+        flags[a] ^= diff
+        flags[b] ^= diff
+    elif kind is Cnot:
+        c, t = gate.control, gate.target
+        bc = bits[c]
+        flags[c] &= flags[t] & (reg.full ^ bc ^ bits[t])  # kept: both purified and equal
+        bits[t] ^= bc
+        flags[t] = 0  # the supervisor is never purified
+    else:  # a RESET swaps in the RRTR row, then refills it from the source
+        start, stop = gate.start, gate.start + gate.length
+        fresh = reg.draw_reset_rows(gate.length)
+        bits[start:stop] = reg.rrtr[start:stop]
+        flags[start:stop] = [reg.full] * gate.length
+        reg.rrtr[start:stop] = fresh
 
 
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:

@@ -1,6 +1,7 @@
 """Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, the compression compiler written gate by gate,
-and a gate-free oracle for one compression round."""
+register and a schedule, a molecule's draws straight from numpy, the
+compression compiler written gate by gate, and gate-free oracles for one
+compression round and for a whole cooling run, one molecule or a batch."""
 
 import numpy as np
 
@@ -27,8 +28,16 @@ def bits_of(reg, index=0):
 
 
 def flag_rows(reg, start, stop):
-    """Purified flags of logical positions [start, stop) as uint8 (rows, molecules)."""
-    return _unpack_ints([reg.flags[r] for r in reg.rows[start:stop]], reg.num_molecules)
+    """Purified flags of positions [start, stop) as uint8 (rows, molecules)."""
+    return _unpack_ints(reg.flags[start:stop], reg.num_molecules)
+
+
+def numpy_draws(seed, index, rows, eps):
+    """A molecule's draws straight from numpy: a fresh Philox keyed by its
+    SeedSequence, as 0/1 ints."""
+    ss = np.random.SeedSequence(seed, spawn_key=(index,))
+    gen = np.random.Generator(np.random.Philox(ss))
+    return (gen.random(rows) < (1 - eps) / 2).astype(int).tolist()
 
 
 def gates(schedule):
@@ -142,3 +151,66 @@ def reference_cooling(plan, draws):
 
     level(plan.j_final, 0)
     return [bit for bit, _ in pos[:m]], counts, cuts, all(cut >= m for cut in cuts)
+
+
+def reference_cooling_batch(plan, draws):
+    """``reference_cooling``'s rule on many molecules at once.
+
+    ``draws`` is 0/1 of shape (molecules, rows), each row one molecule's
+    thermal source as ``reference_cooling`` reads it. Bits and flags are
+    (molecules, n) uint8 arrays. A compression of the m bits at nu, pushed
+    to nu0, is one stable reorder per molecule: each pair offers its left
+    bit twice, as kept (newest pair first) and as dirty (in pair order),
+    and its XOR as a supervisor (last pair first). Each entry is ranked by
+    the part it joins, kept 0, ``old[nu0:nu]`` 1, dirty 2 and supervisors
+    3, or 4 for the copy its pair does not use, so a stable sort by rank
+    leaves ``kept + old[nu0:nu] + dirty + supervisors[::-1]`` at nu0.
+    Returns the output bits (m, molecules), the ``Count`` and the ``Cut``
+    lengths, each a (molecules,) array, in schedule order, and whether
+    every cut held m, per molecule.
+    """
+    m, ell, n = plan.m, plan.ell, plan.n_required
+    draws = np.asarray(draws, dtype=np.uint8)
+    bits, rrtr = draws[:, :n].copy(), draws[:, n : 2 * n].copy()
+    flags = np.ones_like(bits)
+    taken = 2 * n  # draws the source has given
+    counts, cuts = [], []
+
+    def run_at(at):
+        stretch = flags[:, at : at + ell * m // 2]
+        return np.where(stretch.all(axis=1), stretch.shape[1], stretch.argmin(axis=1))
+
+    def compress(nu, nu0):
+        a, b = bits[:, nu : nu + m : 2], bits[:, nu + 1 : nu + m : 2]
+        equal = a == b
+        kept_flags = flags[:, nu : nu + m : 2] & flags[:, nu + 1 : nu + m : 2]
+        unflagged = np.zeros_like(a)
+        entries = [(a[:, ::-1], kept_flags[:, ::-1], np.where(equal, 0, 4)[:, ::-1]),
+                   (bits[:, nu0:nu], flags[:, nu0:nu], np.ones_like(bits[:, nu0:nu])),
+                   (a, unflagged, np.where(equal, 4, 2)),
+                   ((a ^ b)[:, ::-1], unflagged, np.full_like(a, 3))]
+        new_bits, new_flags, rank = (np.hstack(part) for part in zip(*entries))
+        order = np.argsort(rank, axis=1, kind="stable")[:, : nu + m - nu0]
+        bits[:, nu0 : nu + m] = np.take_along_axis(new_bits, order, axis=1)
+        flags[:, nu0 : nu + m] = np.take_along_axis(new_flags, order, axis=1)
+
+    def level(j, mu):
+        nonlocal taken
+        if j == 0:
+            bits[:, mu : mu + m] = rrtr[:, mu : mu + m]
+            flags[:, mu : mu + m] = 1
+            rrtr[:, mu : mu + m] = draws[:, taken : taken + m]
+            taken += m
+            return
+        for depth in range(ell):
+            nu = mu + depth * m // 2
+            level(j - 1, nu)
+            compress(nu, mu)
+            counts.append(run_at(mu))
+        cuts.append(run_at(mu))
+
+    level(plan.j_final, 0)
+    success = np.ones(len(draws), dtype=bool)
+    for lengths in cuts:
+        success &= lengths >= m
+    return bits[:, :m].T, counts, cuts, success

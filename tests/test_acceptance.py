@@ -17,7 +17,6 @@ from algcool.analytic import (
     bias_schedule,
     feasibility_table,
     shannon_yield,
-    success_lower_bound,
 )
 from algcool.circuit import Reset
 from algcool.cli import main
@@ -80,8 +79,8 @@ def test_criterion_03_resource_formulas_exact():
 
 
 def test_criterion_04_success_lower_bounds():
-    assert success_lower_bound(CoolingPlan(0.1, 50, 6, 3)).probability > 0.51
-    assert success_lower_bound(CoolingPlan(0.1, 50, 5, 3)).probability > 2.85e-5
+    assert CoolingPlan(0.1, 50, 6, 3).success_bound.probability > 0.51
+    assert CoolingPlan(0.1, 50, 5, 3).success_bound.probability > 2.85e-5
 
 
 def test_criterion_05_oracle_equivalence_exhaustive():

@@ -19,10 +19,7 @@ from algcool.analytic import (
     min_rounds,
     next_bias,
     pps_signal,
-    required_input_bits,
     shannon_yield,
-    step_bound,
-    success_lower_bound,
     timing_feasibility,
     truncation_count,
 )
@@ -185,18 +182,18 @@ class TestPpsSignal:
 
 class TestResourceFormulas:
     def test_required_input_bits(self):
-        assert required_input_bits(CoolingPlan(0.1, 50, 5, 3)) == 350
-        assert required_input_bits(CoolingPlan(0.01, 20, 5, 6)) == 260
-        assert required_input_bits(CoolingPlan(0.1, 14, 7, 0)) == 14
+        assert CoolingPlan(0.1, 50, 5, 3).n_required == 350
+        assert CoolingPlan(0.01, 20, 5, 6).n_required == 260
+        assert CoolingPlan(0.1, 14, 7, 0).n_required == 14
 
     def test_step_bound(self):
-        assert step_bound(CoolingPlan(0.1, 20, 5, 3)) == 250_000
-        assert step_bound(CoolingPlan(0.1, 50, 5, 3)) == 1_562_500
-        assert step_bound(CoolingPlan(0.01, 20, 5, 6)) == 31_250_000
+        assert CoolingPlan(0.1, 20, 5, 3).step_bound == 250_000
+        assert CoolingPlan(0.1, 50, 5, 3).step_bound == 1_562_500
+        assert CoolingPlan(0.01, 20, 5, 6).step_bound == 31_250_000
 
     def test_step_bound_exact_past_float_precision(self):
         plan = CoolingPlan(0.1, 1000, 7, 20)
-        assert step_bound(plan) == 1000**2 * 7**21
+        assert plan.step_bound == 1000**2 * 7**21
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -223,24 +220,24 @@ class TestSuccessBounds:
         assert chernoff_failure(4, 16) == (1.0, True)
 
     def test_success_lower_bound(self):
-        assert success_lower_bound(CoolingPlan(0.1, 50, 6, 3)).probability > 0.51
-        lo = success_lower_bound(CoolingPlan(0.1, 50, 5, 3))
+        assert CoolingPlan(0.1, 50, 6, 3).success_bound.probability > 0.51
+        lo = CoolingPlan(0.1, 50, 5, 3).success_bound
         assert lo.probability > 2.85e-5
         assert lo.probability == pytest.approx(2.85e-5, rel=5e-3)
         assert not lo.vacuous
 
     def test_vacuous_at_depth_four(self):
-        bound = success_lower_bound(CoolingPlan(0.1, 50, 4, 3))
+        bound = CoolingPlan(0.1, 50, 4, 3).success_bound
         assert bound.vacuous and bound.probability == 0.0
 
     def test_large_m_approaches_one(self):
-        assert success_lower_bound(CoolingPlan(0.1, 5000, 6, 3)).probability > 0.999
+        assert CoolingPlan(0.1, 5000, 6, 3).success_bound.probability > 0.999
 
     @given(st.integers(min_value=1, max_value=200))
     def test_monotone_in_m(self, half_m):
         m = 2 * half_m
-        a = success_lower_bound(CoolingPlan(0.1, m, 6, 3)).probability
-        b = success_lower_bound(CoolingPlan(0.1, m + 2, 6, 3)).probability
+        a = CoolingPlan(0.1, m, 6, 3).success_bound.probability
+        b = CoolingPlan(0.1, m + 2, 6, 3).success_bound.probability
         assert a <= b
 
 

@@ -66,7 +66,7 @@ def as_int(row):
 
 def set_flags(reg, flags):
     """Write purified flags (rows, molecules) into the flag plane of
-    physical rows 0.., one int a row."""
+    positions 0.., one int a row."""
     flags = np.asarray(flags, dtype=bool).reshape(-1, reg.num_molecules)
     reg.flags[: len(flags)] = [as_int(row) for row in flags]
 
@@ -415,10 +415,11 @@ class TestValidation:
     def test_apply_rejects_bad_gate(self):
         with pytest.raises(GateError):
             Cnot(0, 2)  # ill-formed: never reaches a register
-        reg = single([0, 0, 0])
+        reg = single([1, 0, 1], fresh=[0, 1, 1])  # unequal rows, so a stray gate would show
+        set_flags(reg, [0, 1, 1])
         with pytest.raises(GateError, match="^SWAP 2 3: position out of range for n=3$"):
             apply_gate(reg, Swap(2, 3))
-        assert reg.rows == [0, 1, 2]
+        assert (reg.bits, reg.flags, reg.rrtr) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
 
 
 def raw_item(kinds, n):
@@ -489,9 +490,12 @@ class TestGateChecks:
     @settings(deadline=None, max_examples=300)
     @given(st.data(), st.integers(min_value=1, max_value=6))
     def test_apply_raises_exactly_when_validation_reports(self, data, n):
-        bits = np.arange(n * 3).reshape(n, 3) % 3 == 0
+        # every row of bits, flags and RRTR differs from the others, so a
+        # gate that ran in part, a SWAP included, would show
+        distinct = (np.arange(1, n + 1)[:, None] >> np.arange(3)) & 1  # row p is p + 1
         pool = pack(np.ones((8 * n, 3), dtype=bool))  # enough for 8 resets
-        reg = register(bits, fresh=[0] * n + pool)
+        reg = register(distinct, fresh=pack(distinct[::-1]) + pool)
+        set_flags(reg, 1 - distinct)
         raw = data.draw(st.lists(raw_item([Cnot, Swap, ZcSwap, Reset], n), min_size=1, max_size=8))
         for cls, ops in raw:
             g = build_or_reject(cls, ops)
@@ -499,12 +503,12 @@ class TestGateChecks:
                 continue
             errors = validate_schedule(Schedule([g]), n)
             assert errors == ([] if g.top < n else [f"{g.line()}: position out of range for n={n}"])
-            before = [list(plane) for plane in (reg.bits, reg.flags, reg.rows, reg.rrtr)]
+            before = [list(plane) for plane in (reg.bits, reg.flags, reg.rrtr)]
             if errors:
                 with pytest.raises(GateError) as exc:
                     apply_gate(reg, g)
                 assert [str(exc.value)] == errors
-                assert [reg.bits, reg.flags, reg.rows, reg.rrtr] == before
+                assert [reg.bits, reg.flags, reg.rrtr] == before
             else:
                 apply_gate(reg, g)  # a gate that fits never raises GateError
 
@@ -517,30 +521,37 @@ class TestGateChecks:
                 errors = validate_schedule(Schedule([note]), n)
                 assert errors == ([] if note.top < n else [note.check(n)])
 
-    def test_unknown_gate(self):
-        with pytest.raises(GateError, match="unknown gate"):
-            apply_gate(single([0, 1]), Marker("not a gate"))
+    # a mark fits or not by its position; the kind is checked first either way
+    @pytest.mark.parametrize("item", [Marker("not a gate"), Count(1, 0, 1), Count(1, 9, 1),
+                                      object()])
+    def test_unknown_gate(self, item):
+        reg = single([1, 0, 1], fresh=[0, 1, 1, 0, 0, 0])
+        set_flags(reg, [0, 1, 1])
+        with pytest.raises(GateError, match="^unknown gate"):
+            apply_gate(reg, item)
+        assert (reg.bits, reg.flags, reg.rrtr) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
+        assert reg.draw_reset_rows(3) == [0, 0, 0]  # the source is untouched too
 
 
-class TestRowMap:
-    def test_swap_moves_no_data(self):
+class TestPositions:
+    def test_swap_exchanges_bits_and_flags(self):
         reg = single([1, 0, 1, 1])
-        before = (list(reg.bits), list(reg.flags))
+        set_flags(reg, [1, 0, 0, 1])
         apply_gate(reg, Swap(1, 2))
         apply_gate(reg, Swap(0, 1))
-        assert (reg.bits, reg.flags) == before
-        assert reg.rows == [2, 0, 1, 3]
-        assert bits_of(reg) == [1, 1, 0, 1]
+        assert reg.bits == [1, 1, 0, 1]
+        assert reg.flags == [0, 1, 0, 1]
+        assert reg.rrtr == [0, 0, 0, 0]
 
-    def test_reset_writes_through_the_map(self):
-        # logical 0 lives in physical row 1 after the swap; RRTR stays logical
-        reg = single([1, 0, 1], fresh=[0, 1, 0, 1, 0])
-        assert reg.rrtr == [0, 1, 0]  # the first three fresh rows
+    def test_reset_writes_its_positions(self):
+        reg = single([1, 0, 1], fresh=[1, 0, 0, 0, 1])
+        assert reg.rrtr == [1, 0, 0]  # the first three fresh rows
+        set_flags(reg, [0, 0, 0])
         apply_gate(reg, Swap(0, 1))
         apply_gate(reg, Reset(0, 2))
-        assert bits_of(reg) == [0, 1, 1]
-        assert reg.bits == [1, 0, 1]  # physical rows 0, 1, 2
-        assert reg.rrtr == [1, 0, 0]
+        assert reg.bits == [1, 0, 1]  # the RRTR bits of positions 0 and 1
+        assert reg.flags == [1, 1, 0]
+        assert reg.rrtr == [0, 1, 0]  # refilled from the source
 
 
 #: Malformed lines, each with the message its parse error gives: a

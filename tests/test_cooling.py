@@ -33,7 +33,9 @@ from algcool.cooling import (
     run_cooling,
 )
 from algcool.ensemble import _build_registers
-from support import gates, pack, reference_cooling, register
+from support import (
+    gates, numpy_draws, pack, reference_cooling, reference_cooling_batch, register,
+)
 
 
 def reset_phases(schedule):
@@ -166,12 +168,12 @@ class TestRunCooling:
 
     def test_marks_out_of_range_raise_before_any_gate(self):
         plan = CoolingPlan(0.1, 2, 4, 0)
-        reg = Register([0, 0], 3, fresh=[0, 0])
+        reg = Register([5, 2], 3, fresh=[3, 6])  # unequal rows, so a SWAP would show
         for marks in ["# count: level=1 at=99 round=1\n# cut: level=1 at=99 m=2",
                       "# cut: level=1 at=99 m=2"]:
             with pytest.raises(GateError, match="out of range for n=2"):
                 run_cooling(reg, plan, schedule_from_text(f"SWAP 0 1\n{marks}\n"))
-            assert reg.rows == [0, 1]  # the SWAP never ran
+            assert (reg.bits, reg.flags, reg.rrtr) == ([5, 2], [7, 7], [3, 6])  # no gate ran
 
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
@@ -239,6 +241,44 @@ class TestRunCooling:
         run, reference = self.run_and_reference(CoolingPlan(0.1, 8, 4, 2), 1, 0.45, 24)
         assert 0 < sum(success for *_, success in reference) < 24
         assert run.success.tolist() == [success for *_, success in reference]
+
+    @staticmethod
+    def numpy_draw_rows(plan, seed, molecules):
+        """Every molecule's thermal source straight from numpy, (molecules, rows)."""
+        rows = 2 * plan.n_required + compile_cooling(plan).census.reset_rows
+        return np.array([numpy_draws(seed, i, rows, plan.epsilon0) for i in range(molecules)],
+                        dtype=np.uint8)
+
+    def test_batch_reference_matches_per_molecule_reference(self):
+        plan = CoolingPlan(0.1, 8, 4, 2)
+        draws = self.numpy_draw_rows(plan, 3, 32)
+        bits, counts, cuts, success = reference_cooling_batch(plan, draws)
+        assert 0 < success.sum() < 32  # failed truncations, so unflagged equal pairs
+        for k, row in enumerate(draws.tolist()):
+            ref_bits, ref_counts, ref_cuts, ref_success = reference_cooling(plan, row)
+            assert bits[:, k].tolist() == ref_bits
+            assert [int(lengths[k]) for lengths in counts] == ref_counts
+            assert [int(lengths[k]) for lengths in cuts] == ref_cuts
+            assert bool(success[k]) == ref_success
+
+    @pytest.mark.parametrize("shape,molecules", [
+        ((50, 5, 3), 256),  # the headline
+        ((4, 4, 3), 1024),  # many short cuts
+        ((20, 5, 2), 1024),  # the acceptance plan
+    ])
+    def test_engine_matches_batch_reference(self, shape, molecules):
+        plan, seed = CoolingPlan(0.1, *shape), 5
+        sched = compile_cooling(plan)
+        reg = _build_registers(plan.n_required, plan.epsilon0, seed, 0, molecules,
+                               sched.census.reset_rows)
+        run = run_cooling(reg, plan, sched)
+        bits, counts, cuts, success = reference_cooling_batch(
+            plan, self.numpy_draw_rows(plan, seed, molecules))
+        for log, reference in ((run.round_log, counts), (run.truncation_log, cuts)):
+            assert len(log) == len(reference)
+            assert all((lengths == ref).all() for (_, lengths), ref in zip(log, reference))
+        assert (run.success == success).all() and not success.all()  # short cuts occur
+        assert (run.output_bits == bits).all()
 
     def test_register_too_small(self):
         plan = CoolingPlan(0.1, 20, 5, 3)

@@ -14,15 +14,7 @@ from algcool import ensemble
 from algcool.analytic import CoolingPlan
 from algcool.circuit import GateError, _unpack_ints
 from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
-from support import bits_of
-
-
-def numpy_draws(seed, index, rows, eps):
-    """A molecule's draws straight from numpy: a fresh Philox keyed by its
-    SeedSequence, as 0/1 ints."""
-    ss = np.random.SeedSequence(seed, spawn_key=(index,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return (gen.random(rows) < (1 - eps) / 2).astype(int).tolist()
+from support import bits_of, numpy_draws
 
 
 def stats_equal(a, b):
