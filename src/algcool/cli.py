@@ -3,12 +3,13 @@
 Subcommands: ``table`` (feasibility table), ``plan`` (resource report for
 one parameter set), ``compile`` (write a gate schedule), ``simulate``
 (Monte Carlo ensemble run plus deviation report), and ``feasibility``
-(timing checks). ``compile`` writes schedule text. Every other command
-builds one record and writes it as JSON, CSV or text: the JSON is the
-record, and the CSV rows and text lines are views read from it. Records
-carry a schema_version field and stable key order, so equal runs
-produce byte-identical files. Only ``simulate`` and ``feasibility``
-give a verdict, so only they take ``--strict``.
+(timing checks). ``compile`` writes schedule text one block at a time,
+so the whole text is never held. Every other command builds one record
+and writes it as JSON, CSV or text: the JSON is the record, and the CSV
+rows and text lines are views read from it. Records carry a
+schema_version field and stable key order, so equal runs produce
+byte-identical files. Only ``simulate`` and ``feasibility`` give a
+verdict, so only they take ``--strict``.
 
 Defaults can be preloaded from a flat ``key=value`` config file named by
 the ALGCOOL_CONFIG environment variable; explicit flags win over the
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 from itertools import zip_longest
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .analytic import (
     min_rounds,
     timing_feasibility,
 )
-from .circuit import schedule_to_text, validate_schedule
+from .circuit import Schedule, _per_block, schedule_to_text, validate_schedule
 from .cooling import compile_cooling
 from .ensemble import compare_to_analytic, run_ensemble
 
@@ -63,10 +64,10 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
     return config
 
 
-def _emit(args, text: str) -> None:
-    size = 1 << 20  # written a slice at a time: no encoded copy of a whole schedule is held
+def _emit(args, parts: Iterable[str]) -> None:
+    """Write ``parts`` in order to ``--out``, or to stdout without it."""
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.writelines(text[i : i + size] for i in range(0, len(text), size))
+        fh.writelines(parts)
 
 
 def _render(
@@ -83,7 +84,7 @@ def _render(
         text = buf.getvalue()
     else:
         text = "\n".join(text_lines) + "\n"
-    _emit(args, text)
+    _emit(args, (text,))
 
 
 def _plan_from_args(args) -> CoolingPlan:
@@ -181,7 +182,8 @@ def cmd_compile(args) -> int:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 1
-    _emit(args, schedule_to_text(schedule))
+    # each block's text in turn, a recurring block's built once: never the whole text
+    _emit(args, _per_block(schedule.blocks, lambda block: schedule_to_text(Schedule(block))))
     if args.out:
         census = schedule.census  # a run takes one step per gate
         print(
