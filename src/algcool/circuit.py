@@ -27,14 +27,18 @@ every RESET's fresh rows are read in order from one thermal source, as
 reset bits are draws from one heat bath; a simulated molecule's bit is one
 Philox word below one integer threshold.
 
+A compression round also runs fused, bit-sliced (Biham, FSE 1997):
+``apply_bcs`` does its ~m^2 gates' work as m/2 pair ops, each a CNOT and
+one masked rotation of rows, to the bits and flags the gates would leave.
+
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
-compression blocks ell^j times. Its census and gate runs (together), its
-validation and its text are worked out once per distinct block and
-combined in block order, and an item formats its line once. A parse cuts
-the text at annotation lines and shares each chunk that recurs, so a
-parsed schedule is blocked as a compiled one is. A table parses each
-distinct line on first lookup; a line seen before is one dict lookup in C.
+compression blocks ell^j times. Its census, its validation and its text
+are worked out once per distinct block and combined in block order, and
+an item formats its line once. A parse cuts the text at annotation lines
+and shares each chunk that recurs, so a parsed schedule is blocked as a
+compiled one is. A table parses each distinct line on first lookup; a
+line seen before is one dict lookup in C.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "GateError",
     "Register",
     "apply_gate",
+    "apply_bcs",
     "validate_schedule",
     "schedule_to_text",
     "schedule_from_text",
@@ -260,7 +265,6 @@ _STEP_ONLY = _GATE_KINDS - {Reset}  # the bulk, skipped by a cheap exact-type te
 
 T = TypeVar("T")
 Block = tuple[Union[Gate, Annotation], ...]
-Run = tuple[tuple[Gate, ...], Optional[Union[Count, Cut]]]
 
 
 def _per_block(blocks: tuple[Block, ...], work: Callable[[Block], T]) -> list[T]:
@@ -270,23 +274,16 @@ def _per_block(blocks: tuple[Block, ...], work: Callable[[Block], T]) -> list[T]
     return [done[id(block)] for block in blocks]
 
 
-def _block_census_runs(block: Block) -> tuple[Census, tuple[Run, ...]]:
-    """The block's census, and its gates in runs, each ended by the
-    ``Count``/``Cut`` mark that follows it or by None at the block's end
-    (other annotations go). The bulk, a block of gates alone, is one run as
-    it is, told from its item types; any other is split in one indexed pass."""
+def _block_census(block: Block) -> Census:
+    """The block's census. The bulk, a block of gates alone, is told from
+    its item types; any other is counted from its RESETs and annotations."""
     if set(map(type, block)) <= _STEP_ONLY:
-        return Census(len(block), 0, 0, ()), ((block, None),) if block else ()
-    rare = [(i, it) for i, it in enumerate(block) if type(it) not in _STEP_ONLY]
-    notes = [(i, it) for i, it in rare if isinstance(it, Annotation)]
-    resets = [it for _, it in rare if isinstance(it, Reset)]
-    ends = [-1, *(i for i, _ in notes), len(block)]
-    marks = [it if isinstance(it, (Count, Cut)) else None for _, it in notes] + [None]
-    runs = tuple((block[a + 1 : b], mark) for a, b, mark in zip(ends, ends[1:], marks)
-                 if a + 1 < b or mark is not None)
-    census = Census(len(block) - len(notes), len(resets), sum(r.length for r in resets),
-                    tuple(mark for mark in marks if mark is not None))
-    return census, runs
+        return Census(len(block), 0, 0, ())
+    rare = [it for it in block if type(it) not in _STEP_ONLY]
+    resets = [it for it in rare if isinstance(it, Reset)]
+    return Census(len(block) - sum(isinstance(it, Annotation) for it in rare), len(resets),
+                  sum(r.length for r in resets),
+                  tuple(it for it in rare if isinstance(it, (Count, Cut))))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -294,10 +291,10 @@ class Schedule:
     """An ordered, data-independent, immutable sequence of gates plus
     annotations, held as its blocks: ``Schedule(*blocks)`` keeps each
     block as a tuple of items, and a block that recurs is one shared tuple
-    object. ``census``, ``runs``, ``validate_schedule`` and
-    ``schedule_to_text`` do their per-item work once per distinct block.
-    ``items`` is the flat sequence, built on each use; two schedules are
-    equal when their items are, however they are blocked."""
+    object. ``census``, ``validate_schedule`` and ``schedule_to_text`` do
+    their per-item work once per distinct block. ``items`` is the flat
+    sequence, built on each use; two schedules are equal when their items
+    are, however they are blocked."""
 
     blocks: tuple[Block, ...]
 
@@ -317,23 +314,10 @@ class Schedule:
         return hash(self.items)
 
     @cached_property
-    def _census_runs(self) -> tuple[Census, tuple[Run, ...]]:
-        """``census``, and ``runs``: every gate in order, in runs of ``(gates,
-        mark)``, the gates up to a ``Count``/``Cut`` mark and that mark (None
-        where a block ends without one). Both at once, per distinct block."""
-        parts = _per_block(self.blocks, _block_census_runs)
-        counts = [census for census, _ in parts]
-        return (Census(*(sum(c[k] for c in counts) for k in range(3)),  # steps, resets, rows
-                       tuple(chain.from_iterable(c.marks for c in counts))),
-                tuple(chain.from_iterable(runs for _, runs in parts)))
-
-    @property
     def census(self) -> Census:
-        return self._census_runs[0]
-
-    @property
-    def runs(self) -> tuple[Run, ...]:
-        return self._census_runs[1]
+        counts = _per_block(self.blocks, _block_census)
+        return Census(*(sum(c[k] for c in counts) for k in range(3)),  # steps, resets, rows
+                      tuple(chain.from_iterable(c.marks for c in counts)))
 
 
 def _pack_rows(packed: np.ndarray) -> list[int]:
@@ -446,6 +430,35 @@ def apply_gate(reg: Register, gate: Gate) -> None:
         bits[start:stop] = reg.rrtr[start:stop]
         flags[start:stop] = [reg.full] * gate.length
         reg.rrtr[start:stop] = fresh
+
+
+def apply_bcs(reg: Register, bcs: Bcs) -> None:
+    """Check that one compression fits the register, then apply it in
+    place, leaving the bits and flags ``compile_bcs(bcs.m, bcs.nu,
+    bcs.nu0)``'s gates would leave, as one fused op per pair.
+
+    Pair k sits at q = nu + k after k parkings. Its CNOT leaves the
+    candidate at q and the supervisor, the pair's XOR and unflagged, at
+    q+1. Its escort and parking come to this: take the supervisor row out;
+    on molecules whose supervisor reads 0, where the escort's ZCSWAPs fire,
+    rotate rows [nu0, q] right by one, so the kept bit lands at nu0; and put
+    the supervisor back at its parking slot, nu + m - 1 - k.
+    """
+    if bcs.top >= reg.n:  # its shape was checked when it was built
+        raise GateError(bcs.check(reg.n))
+    bits, flags, full = reg.bits, reg.flags, reg.full
+    nu, nu0, top = bcs.nu, bcs.nu0, bcs.top
+    for q in range(nu, nu + bcs.m // 2):
+        supervisor = bits[q] ^ bits.pop(q + 1)
+        fires = full ^ supervisor  # the pair agreed
+        flags[q] &= flags.pop(q + 1) & fires  # kept: both purified and equal
+        for plane in (bits, flags):
+            old = plane[nu0 : q + 1]
+            plane[nu0 : q + 1] = [cur ^ ((cur ^ prev) & fires)
+                                  for cur, prev in zip(old, old[-1:] + old[:-1])]
+        slot = top - (q - nu)
+        bits.insert(slot, supervisor)
+        flags.insert(slot, 0)  # the supervisor is never purified
 
 
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:

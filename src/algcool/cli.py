@@ -39,7 +39,7 @@ from .analytic import (
     min_rounds,
     timing_feasibility,
 )
-from .circuit import Schedule, _per_block, schedule_to_text, validate_schedule
+from .circuit import Schedule, schedule_to_text, validate_schedule
 from .cooling import compile_cooling
 from .ensemble import compare_to_analytic, run_ensemble
 
@@ -174,6 +174,19 @@ def cmd_plan(args) -> int:
 # -- compile ------------------------------------------------------------
 
 
+def _block_texts(schedule: Schedule) -> Iterable[str]:
+    """Each block's text in turn, never the whole text: a recurring block's
+    text is built once and dropped after the block's last occurrence."""
+    last = {id(block): i for i, block in enumerate(schedule.blocks)}
+    texts: dict[int, str] = {}
+    for i, block in enumerate(schedule.blocks):
+        key = id(block)
+        text = texts.pop(key, None) or schedule_to_text(Schedule(block))
+        if last[key] > i:
+            texts[key] = text
+        yield text
+
+
 def cmd_compile(args) -> int:
     plan = _plan_from_args(args)
     schedule = compile_cooling(plan)
@@ -182,8 +195,7 @@ def cmd_compile(args) -> int:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 1
-    # each block's text in turn, a recurring block's built once: never the whole text
-    _emit(args, _per_block(schedule.blocks, lambda block: schedule_to_text(Schedule(block))))
+    _emit(args, _block_texts(schedule))
     if args.out:
         census = schedule.census  # a run takes one step per gate
         print(

@@ -9,6 +9,10 @@ bookkeeping only and emits no gates; a run records the observed purified
 length at every truncation and never aborts, because the shared pulse
 sequence cannot branch per molecule. A vacuous success bound (ell = 4)
 is data, ``plan.success_bound.vacuous``, and is never a warning.
+
+The compiler and the run share one walk of the recursion (``_walk``).
+The compiler writes each compression out as its gates, which the text
+format carries; the run applies it fused, as m/2 pair ops (``apply_bcs``).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
+    Bcs,
     Count,
     Cut,
     GateError,
@@ -26,6 +31,7 @@ from .circuit import (
     Register,
     Reset,
     Schedule,
+    apply_bcs,
     apply_gate,
 )
 from .compression import compile_bcs
@@ -65,58 +71,89 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     Every compression inside a level-j block pushes to that block's own
     start offset; the outermost pushes land at absolute position 0. The
     emitted schedule is fully data-independent and contains exactly
-    ell^j_final reset phases. Compression blocks of equal geometry are
-    compiled once and recur as one shared block of the schedule, and
-    RESETs of equal offset are kept once, so equal gates are one shared
-    (immutable) object and the recursion is never flattened.
+    ell^j_final reset phases: the plan's walk, each compression followed by
+    its gates. Compression blocks of equal geometry are compiled once and
+    recur as one shared block of the schedule, and RESETs of equal offset
+    are kept once, so equal gates are one shared (immutable) object and the
+    recursion is never flattened.
     """
     parts: list[tuple] = []  # the schedule's blocks, in order
-    _emit(parts, plan.j_final, 0, plan, {})
+    shapes: dict[tuple[int, int], tuple] = {}  # (nu, nu0) recurs across levels and phases
+    for block in _walk(plan):
+        parts.append(block)
+        bcs = block[-1]
+        if type(bcs) is Bcs:
+            key = bcs.nu, bcs.nu0
+            if key not in shapes:
+                _, shapes[key] = compile_bcs(bcs.m, nu=bcs.nu, nu0=bcs.nu0).blocks  # its gates
+            parts.append(shapes[key])
     return Schedule(*parts)
 
 
-def _emit(parts: list, j: int, mu: int, plan: CoolingPlan, blocks: dict) -> None:
-    m, ell = plan.m, plan.ell
-    if j == 0:  # one RESET per offset mu
-        parts.append((Marker(f"phase: M_0 offset={mu}"), blocks.setdefault(mu, Reset(mu, m))))
-        return
-    for depth in range(ell):
-        parts.append((Marker(f"phase: M_{j} depth={depth} offset={mu}"),))
-        nu = mu + depth * m // 2
-        _emit(parts, j - 1, nu, plan, blocks)
-        if (nu, mu) not in blocks:  # (nu, nu0) recurs across levels and phases
-            blocks[nu, mu] = compile_bcs(m, nu=nu, nu0=mu).blocks
-        (bcs,), gates = blocks[nu, mu]
-        parts += ((Marker(f"phase: BCS {j - 1}->{j}"), bcs), gates, (Count(j, mu, depth + 1),))
-    parts.append((Cut(j, mu, m),))
+def _walk(plan: CoolingPlan) -> list[tuple]:
+    """The plan's recursion, walked once, in schedule order: every block of
+    its schedule but the compressions' gates. A compression is its
+    ``(Marker, Bcs)`` block, a reset phase its ``(Marker, Reset)`` block,
+    and each ``Count`` or ``Cut`` a block of its own. ``compile_cooling``
+    and ``run_cooling`` both read it, so the order is written once."""
+    m, ell, resets, blocks = plan.m, plan.ell, {}, []
+
+    def level(j: int, mu: int) -> None:
+        if j == 0:  # one RESET per offset mu
+            reset = resets.setdefault(mu, Reset(mu, m))
+            blocks.append((Marker(f"phase: M_0 offset={mu}"), reset))
+            return
+        for depth in range(ell):
+            blocks.append((Marker(f"phase: M_{j} depth={depth} offset={mu}"),))
+            nu = mu + depth * m // 2
+            level(j - 1, nu)
+            blocks.append((Marker(f"phase: BCS {j - 1}->{j}"), Bcs(m, nu, mu)))
+            blocks.append((Count(j, mu, depth + 1),))
+        blocks.append((Cut(j, mu, m),))
+
+    level(plan.j_final, 0)
+    return blocks
 
 
 def run_cooling(reg: Register, plan: CoolingPlan, schedule: Schedule) -> CoolingRun:
-    """Execute a compiled cooling schedule with per-molecule bookkeeping.
+    """Execute a plan's compiled cooling schedule with per-molecule bookkeeping.
+
+    The run walks the plan as ``compile_cooling`` does: each RESET goes
+    through ``apply_gate`` and each compression runs fused (``apply_bcs``).
+    Before any gate runs, the schedule's ``Count``/``Cut`` marks must fit
+    the register and equal the walk's, or ``GateError`` is raised; the logs
+    hold the schedule's own mark objects.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
     a purified length only if its purified flag is set; the ``Count`` or
     ``Cut`` names the level, and a failed comparison clears the flag, so
-    lucky dirty bits never inflate the count. A ``Count`` or ``Cut`` mark
-    naming positions outside the register raises ``GateError`` before any
-    gate runs.
+    lucky dirty bits never inflate the count.
     """
     if reg.n < plan.n_required:
         raise ValueError(
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
-    for mark in schedule.census.marks:  # counted once; each gate is checked as it runs
+    marks = schedule.census.marks
+    for mark in marks:
         if mark.top >= reg.n:
             raise GateError(mark.check(reg.n))
+    walk = _walk(plan)
+    if tuple(item for *_, item in walk if type(item) in (Count, Cut)) != marks:
+        raise GateError(f"schedule's Count/Cut marks are not those of plan {plan}")
 
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     logs: dict[type, list] = {Count: [], Cut: []}
-    for gates, mark in schedule.runs:  # split once per schedule, like its census
-        for gate in gates:
-            apply_gate(reg, gate)
-        if mark is not None:
-            logs[type(mark)].append((mark, reg.purified_run_length(mark.at, window)))
+    own = iter(marks)  # in the walk's order, as compared above
+    for *_, item in walk:
+        kind = type(item)
+        if kind is Bcs:
+            apply_bcs(reg, item)
+        elif kind is Reset:
+            apply_gate(reg, item)
+        elif kind is not Marker:  # a Count or a Cut
+            mark = next(own)
+            logs[kind].append((mark, reg.purified_run_length(mark.at, window)))
 
     success = np.ones(reg.num_molecules, dtype=bool)
     for cut, lengths in logs[Cut]:

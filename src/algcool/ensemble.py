@@ -266,7 +266,7 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     schedule = compile_cooling(plan)
-    census = schedule.census  # made here with its runs, so forked workers inherit both
+    census = schedule.census  # counted once, here, so forked workers inherit it
     job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:

@@ -1,12 +1,15 @@
 """Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, a molecule's draws straight from numpy, the
-compression compiler written gate by gate, and gate-free oracles for one
-compression round and for a whole cooling run, one molecule or a batch."""
+register and a schedule, a molecule's draws straight from numpy, a
+cooling run replayed gate by gate, the compression compiler written gate
+by gate, and gate-free oracles for one compression round and for a whole
+cooling run, one molecule or a batch."""
 
 import numpy as np
 
 from algcool import compression
-from algcool.circuit import Annotation, Bcs, Register, _pack_rows, _unpack_ints, apply_gate
+from algcool.circuit import (
+    Annotation, Bcs, Count, Cut, Register, _pack_rows, _unpack_ints, apply_gate,
+)
 from algcool.compression import compile_bcs
 
 
@@ -49,6 +52,20 @@ def run_gates(reg, schedule):
     """Apply every gate of a schedule in order."""
     for gate in gates(schedule):
         apply_gate(reg, gate)
+
+
+def replay(reg, plan, schedule):
+    """``run_cooling``'s logs the gate-by-gate way: every gate of the
+    schedule, in order, through ``apply_gate``, and at each ``Count`` and
+    ``Cut`` the purified run over the ``ell * m / 2`` window. Returns the
+    ``Count`` lengths and the ``Cut`` lengths, in schedule order."""
+    logs = {Count: [], Cut: []}
+    for item in schedule.items:
+        if isinstance(item, (Count, Cut)):
+            logs[type(item)].append(reg.purified_run_length(item.at, plan.ell * plan.m // 2))
+        elif not isinstance(item, Annotation):
+            apply_gate(reg, item)
+    return logs[Count], logs[Cut]
 
 
 def compress(reg, m):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcool.circuit import Cnot, ZcSwap, validate_schedule
+from algcool.circuit import Bcs, Cnot, GateError, ZcSwap, apply_bcs, validate_schedule
 from algcool.compression import compile_bcs
 from support import (
-    bits_of, compress, flag_rows, gates, reference_bcs, reference_compile_bcs, register,
+    bits_of, compress, flag_rows, gates, pack, reference_bcs, reference_compile_bcs, register,
+    run_gates,
 )
 
 
@@ -58,7 +59,7 @@ class TestCompileBcs:
     def test_blocks_are_the_annotation_then_the_gates(self):
         sched = compile_bcs(10, nu=15, nu0=5)
         assert sched.blocks == ((sched.items[0],), sched.items[1:])
-        assert sched.census.marks == () and len(sched.runs) == 1  # the gates are one run
+        assert sched.census == (len(sched.items) - 1, 0, 0, ())  # a step per gate, no marks
 
 
 class TestRunBcs:
@@ -86,6 +87,28 @@ class TestRunBcs:
         reg = register_for([[0, 0]])
         with pytest.raises(ValueError, match="out of range for n=2"):
             compress(reg, 4)
+
+    def test_fused_geometry_mismatch_raises_before_any_change(self):
+        reg = register_for([[0, 1, 1]])
+        with pytest.raises(GateError, match="out of range for n=3"):
+            apply_bcs(reg, Bcs(4, 0, 0))
+        assert (reg.bits, reg.flags) == ([0, 1, 1], [1, 1, 1])
+
+    @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2),
+           st.integers(1, 70), st.sampled_from([0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_fused_matches_gate_by_gate(self, half_m, nu0, rise, spare, molecules, p_flag,
+                                        seed):
+        # partial flags leave some operands unflagged, as a short cut does
+        m, nu = 2 * half_m, nu0 + rise
+        rng = np.random.default_rng(seed)
+        bits, rrtr = rng.random((2, nu + m + spare, molecules)) < 0.5
+        flags = pack(rng.random(bits.shape) < p_flag)
+        fused, gated = (register(bits, fresh=pack(rrtr)) for _ in range(2))
+        fused.flags, gated.flags = list(flags), list(flags)
+        apply_bcs(fused, Bcs(m, nu, nu0))
+        run_gates(gated, compile_bcs(m, nu, nu0))
+        assert (fused.bits, fused.flags, fused.rrtr) == (gated.bits, gated.flags, gated.rrtr)
 
     def test_contiguity_no_junk_left_of_purified(self):
         rng = np.random.default_rng(5)

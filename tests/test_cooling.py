@@ -34,7 +34,7 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _build_registers
 from support import (
-    gates, numpy_draws, pack, reference_cooling, reference_cooling_batch, register,
+    gates, numpy_draws, pack, reference_cooling, reference_cooling_batch, register, replay,
 )
 
 
@@ -175,6 +175,23 @@ class TestRunCooling:
                 run_cooling(reg, plan, schedule_from_text(f"SWAP 0 1\n{marks}\n"))
             assert (reg.bits, reg.flags, reg.rrtr) == ([5, 2], [7, 7], [3, 6])  # no gate ran
 
+        # another plan's schedule, or one with a mark removed, is refused as well
+        plan = CoolingPlan(0.1, 4, 5, 2)
+        sched, n = compile_cooling(plan), plan.n_required
+        dropped = sched.census.marks[3]
+        rows = np.random.default_rng(0).random((2 * n + sched.census.reset_rows, 3)) < 0.5
+        for other in (compile_cooling(CoolingPlan(0.1, 2, 5, 2)),
+                      compile_cooling(CoolingPlan(0.1, 4, 4, 2)),
+                      Schedule([it for it in sched.items if it is not dropped])):
+            reg = register(rows[:n], fresh=pack(rows[n:]))
+            before = list(reg.bits), list(reg.flags), list(reg.rrtr)
+            with pytest.raises(GateError, match="marks are not those of plan"):
+                run_cooling(reg, plan, other)
+            assert (reg.bits, reg.flags, reg.rrtr) == before
+            assert reg.draw_reset_rows(sched.census.reset_rows) == pack(rows[2 * n :])
+            with pytest.raises(GateError, match="exhausted"):  # and nothing was drawn
+                reg.draw_reset_rows(1)
+
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
@@ -211,6 +228,21 @@ class TestRunCooling:
                 assert all((x == y).all() for (_, x), (_, y) in zip(log_a, log_b))
             assert (a.success == b.success).all() and 0 < a.success.sum() < 200
             assert (a.output_bits == b.output_bits).all()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2)])
+    def test_register_matches_gate_by_gate_replay(self, shape):
+        # plans whose short cuts leave unflagged operands in later compressions
+        plan = CoolingPlan(0.1, *shape)
+        sched = compile_cooling(plan)
+        fused, gated = (_build_registers(plan.n_required, 0.1, 7, 0, 300,
+                                         sched.census.reset_rows) for _ in range(2))
+        run = run_cooling(fused, plan, sched)
+        counts, cuts = replay(gated, plan, sched)
+        assert not run.success.all()  # short cuts occur
+        assert (fused.bits, fused.flags, fused.rrtr) == (gated.bits, gated.flags, gated.rrtr)
+        for log, lengths in ((run.round_log, counts), (run.truncation_log, cuts)):
+            assert len(log) == len(lengths)
+            assert all((a == b).all() for (_, a), b in zip(log, lengths))
 
     @staticmethod
     def run_and_reference(plan, seed, p_one, molecules):
