@@ -17,19 +17,22 @@ ever compares bits of its own input level, and a failed comparison
 clears the flag, so lucky dirty bits never count as purified.
 Flags never influence bit values.
 
-For throughput the register is batched: each position's bit and flag
-are two planes, each a Python int used as a bitset across all molecules
-(bit k is molecule k), so one gate is a handful of native int operations
-on bits and flags together, whatever the batch size. A SWAP exchanges two
-list entries, which moves references, never bits. Rows enter as such ints
-(``_pack_rows``) and leave through ``_unpack_ints``. The RRTR row and
-every RESET's fresh rows are read in order from one thermal source, as
-reset bits are draws from one heat bath; a simulated molecule's bit is one
-Philox word below one integer threshold.
+For throughput the register is batched and holds one row per position:
+a Python int used as a bitset across all W molecules, the bits in its low
+W bits (bit k is molecule k) and their flags in the next W. A gate is a
+handful of native int operations that move a bit and its flag together,
+whatever the batch size; a SWAP exchanges two list entries, which moves
+references, never bits. Rows enter as bit rows (``_pack_rows``) and leave
+through ``_unpack_ints``. The RRTR row and every RESET's fresh rows are
+read in order from one thermal source, as reset bits are draws from one
+heat bath; a simulated molecule's bit is one Philox word below one
+integer threshold.
 
 A compression round also runs fused, bit-sliced (Biham, FSE 1997):
-``apply_bcs`` does its ~m^2 gates' work as m/2 pair ops, each a CNOT and
-one masked rotation of rows, to the bits and flags the gates would leave.
+``apply_bcs`` leaves every row its ~m^2 gates would leave. It sorts the
+m/2 pairs' candidates with one masked rotation per pair over their rows
+alone, counts the agreed pairs F as bit-sliced binary digits, and moves
+the purified prefix the round pushes past once, by a barrel shift of F.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
@@ -334,20 +337,22 @@ def _unpack_ints(ints: list[int], n_mol: int) -> np.ndarray:
 
 
 class Register:
-    """Batched ladder register: bit and flag planes, plus the RRTR row.
+    """Batched ladder register: one row per position, plus the RRTR row.
 
     A Register is a single-owner mutable value; distinct registers are
-    independent. ``bits``, ``flags`` and ``rrtr`` are lists of non-negative
-    ints, indexed by position: bit k of ``bits[p]`` is molecule k's bit at
-    position p, the same bit of ``flags[p]`` its purified flag, set for
-    every fresh bit, and of ``rrtr[p]`` its RRTR bit. No int has a bit at
-    or above ``num_molecules`` set; ``full`` is the int with every
-    molecule's bit set.
+    independent. ``rows`` and ``rrtr`` are lists of non-negative ints,
+    indexed by position, with W = ``num_molecules``. Bit k of ``rows[p]``
+    is molecule k's bit at position p, and bit W + k its purified flag, set
+    for every fresh bit; bit k of ``rrtr[p]`` is its RRTR bit. ``full`` is
+    the int with every molecule's bit set and ``flagged`` is ``full << W``,
+    so ``rows[p] & full`` is the bit plane and ``rows[p] >> W`` the flag
+    plane. No row has a bit at or above 2W set, and no RRTR int one at or
+    above W.
 
-    ``comp`` and ``fresh`` hold rows of the same kind, as ``_pack_rows``
-    makes them. ``fresh`` is the register's one thermal source: the RRTR
-    row starts as its first n rows, and each RESET takes the next rows in
-    order; a source that runs dry raises.
+    ``comp`` and ``fresh`` hold bit rows, as ``_pack_rows`` makes them.
+    ``fresh`` is the register's one thermal source: the RRTR row starts as
+    its first n rows, and each RESET takes the next rows in order; a source
+    that runs dry raises.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs
@@ -358,8 +363,8 @@ class Register:
         self.n = len(comp)
         self.num_molecules = num_molecules
         self.full = (1 << num_molecules) - 1
-        self.bits = [x & self.full for x in comp]
-        self.flags = [self.full] * self.n
+        self.flagged = self.full << num_molecules
+        self.rows = [x & self.full | self.flagged for x in comp]
         self._fresh = iter(fresh)
         self.rrtr = self.draw_reset_rows(self.n)
 
@@ -378,19 +383,22 @@ class Register:
         """Computation bits of positions [start, stop) as uint8 (rows, molecules)."""
         if start < 0:  # a negative start would wrap to the far end
             raise ValueError(f"start must be >= 0, got {start}")
-        return _unpack_ints(self.bits[start:stop], self.num_molecules)
+        if stop > self.n:  # a slice would silently return fewer rows
+            raise ValueError(f"stop must be <= n={self.n}, got {stop}")
+        bits = [row & self.full for row in self.rows[start:stop]]
+        return _unpack_ints(bits, self.num_molecules)
 
     def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
         """Per-molecule length of the contiguous run of flagged positions
         beginning at ``start``, at most ``max_rows``."""
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
-        run, ands = self.full, []
-        for flags in self.flags[start : start + max_rows]:
-            run &= flags
+        run, ands = self.flagged, []
+        for row in self.rows[start : start + max_rows]:
+            run &= row
             if not run:  # every molecule's run has ended
                 break
-            ands.append(run)
+            ands.append(run >> self.num_molecules)
         return _unpack_ints(ands, self.num_molecules).sum(axis=0, dtype=np.int64)
 
 
@@ -404,61 +412,83 @@ def apply_gate(reg: Register, gate: Gate) -> None:
         raise GateError(f"unknown gate {gate!r}")
     if gate.top >= reg.n:  # its shape was checked when it was built
         raise GateError(gate.check(reg.n))
-    bits, flags = reg.bits, reg.flags
+    rows, full = reg.rows, reg.full
     if kind is Swap:
         a, b = gate.a, gate.b
-        bits[a], bits[b] = bits[b], bits[a]
-        flags[a], flags[b] = flags[b], flags[a]
+        rows[a], rows[b] = rows[b], rows[a]
     elif kind is ZcSwap:
         a, b = gate.a, gate.b
-        fires = reg.full ^ bits[gate.zero_control]  # molecules whose control reads 0
-        diff = (bits[a] ^ bits[b]) & fires
-        bits[a] ^= diff
-        bits[b] ^= diff
-        diff = (flags[a] ^ flags[b]) & fires
-        flags[a] ^= diff
-        flags[b] ^= diff
+        fires = full ^ rows[gate.zero_control] & full  # molecules whose control reads 0
+        diff = (rows[a] ^ rows[b]) & (fires | fires << reg.num_molecules)
+        rows[a] ^= diff
+        rows[b] ^= diff
     elif kind is Cnot:
         c, t = gate.control, gate.target
-        bc = bits[c]
-        flags[c] &= flags[t] & (reg.full ^ bc ^ bits[t])  # kept: both purified and equal
-        bits[t] ^= bc
-        flags[t] = 0  # the supervisor is never purified
-    else:  # a RESET swaps in the RRTR row, then refills it from the source
+        supervisor = (rows[c] ^ rows[t]) & full  # unflagged: never purified
+        rows[c] &= full | rows[t] & (full ^ supervisor) << reg.num_molecules  # kept if equal
+        rows[t] = supervisor
+    else:  # a RESET swaps in the RRTR row, flagged, then refills it from the source
         start, stop = gate.start, gate.start + gate.length
         fresh = reg.draw_reset_rows(gate.length)
-        bits[start:stop] = reg.rrtr[start:stop]
-        flags[start:stop] = [reg.full] * gate.length
+        rows[start:stop] = [x | reg.flagged for x in reg.rrtr[start:stop]]
         reg.rrtr[start:stop] = fresh
 
 
 def apply_bcs(reg: Register, bcs: Bcs) -> None:
     """Check that one compression fits the register, then apply it in
-    place, leaving the bits and flags ``compile_bcs(bcs.m, bcs.nu,
-    bcs.nu0)``'s gates would leave, as one fused op per pair.
+    place, leaving every row ``compile_bcs(bcs.m, bcs.nu, bcs.nu0)``'s
+    gates would leave.
 
-    Pair k sits at q = nu + k after k parkings. Its CNOT leaves the
-    candidate at q and the supervisor, the pair's XOR and unflagged, at
-    q+1. Its escort and parking come to this: take the supervisor row out;
-    on molecules whose supervisor reads 0, where the escort's ZCSWAPs fire,
-    rotate rows [nu0, q] right by one, so the kept bit lands at nu0; and put
-    the supervisor back at its parking slot, nu + m - 1 - k.
+    Pair k, of h = m/2, reads the rows at nu + 2k and nu + 2k + 1, which
+    earlier pairs' gates move k places left but never change. Its
+    supervisor, the XOR of its bits, parks unflagged at nu + m - 1 - k; its
+    candidate is its left bit, flagged if both operands were and agreed.
+    Count from nu0, with L = nu - nu0 and F_{>k} the per-molecule count of
+    pairs after k that agree (F of all pairs). Each escort moves an agreed
+    candidate down to nu0 and every row it passes up one. So an agreed
+    candidate k ends at F_{>k}; prefix row i at F + i; any other candidate
+    k at L + k + F_{>k}, after the F agreed ones, the prefix and the
+    k - F_{<k} others of earlier pairs.
+
+    One masked rotation per pair over the candidate rows alone sorts them:
+    sorted row s holds the agreed candidate with F_{>k} = s where s < F,
+    else the other with k + F_{>k} = s. A third plane of each candidate
+    row, at bits [2W, 3W), marks an agreed pair and tells the two apart. F
+    is counted as bit-sliced binary digits (Biham, FSE 1997), and the
+    prefix moves once, by a barrel shift over them.
     """
     if bcs.top >= reg.n:  # its shape was checked when it was built
         raise GateError(bcs.check(reg.n))
-    bits, flags, full = reg.bits, reg.flags, reg.full
-    nu, nu0, top = bcs.nu, bcs.nu0, bcs.top
-    for q in range(nu, nu + bcs.m // 2):
-        supervisor = bits[q] ^ bits.pop(q + 1)
-        fires = full ^ supervisor  # the pair agreed
-        flags[q] &= flags.pop(q + 1) & fires  # kept: both purified and equal
-        for plane in (bits, flags):
-            old = plane[nu0 : q + 1]
-            plane[nu0 : q + 1] = [cur ^ ((cur ^ prev) & fires)
-                                  for cur, prev in zip(old, old[-1:] + old[:-1])]
-        slot = top - (q - nu)
-        bits.insert(slot, supervisor)
-        flags.insert(slot, 0)  # the supervisor is never purified
+    rows, full, w = reg.rows, reg.full, reg.num_molecules
+    nu, nu0, m, h = bcs.nu, bcs.nu0, bcs.m, bcs.m // 2
+    left, right = rows[nu : nu + m : 2], rows[nu + 1 : nu + m : 2]
+    supervisors = [(a ^ b) & full for a, b in zip(left, right)]
+    candidates, digits = [], [0] * h.bit_length()  # sorted; F <= h as binary digits
+    for a, b, supervisor in zip(left, right, supervisors):
+        agree = full ^ supervisor
+        third = agree << 2 * w
+        candidates.append(a & (full | b & agree << w) | third)
+        fires = agree | agree << w | third
+        candidates = [cur ^ ((cur ^ prev) & fires)  # agreed: to slot 0, the rest up one
+                      for cur, prev in zip(candidates, candidates[-1:] + candidates[:-1])]
+        for j, digit in enumerate(digits):  # F += 1 where the pair agreed
+            digits[j], agree = digit ^ agree, digit & agree
+            if not agree:
+                break
+    pushed = nu - nu0  # L, the prefix's length
+    region = rows[nu0:nu] + [0] * h  # [nu0, nu + h): the prefix, then the candidates
+    for j, digit in enumerate(digits if pushed else ()):  # the prefix moves up by F
+        if digit:
+            shift, mask = 1 << j, digit | digit << w
+            region = [cur ^ ((cur ^ prev) & mask) for cur, prev in
+                      zip(region, [0] * shift + region)]
+    for s, row in enumerate(candidates):
+        agreed = row >> 2 * w
+        kept = row & (agreed | agreed << w)
+        region[s] |= kept
+        region[pushed + s] |= row ^ kept ^ agreed << 2 * w
+    rows[nu0 : nu + h] = region
+    rows[nu + h : nu + m] = supervisors[::-1]
 
 
 def validate_schedule(schedule: Schedule, n: int) -> list[str]:

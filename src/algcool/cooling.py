@@ -12,7 +12,7 @@ is data, ``plan.success_bound.vacuous``, and is never a warning.
 
 The compiler and the run share one walk of the recursion (``_walk``).
 The compiler writes each compression out as its gates, which the text
-format carries; the run applies it fused, as m/2 pair ops (``apply_bcs``).
+format carries; the run applies it fused (``apply_bcs``).
 """
 
 from __future__ import annotations

@@ -30,9 +30,24 @@ def bits_of(reg, index=0):
     return reg.comp_bit_rows(0, reg.n)[:, index].tolist()
 
 
+def planes(reg):
+    """The register's state as three lists of int bitsets indexed by
+    position: its bit plane, its flag plane and its RRTR row. Each of
+    ``reg.rows`` holds a position's bits in its low ``num_molecules`` bits
+    and its purified flags in the next ``num_molecules``."""
+    w = reg.num_molecules
+    return [row & reg.full for row in reg.rows], [row >> w for row in reg.rows], list(reg.rrtr)
+
+
+def set_flag_plane(reg, flags):
+    """Overwrite the purified flags of positions 0.. with int bitsets."""
+    w = reg.num_molecules
+    reg.rows[: len(flags)] = [row & reg.full | f << w for row, f in zip(reg.rows, flags)]
+
+
 def flag_rows(reg, start, stop):
     """Purified flags of positions [start, stop) as uint8 (rows, molecules)."""
-    return _unpack_ints(reg.flags[start:stop], reg.num_molecules)
+    return _unpack_ints(planes(reg)[1][start:stop], reg.num_molecules)
 
 
 def numpy_draws(seed, index, rows, eps):

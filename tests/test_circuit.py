@@ -25,6 +25,7 @@ from algcool.circuit import (
     Schedule,
     Swap,
     ZcSwap,
+    apply_bcs,
     apply_gate,
     schedule_from_text,
     schedule_to_text,
@@ -33,7 +34,7 @@ from algcool.circuit import (
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
-from support import bits_of, flag_rows, gates, pack, register, run_gates
+from support import bits_of, flag_rows, gates, pack, planes, register, run_gates, set_flag_plane
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def set_flags(reg, flags):
     """Write purified flags (rows, molecules) into the flag plane of
     positions 0.., one int a row."""
     flags = np.asarray(flags, dtype=bool).reshape(-1, reg.num_molecules)
-    reg.flags[: len(flags)] = [as_int(row) for row in flags]
+    set_flag_plane(reg, [as_int(row) for row in flags])
 
 
 class TestGateSemantics:
@@ -419,7 +420,7 @@ class TestValidation:
         set_flags(reg, [0, 1, 1])
         with pytest.raises(GateError, match="^SWAP 2 3: position out of range for n=3$"):
             apply_gate(reg, Swap(2, 3))
-        assert (reg.bits, reg.flags, reg.rrtr) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
+        assert planes(reg) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
 
 
 def raw_item(kinds, n):
@@ -503,12 +504,12 @@ class TestGateChecks:
                 continue
             errors = validate_schedule(Schedule([g]), n)
             assert errors == ([] if g.top < n else [f"{g.line()}: position out of range for n={n}"])
-            before = [list(plane) for plane in (reg.bits, reg.flags, reg.rrtr)]
+            before = planes(reg)
             if errors:
                 with pytest.raises(GateError) as exc:
                     apply_gate(reg, g)
                 assert [str(exc.value)] == errors
-                assert [reg.bits, reg.flags, reg.rrtr] == before
+                assert planes(reg) == before
             else:
                 apply_gate(reg, g)  # a gate that fits never raises GateError
 
@@ -529,7 +530,7 @@ class TestGateChecks:
         set_flags(reg, [0, 1, 1])
         with pytest.raises(GateError, match="^unknown gate"):
             apply_gate(reg, item)
-        assert (reg.bits, reg.flags, reg.rrtr) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
+        assert planes(reg) == ([1, 0, 1], [0, 1, 1], [0, 1, 1])
         assert reg.draw_reset_rows(3) == [0, 0, 0]  # the source is untouched too
 
 
@@ -539,9 +540,7 @@ class TestPositions:
         set_flags(reg, [1, 0, 0, 1])
         apply_gate(reg, Swap(1, 2))
         apply_gate(reg, Swap(0, 1))
-        assert reg.bits == [1, 1, 0, 1]
-        assert reg.flags == [0, 1, 0, 1]
-        assert reg.rrtr == [0, 0, 0, 0]
+        assert planes(reg) == ([1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0])
 
     def test_reset_writes_its_positions(self):
         reg = single([1, 0, 1], fresh=[1, 0, 0, 0, 1])
@@ -549,9 +548,8 @@ class TestPositions:
         set_flags(reg, [0, 0, 0])
         apply_gate(reg, Swap(0, 1))
         apply_gate(reg, Reset(0, 2))
-        assert reg.bits == [1, 0, 1]  # the RRTR bits of positions 0 and 1
-        assert reg.flags == [1, 1, 0]
-        assert reg.rrtr == [0, 1, 0]  # refilled from the source
+        # the RRTR bits of positions 0 and 1, flagged; the row refilled from the source
+        assert planes(reg) == ([1, 0, 1], [1, 1, 0], [0, 1, 0])
 
 
 #: Malformed lines, each with the message its parse error gives: a
@@ -861,16 +859,22 @@ class TestBatchedExecution:
         out = reg.comp_bit_rows(0, 4)
         assert out.shape == (4, 70)
         assert out.tolist() == [[1] * 70, [0] * 70, [0] * 70, [1] * 70]
-        assert all(x >> 70 == 0 for x in reg.bits + reg.flags)  # bits 70.. stay 0
+        bits, flags, _ = planes(reg)
+        assert all(x >> 70 == 0 for x in bits + flags)  # bits 70.. of each plane stay 0
+        assert all(row >> 140 == 0 for row in reg.rows)  # and no flag past the flag plane
 
 
 class TestPlaneBounds:
-    """Every int of ``bits``, ``flags`` and ``rrtr`` stays in [0, full]: no
-    complement goes negative and no gate sets a bit past the last molecule."""
+    """With W molecules, every row stays in [0, 2**(2W)), its bits and then
+    its flags, and every RRTR int in [0, full]: no complement goes negative,
+    no gate sets a bit past the last molecule, and nothing, a compression's
+    third plane included, is left past the flag plane."""
 
     @staticmethod
     def in_bounds(reg):
-        return all(0 <= x <= reg.full for x in reg.bits + reg.flags + reg.rrtr)
+        top = 1 << 2 * reg.num_molecules
+        return (all(0 <= row < top for row in reg.rows)
+                and all(0 <= x <= reg.full for x in reg.rrtr))
 
     @pytest.mark.parametrize("n_mol", [1, 63, 64, 65, 70])
     def test_every_gate_kind(self, n_mol):
@@ -889,6 +893,22 @@ class TestPlaneBounds:
             assert self.in_bounds(reg), gate
         assert flag_rows(reg, 0, 5).shape == (5, n_mol)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), st.sampled_from([1, 63, 64, 65, 70]), st.integers(0, 2**32 - 1))
+    def test_gates_and_compressions_stay_in_bounds(self, data, n_mol, seed):
+        n = 12
+        rng = np.random.default_rng(seed)
+        bits, flags = rng.random((2, n, n_mol)) < 0.5
+        reg = register(bits, fresh=pack(rng.random((9 * n, n_mol)) < 0.5))  # 8 full resets
+        set_flags(reg, flags)
+        reset = st.integers(0, n - 1).flatmap(
+            lambda start: st.builds(Reset, st.just(start), st.integers(1, n - start)))
+        bcs = st.integers(1, n // 2).flatmap(lambda h: st.integers(0, n - 2 * h).flatmap(
+            lambda nu: st.builds(Bcs, st.just(2 * h), st.just(nu), st.integers(0, nu))))
+        for item in data.draw(st.lists(st.one_of(reversible_gate(n), reset, bcs), max_size=12)):
+            (apply_bcs if isinstance(item, Bcs) else apply_gate)(reg, item)
+            assert self.in_bounds(reg), item
+
     @pytest.mark.parametrize("n_mol", [1, 7, 8, 9, 63, 64, 65, 70])
     def test_pack_round_trip(self, n_mol):
         bits = np.random.default_rng(n_mol).random((4, n_mol)) < 0.5
@@ -902,7 +922,7 @@ class TestPlaneBounds:
         # rows from outside with every bit set, past the 70th molecule too
         ones = (1 << 128) - 1
         reg = Register([ones] * 3, 70, fresh=[ones] * 6)
-        assert reg.bits == reg.rrtr == [reg.full] * 3
+        assert planes(reg) == ([reg.full] * 3, [reg.full] * 3, [reg.full] * 3)
         apply_gate(reg, Reset(0, 3))
         assert self.in_bounds(reg) and reg.rrtr == [reg.full] * 3
 
@@ -955,6 +975,14 @@ class TestPurifiedRunLength:
         reg, _ = self.register([3] * self.N_MOL)
         with pytest.raises(ValueError, match=f"start must be >= 0, got {start}"):
             reg.comp_bit_rows(start, stop)
+
+    @pytest.mark.parametrize("start,stop", [(0, 9), (5, 12)])
+    def test_comp_bit_rows_refuses_a_stop_past_the_end(self, start, stop):
+        # rows[5:12] would hold 3 rows where 7 were asked for
+        reg, _ = self.register([3] * self.N_MOL)
+        with pytest.raises(ValueError, match=f"stop must be <= n=8, got {stop}"):
+            reg.comp_bit_rows(start, stop)
+        assert reg.comp_bit_rows(start, 8).shape == (8 - start, self.N_MOL)
 
     def test_empty_at_start(self):
         reg, flags = self.register([0] * self.N_MOL)

@@ -5,13 +5,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algcool.circuit import Bcs, Cnot, GateError, ZcSwap, apply_bcs, validate_schedule
 from algcool.compression import compile_bcs
 from support import (
-    bits_of, compress, flag_rows, gates, pack, reference_bcs, reference_compile_bcs, register,
-    run_gates,
+    bits_of, compress, flag_rows, gates, pack, planes, reference_bcs, reference_compile_bcs,
+    register, run_gates, set_flag_plane,
 )
 
 
@@ -92,23 +92,37 @@ class TestRunBcs:
         reg = register_for([[0, 1, 1]])
         with pytest.raises(GateError, match="out of range for n=3"):
             apply_bcs(reg, Bcs(4, 0, 0))
-        assert (reg.bits, reg.flags) == ([0, 1, 1], [1, 1, 1])
+        assert planes(reg)[:2] == ([0, 1, 1], [1, 1, 1])
 
-    @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2),
-           st.integers(1, 70), st.sampled_from([0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 16), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2),
+           st.integers(1, 70), st.sampled_from([0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1),
+           st.sampled_from(["random", "agree", "differ"]))
+    @example(16, 2, 5, 1, 70, 1.0, 1, "agree")  # every pair agrees: the prefix moves by h
+    @example(16, 2, 5, 1, 70, 0.9, 2, "differ")  # none agrees: the prefix stays
+    @example(7, 0, 3, 0, 65, 1.0, 3, "agree")  # F = h = 7, three binary digits
+    @example(8, 1, 6, 2, 64, 1.0, 4, "agree")  # F = h = 8, a fourth digit
+    @example(15, 3, 8, 0, 9, 0.9, 5, "agree")  # F = 15, four digits
     @settings(deadline=None, max_examples=200)
     def test_fused_matches_gate_by_gate(self, half_m, nu0, rise, spare, molecules, p_flag,
-                                        seed):
+                                        seed, pairs):
         # partial flags leave some operands unflagged, as a short cut does
         m, nu = 2 * half_m, nu0 + rise
         rng = np.random.default_rng(seed)
         bits, rrtr = rng.random((2, nu + m + spare, molecules)) < 0.5
+        if pairs != "random":  # every pair's right operand equal to its left, or not
+            bits[nu + 1 : nu + m : 2] = bits[nu : nu + m : 2] ^ (pairs == "differ")
         flags = pack(rng.random(bits.shape) < p_flag)
         fused, gated = (register(bits, fresh=pack(rrtr)) for _ in range(2))
-        fused.flags, gated.flags = list(flags), list(flags)
+        for reg in (fused, gated):
+            set_flag_plane(reg, flags)
+        before = planes(fused)
         apply_bcs(fused, Bcs(m, nu, nu0))
         run_gates(gated, compile_bcs(m, nu, nu0))
-        assert (fused.bits, fused.flags, fused.rrtr) == (gated.bits, gated.flags, gated.rrtr)
+        assert planes(fused) == planes(gated)
+        if pairs != "random":  # the prefix [nu0, nu) moves up by the number of agreed pairs
+            shift = half_m if pairs == "agree" else 0
+            for old, new in zip(before[:2], planes(fused)[:2]):
+                assert new[nu0 + shift : nu + shift] == old[nu0:nu]
 
     def test_contiguity_no_junk_left_of_purified(self):
         rng = np.random.default_rng(5)

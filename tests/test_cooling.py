@@ -34,7 +34,8 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _build_registers
 from support import (
-    gates, numpy_draws, pack, reference_cooling, reference_cooling_batch, register, replay,
+    gates, numpy_draws, pack, planes, reference_cooling, reference_cooling_batch, register,
+    replay,
 )
 
 
@@ -173,7 +174,7 @@ class TestRunCooling:
                       "# cut: level=1 at=99 m=2"]:
             with pytest.raises(GateError, match="out of range for n=2"):
                 run_cooling(reg, plan, schedule_from_text(f"SWAP 0 1\n{marks}\n"))
-            assert (reg.bits, reg.flags, reg.rrtr) == ([5, 2], [7, 7], [3, 6])  # no gate ran
+            assert planes(reg) == ([5, 2], [7, 7], [3, 6])  # no gate ran
 
         # another plan's schedule, or one with a mark removed, is refused as well
         plan = CoolingPlan(0.1, 4, 5, 2)
@@ -184,10 +185,10 @@ class TestRunCooling:
                       compile_cooling(CoolingPlan(0.1, 4, 4, 2)),
                       Schedule([it for it in sched.items if it is not dropped])):
             reg = register(rows[:n], fresh=pack(rows[n:]))
-            before = list(reg.bits), list(reg.flags), list(reg.rrtr)
+            before = planes(reg)
             with pytest.raises(GateError, match="marks are not those of plan"):
                 run_cooling(reg, plan, other)
-            assert (reg.bits, reg.flags, reg.rrtr) == before
+            assert planes(reg) == before
             assert reg.draw_reset_rows(sched.census.reset_rows) == pack(rows[2 * n :])
             with pytest.raises(GateError, match="exhausted"):  # and nothing was drawn
                 reg.draw_reset_rows(1)
@@ -229,9 +230,10 @@ class TestRunCooling:
             assert (a.success == b.success).all() and 0 < a.success.sum() < 200
             assert (a.output_bits == b.output_bits).all()
 
-    @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2)])
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2), (14, 4, 2), (16, 4, 2)])
     def test_register_matches_gate_by_gate_replay(self, shape):
-        # plans whose short cuts leave unflagged operands in later compressions
+        # plans whose short cuts leave unflagged operands in later compressions;
+        # h = 7 and 8 put the count of agreed pairs on either side of a binary digit
         plan = CoolingPlan(0.1, *shape)
         sched = compile_cooling(plan)
         fused, gated = (_build_registers(plan.n_required, 0.1, 7, 0, 300,
@@ -239,7 +241,7 @@ class TestRunCooling:
         run = run_cooling(fused, plan, sched)
         counts, cuts = replay(gated, plan, sched)
         assert not run.success.all()  # short cuts occur
-        assert (fused.bits, fused.flags, fused.rrtr) == (gated.bits, gated.flags, gated.rrtr)
+        assert planes(fused) == planes(gated)
         for log, lengths in ((run.round_log, counts), (run.truncation_log, cuts)):
             assert len(log) == len(lengths)
             assert all((a == b).all() for (_, a), b in zip(log, lengths))
