@@ -22,8 +22,9 @@ a Python int used as a bitset across all W molecules, the bits in its low
 W bits (bit k is molecule k) and their flags in the next W. A gate is a
 handful of native int operations that move a bit and its flag together,
 whatever the batch size; a SWAP exchanges two list entries, which moves
-references, never bits. Rows enter as bit rows (``_pack_rows``) and leave
-through ``_unpack_ints``. The RRTR row and every RESET's fresh rows are
+references, never bits. Rows enter and leave as int bitsets, bit k
+molecule k, and a purified run leaves in unary, as one bitset per length
+(``purified_run_length``). The RRTR row and every RESET's fresh rows are
 read in order from one thermal source, as reset bits are draws from one
 heat bath; a simulated molecule's bit is one Philox word below one
 integer threshold.
@@ -52,8 +53,6 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union, get_args
-
-import numpy as np
 
 __all__ = [
     "Cnot",
@@ -323,19 +322,6 @@ class Schedule:
                       tuple(chain.from_iterable(c.marks for c in counts)))
 
 
-def _pack_rows(packed: np.ndarray) -> list[int]:
-    """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
-    packs each row's molecules, as one int bitset a row: bit k is molecule k."""
-    return [int.from_bytes(row, "little") for row in packed]
-
-
-def _unpack_ints(ints: list[int], n_mol: int) -> np.ndarray:
-    """Int bitsets as uint8 bits (len(ints), molecules)."""
-    width = (n_mol + 7) // 8
-    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(ints), width), axis=1, bitorder="little")[:, :n_mol]
-
-
 class Register:
     """Batched ladder register: one row per position, plus the RRTR row.
 
@@ -349,7 +335,7 @@ class Register:
     plane. No row has a bit at or above 2W set, and no RRTR int one at or
     above W.
 
-    ``comp`` and ``fresh`` hold bit rows, as ``_pack_rows`` makes them.
+    ``comp`` and ``fresh`` hold bit rows as int bitsets, bit k molecule k.
     ``fresh`` is the register's one thermal source: the RRTR row starts as
     its first n rows, and each RESET takes the next rows in order; a source
     that runs dry raises.
@@ -379,18 +365,18 @@ class Register:
 
     # -- views ----------------------------------------------------------
 
-    def comp_bit_rows(self, start: int, stop: int) -> np.ndarray:
-        """Computation bits of positions [start, stop) as uint8 (rows, molecules)."""
+    def comp_bit_rows(self, start: int, stop: int) -> list[int]:
+        """Computation bits of positions [start, stop), one int bitset a row."""
         if start < 0:  # a negative start would wrap to the far end
             raise ValueError(f"start must be >= 0, got {start}")
         if stop > self.n:  # a slice would silently return fewer rows
             raise ValueError(f"stop must be <= n={self.n}, got {stop}")
-        bits = [row & self.full for row in self.rows[start:stop]]
-        return _unpack_ints(bits, self.num_molecules)
+        return [row & self.full for row in self.rows[start:stop]]
 
-    def purified_run_length(self, start: int, max_rows: int) -> np.ndarray:
-        """Per-molecule length of the contiguous run of flagged positions
-        beginning at ``start``, at most ``max_rows``."""
+    def purified_run_length(self, start: int, max_rows: int) -> list[int]:
+        """The run of flagged positions beginning at ``start``, at most
+        ``max_rows`` long, in unary: entry i is the bitset of molecules
+        whose run is longer than i, so the entries nest and none is empty."""
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         run, ands = self.flagged, []
@@ -399,7 +385,7 @@ class Register:
             if not run:  # every molecule's run has ended
                 break
             ands.append(run >> self.num_molecules)
-        return _unpack_ints(ands, self.num_molecules).sum(axis=0, dtype=np.int64)
+        return ands
 
 
 # -- gate application ---------------------------------------------------

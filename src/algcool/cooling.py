@@ -19,14 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
     Bcs,
     Count,
     Cut,
-    GateError,
     Marker,
     Register,
     Reset,
@@ -46,16 +43,17 @@ __all__ = [
 
 @dataclass
 class CoolingRun:
-    """What one batch's run observed; the plan and schedule it ran are the
-    caller's, and its steps are the schedule's ``census.steps``. Each log
-    entry is ``(mark, lengths)``: one of the schedule's own ``Count``
-    (round log) or ``Cut`` (truncation log) marks, in schedule order, and
-    the per-molecule purified length observed there."""
+    """What one batch's run observed, as int bitsets over its
+    ``num_molecules`` molecules (bit k is molecule k). Each log entry is
+    ``(mark, at_least)``: one of the plan's ``Count`` (round log) or ``Cut``
+    (truncation log) marks, in schedule order, and the purified run there
+    in unary, as ``Register.purified_run_length`` gives it."""
 
-    round_log: list[tuple[Count, np.ndarray]]
-    truncation_log: list[tuple[Cut, np.ndarray]]
-    success: np.ndarray  # per molecule: every truncation had length >= m
-    output_bits: np.ndarray  # (m, num_molecules) uint8
+    round_log: list[tuple[Count, list[int]]]
+    truncation_log: list[tuple[Cut, list[int]]]
+    success: int  # molecules whose every truncation had length >= m
+    output_bits: list[int]  # the m output positions' bit rows
+    num_molecules: int
 
 
 def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
@@ -115,14 +113,13 @@ def _walk(plan: CoolingPlan) -> list[tuple]:
     return blocks
 
 
-def run_cooling(reg: Register, plan: CoolingPlan, schedule: Schedule) -> CoolingRun:
-    """Execute a plan's compiled cooling schedule with per-molecule bookkeeping.
+def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
+    """Execute a plan's cooling with per-molecule bookkeeping.
 
     The run walks the plan as ``compile_cooling`` does: each RESET goes
     through ``apply_gate`` and each compression runs fused (``apply_bcs``).
-    Before any gate runs, the schedule's ``Count``/``Cut`` marks must fit
-    the register and equal the walk's, or ``GateError`` is raised; the logs
-    hold the schedule's own mark objects.
+    At each of the walk's ``Count`` and ``Cut`` marks it logs the mark and
+    the purified run there; a register that holds the plan holds them all.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
@@ -134,34 +131,24 @@ def run_cooling(reg: Register, plan: CoolingPlan, schedule: Schedule) -> Cooling
         raise ValueError(
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
-    marks = schedule.census.marks
-    for mark in marks:
-        if mark.top >= reg.n:
-            raise GateError(mark.check(reg.n))
-    walk = _walk(plan)
-    if tuple(item for *_, item in walk if type(item) in (Count, Cut)) != marks:
-        raise GateError(f"schedule's Count/Cut marks are not those of plan {plan}")
-
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
     logs: dict[type, list] = {Count: [], Cut: []}
-    own = iter(marks)  # in the walk's order, as compared above
-    for *_, item in walk:
+    for *_, item in _walk(plan):
         kind = type(item)
         if kind is Bcs:
             apply_bcs(reg, item)
         elif kind is Reset:
             apply_gate(reg, item)
         elif kind is not Marker:  # a Count or a Cut
-            mark = next(own)
-            logs[kind].append((mark, reg.purified_run_length(mark.at, window)))
+            logs[kind].append((item, reg.purified_run_length(item.at, window)))
 
-    success = np.ones(reg.num_molecules, dtype=bool)
-    for cut, lengths in logs[Cut]:
-        success &= lengths >= cut.m
-    output_bits = reg.comp_bit_rows(0, plan.m)
+    success = reg.full
+    for cut, at_least in logs[Cut]:  # entry m - 1 holds the runs of length >= m
+        success &= at_least[cut.m - 1] if len(at_least) >= cut.m else 0
     return CoolingRun(
         round_log=logs[Count],
         truncation_log=logs[Cut],
         success=success,
-        output_bits=output_bits,
+        output_bits=reg.comp_bit_rows(0, plan.m),
+        num_molecules=reg.num_molecules,
     )

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
-from .circuit import Count, Register, Schedule, _pack_rows
+from .circuit import Census, Count, Register
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -129,6 +129,12 @@ def _molecule_bits(philox: np.random.Philox, key: np.ndarray, threshold: np.uint
     np.less(philox.random_raw(len(out)), threshold, out=out)
 
 
+def _pack_rows(packed: np.ndarray) -> list[int]:
+    """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
+    packs each row's molecules, as one int bitset a row: bit k is molecule k."""
+    return [int.from_bytes(row, "little") for row in packed]
+
+
 def _drain(rows: list[int]) -> Iterator[int]:
     """The rows in order, each dropped from the list once it is read."""
     rows.reverse()
@@ -200,17 +206,22 @@ class _Accumulator:
         return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, len(marks) - rounds, rounds)))
 
     def fold(self, run: CoolingRun) -> None:
-        out = run.output_bits
-        self.zero_counts += (out == 0).sum(axis=1)
-        succ = run.success
-        self.success_zero_counts += (out[:, succ] == 0).sum(axis=1)
-        self.success_count += int(succ.sum())
-        for i, (cut, lengths) in enumerate(run.truncation_log):
-            self.trunc_length_sums[i] += lengths.sum()
-            short = cut.m - lengths
-            self.shortfalls.update(short[short > 0].tolist())
-        for i, (_, lengths) in enumerate(run.round_log):
-            self.round_length_sums[i] += lengths.sum()
+        """Add one run's totals, each counted as popcounts of its bitsets.
+        Entry i of a unary run holds the molecules whose length exceeds i,
+        so its length sum is the sum of the entries' popcounts."""
+        full, succ = (1 << run.num_molecules) - 1, run.success
+        zeros = [full ^ row for row in run.output_bits]
+        self.zero_counts += [z.bit_count() for z in zeros]
+        self.success_zero_counts += [(z & succ).bit_count() for z in zeros]
+        self.success_count += succ.bit_count()
+        for i, (cut, at_least) in enumerate(run.truncation_log):
+            longer = [p.bit_count() for p in at_least]  # entry k: molecules of length > k
+            self.trunc_length_sums[i] += sum(longer)
+            ge = [run.num_molecules, *longer[: cut.m]] + [0] * (cut.m - len(longer))  # >= k
+            self.shortfalls.update({cut.m - k: ge[k] - ge[k + 1]  # molecules of length k
+                                    for k in range(cut.m) if ge[k] > ge[k + 1]})
+        for i, (_, at_least) in enumerate(run.round_log):
+            self.round_length_sums[i] += sum(p.bit_count() for p in at_least)
 
     def merge(self, other: "_Accumulator") -> "_Accumulator":
         self.zero_counts += other.zero_counts
@@ -223,16 +234,16 @@ class _Accumulator:
 
 
 def _chunk_totals(
-    plan: CoolingPlan, schedule: Schedule, seed: int, num_molecules: int, start: int
+    plan: CoolingPlan, census: Census, seed: int, num_molecules: int, start: int
 ) -> _Accumulator:
     """Integer totals of molecules [start, start + CHUNK_SIZE). The reset
     rows and the accumulator's sizes are read from the schedule's census,
     counted once per run."""
     stop = min(start + CHUNK_SIZE, num_molecules)
     reg = _build_registers(
-        plan.n_required, plan.epsilon0, seed, start, stop, schedule.census.reset_rows)
-    acc = _Accumulator.empty(plan.m, schedule.census.marks)
-    acc.fold(run_cooling(reg, plan, schedule))
+        plan.n_required, plan.epsilon0, seed, start, stop, census.reset_rows)
+    acc = _Accumulator.empty(plan.m, census.marks)
+    acc.fold(run_cooling(reg, plan))
     return acc
 
 
@@ -265,9 +276,8 @@ def run_ensemble(
         raise ValueError("num_molecules must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    schedule = compile_cooling(plan)
-    census = schedule.census  # counted once, here, so forked workers inherit it
-    job = partial(_chunk_totals, plan, schedule, seed, num_molecules)
+    census = compile_cooling(plan).census  # counted once, here, so forked workers inherit it
+    job = partial(_chunk_totals, plan, census, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
         acc = reduce(_Accumulator.merge, map(job, starts))

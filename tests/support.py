@@ -1,21 +1,46 @@
 """Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, a molecule's draws straight from numpy, a
-cooling run replayed gate by gate, the compression compiler written gate
-by gate, and gate-free oracles for one compression round and for a whole
-cooling run, one molecule or a batch."""
+register and a schedule, a cooling run's bitsets read per molecule, a
+molecule's draws straight from numpy, a cooling run replayed gate by
+gate, the compression compiler written gate by gate, and gate-free
+oracles for one compression round and for a whole cooling run, one
+molecule or a batch."""
 
 import numpy as np
 
 from algcool import compression
-from algcool.circuit import (
-    Annotation, Bcs, Count, Cut, Register, _pack_rows, _unpack_ints, apply_gate,
-)
+from algcool.circuit import Annotation, Bcs, Count, Cut, Register, apply_gate
 from algcool.compression import compile_bcs
+from algcool.ensemble import _pack_rows
 
 
 def pack(bits):
     """Bool rows (rows, molecules) as int bitsets, packed as the engine packs them."""
     return _pack_rows(np.packbits(bits, axis=1, bitorder="little"))
+
+
+def unpack(ints, n_mol):
+    """Int bitsets as uint8 bits (len(ints), molecules): ``pack`` undone."""
+    width = (n_mol + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(ints), width), axis=1, bitorder="little")[:, :n_mol]
+
+
+def run_lengths(at_least, n_mol):
+    """A purified run in unary, as ``Register.purified_run_length`` gives it,
+    as per-molecule lengths: int64 (molecules,)."""
+    return unpack(at_least, n_mol).sum(axis=0, dtype=np.int64)
+
+
+def observed(run):
+    """A ``CoolingRun`` per molecule, laid out as ``reference_cooling_batch``
+    returns its answer: the output bits (m, molecules), the ``Count`` and the
+    ``Cut`` lengths, each a (molecules,) array, in schedule order, and
+    whether each molecule succeeded, as bools (molecules,)."""
+    w = run.num_molecules
+    return (unpack(run.output_bits, w),
+            [run_lengths(at_least, w) for _, at_least in run.round_log],
+            [run_lengths(at_least, w) for _, at_least in run.truncation_log],
+            unpack([run.success], w)[0].astype(bool))
 
 
 def register(bits, fresh=None):
@@ -27,7 +52,7 @@ def register(bits, fresh=None):
 
 def bits_of(reg, index=0):
     """All computation bits of one molecule, as a plain list."""
-    return reg.comp_bit_rows(0, reg.n)[:, index].tolist()
+    return unpack(reg.comp_bit_rows(0, reg.n), reg.num_molecules)[:, index].tolist()
 
 
 def planes(reg):
@@ -47,7 +72,7 @@ def set_flag_plane(reg, flags):
 
 def flag_rows(reg, start, stop):
     """Purified flags of positions [start, stop) as uint8 (rows, molecules)."""
-    return _unpack_ints(planes(reg)[1][start:stop], reg.num_molecules)
+    return unpack(planes(reg)[1][start:stop], reg.num_molecules)
 
 
 def numpy_draws(seed, index, rows, eps):
@@ -73,11 +98,13 @@ def replay(reg, plan, schedule):
     """``run_cooling``'s logs the gate-by-gate way: every gate of the
     schedule, in order, through ``apply_gate``, and at each ``Count`` and
     ``Cut`` the purified run over the ``ell * m / 2`` window. Returns the
-    ``Count`` lengths and the ``Cut`` lengths, in schedule order."""
+    ``Count`` lengths and the ``Cut`` lengths, each a (molecules,) array, in
+    schedule order."""
     logs = {Count: [], Cut: []}
     for item in schedule.items:
         if isinstance(item, (Count, Cut)):
-            logs[type(item)].append(reg.purified_run_length(item.at, plan.ell * plan.m // 2))
+            at_least = reg.purified_run_length(item.at, plan.ell * plan.m // 2)
+            logs[type(item)].append(run_lengths(at_least, reg.num_molecules))
         elif not isinstance(item, Annotation):
             apply_gate(reg, item)
     return logs[Count], logs[Cut]
@@ -87,7 +114,7 @@ def compress(reg, m):
     """Run ``compile_bcs(m, 0, 0)`` on the register; the per-molecule
     purified run at position 0, which holds exactly the kept bits."""
     run_gates(reg, compile_bcs(m, 0, 0))
-    return reg.purified_run_length(0, reg.n)
+    return run_lengths(reg.purified_run_length(0, reg.n), reg.num_molecules)
 
 
 def reference_compile_bcs(m, nu, nu0):

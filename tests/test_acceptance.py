@@ -23,7 +23,7 @@ from algcool.cli import main
 from algcool.compression import compile_bcs
 from algcool.cooling import compile_cooling, run_cooling
 from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
-from support import compress, gates, reference_bcs, register
+from support import compress, gates, reference_bcs, register, unpack
 
 # Published feasibility-table cells: (eps0, j_f) -> (eps_f, delta_f,
 # {m: p or None for unfeasible}). Values as displayed; numeric comparison
@@ -89,7 +89,7 @@ def test_criterion_05_oracle_equivalence_exhaustive():
         inputs = np.array(list(product([0, 1], repeat=m)), dtype=bool)
         reg = register(inputs.T)
         counts = np.atleast_1d(compress(reg, m))
-        bits = reg.comp_bit_rows(0, m).T.tolist()
+        bits = unpack(reg.comp_bit_rows(0, m), reg.num_molecules).T.tolist()
         for i, molecule in enumerate(inputs.astype(int).tolist()):
             purified, dirty, supervisors = reference_bcs(molecule)
             assert counts[i] == len(purified)
@@ -174,5 +174,5 @@ def test_criterion_11_structural_counts():
     resets = [g for g in gates(sched) if isinstance(g, Reset)]
     assert len(resets) == 125
     reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-    run = run_cooling(reg, plan, sched)
+    run = run_cooling(reg, plan)
     assert len(run.truncation_log) == 31

@@ -30,11 +30,13 @@ from algcool.circuit import (
     schedule_from_text,
     schedule_to_text,
     _chunks,
-    _unpack_ints,
     validate_schedule,
 )
 from algcool.cooling import compile_cooling, run_cooling
-from support import bits_of, flag_rows, gates, pack, planes, register, run_gates, set_flag_plane
+from support import (
+    bits_of, flag_rows, gates, observed, pack, planes, register, run_gates, run_lengths,
+    set_flag_plane, unpack,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +145,10 @@ class TestProvenance:
     def test_purified_run_length(self):
         reg = single([0, 0, 0, 0, 0])
         set_flags(reg, [1, 1, 0, 1, 1])
-        assert reg.purified_run_length(0, 5)[0] == 2
-        assert reg.purified_run_length(3, 5)[0] == 2
-        assert reg.purified_run_length(2, 5)[0] == 0
-        assert reg.purified_run_length(0, 1)[0] == 1  # capped at max_rows
+        assert run_lengths(reg.purified_run_length(0, 5), 1)[0] == 2
+        assert run_lengths(reg.purified_run_length(3, 5), 1)[0] == 2
+        assert run_lengths(reg.purified_run_length(2, 5), 1)[0] == 0
+        assert run_lengths(reg.purified_run_length(0, 1), 1)[0] == 1  # capped at max_rows
 
 
 def ordered(i, j, flip):
@@ -265,12 +267,12 @@ class TestProvenanceOracle:
                 fresh = pool[used : used + width, i].astype(int).tolist()
                 model_gate(b, f, r, gate, fresh, FLAGS)
             used += width
-            assert reg.comp_bit_rows(0, n).T.tolist() == [b for b, _, _ in model]
+            assert unpack(reg.comp_bit_rows(0, n), n_mol).T.tolist() == [b for b, _, _ in model]
             assert flag_rows(reg, 0, n).T.tolist() == [f for _, f, _ in model]
             assert reg.rrtr == [as_int(row) for row in np.array([r for _, _, r in model]).T]
             for k in (1, n - start):
                 runs = [(f[start : start + k] + [0]).index(0) for _, f, _ in model]
-                assert reg.purified_run_length(start, k).tolist() == runs
+                assert run_lengths(reg.purified_run_length(start, k), n_mol).tolist() == runs
 
 
 def level_tag_run(plan, schedule, bits, rrtr, pool):
@@ -306,14 +308,14 @@ class TestLevelTagEquivalence:
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.census.reset_rows))
         reg = Register(pack(bits), n_mol, fresh=pack(np.vstack([rrtr, pool])))
-        run = run_cooling(reg, plan, schedule)
-        assert (~run.success).sum() >= n_mol // 10  # failed truncations are exercised
+        run_bits, run_counts, run_cuts, success = observed(run_cooling(reg, plan))
+        assert (~success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
             out, counts, cuts = level_tag_run(
                 plan, schedule, *(a[:, i].astype(int).tolist() for a in (bits, rrtr, pool)))
-            assert run.output_bits[:, i].tolist() == out
-            assert [int(lengths[i]) for _, lengths in run.round_log] == counts
-            assert [int(lengths[i]) for _, lengths in run.truncation_log] == cuts
+            assert run_bits[:, i].tolist() == out
+            assert [int(lengths[i]) for lengths in run_counts] == counts
+            assert [int(lengths[i]) for lengths in run_cuts] == cuts
 
 
 class TestStepAccounting:
@@ -844,9 +846,7 @@ class TestBatchedExecution:
             solo = register(bits[:, i : i + 1])
             set_flags(solo, flags[:, i : i + 1])
             run_gates(solo, sched)
-            assert batch.comp_bit_rows(0, 6)[:, i].tolist() == [
-                b[0] for b in solo.comp_bit_rows(0, 6).tolist()
-            ]
+            assert bits_of(batch, i) == bits_of(solo)
             assert flag_rows(batch, 0, 6)[:, i].tolist() == flag_rows(solo, 0, 6)[:, 0].tolist()
 
     def test_padding_stays_clean(self):
@@ -856,7 +856,7 @@ class TestBatchedExecution:
         reg = register(bits)
         apply_gate(reg, Cnot(0, 1))
         apply_gate(reg, ZcSwap(1, 2, 3))  # fires everywhere: row 1 now reads 0
-        out = reg.comp_bit_rows(0, 4)
+        out = unpack(reg.comp_bit_rows(0, 4), 70)
         assert out.shape == (4, 70)
         assert out.tolist() == [[1] * 70, [0] * 70, [0] * 70, [1] * 70]
         bits, flags, _ = planes(reg)
@@ -916,7 +916,7 @@ class TestPlaneBounds:
         rows = pack(bits)
         assert rows == [as_int(row) for row in bits]
         assert rows[0] == (1 << n_mol) - 1 and rows[1] == 0
-        assert _unpack_ints(rows, n_mol).tolist() == bits.astype(int).tolist()
+        assert unpack(rows, n_mol).tolist() == bits.astype(int).tolist()
 
     def test_packed_padding_is_masked(self):
         # rows from outside with every bit set, past the 70th molecule too
@@ -959,8 +959,9 @@ class TestPurifiedRunLength:
         runs = [k % (self.N - 1) for k in range(self.N_MOL)]  # 0..6, the last row apart
         reg, flags = self.register(runs)
         got = reg.purified_run_length(start, max_rows)
-        assert got.dtype == np.int64 and got.shape == (self.N_MOL,)
-        assert got.tolist() == self.plain(flags, start, max_rows)
+        assert all(type(x) is int and 0 < x <= reg.full for x in got)  # none empty
+        assert all(b & ~a == 0 for a, b in zip(got, got[1:]))  # nested: b within a
+        assert run_lengths(got, self.N_MOL).tolist() == self.plain(flags, start, max_rows)
 
     @pytest.mark.parametrize("start,max_rows", [(-1, 4), (-3, 2)])
     def test_negative_start_is_rejected(self, start, max_rows):
@@ -982,12 +983,14 @@ class TestPurifiedRunLength:
         reg, _ = self.register([3] * self.N_MOL)
         with pytest.raises(ValueError, match=f"stop must be <= n=8, got {stop}"):
             reg.comp_bit_rows(start, stop)
-        assert reg.comp_bit_rows(start, 8).shape == (8 - start, self.N_MOL)
+        rows = reg.comp_bit_rows(start, 8)
+        assert len(rows) == 8 - start and all(0 <= x <= reg.full for x in rows)
 
     def test_empty_at_start(self):
         reg, flags = self.register([0] * self.N_MOL)
-        assert reg.purified_run_length(0, 8).tolist() == [0] * self.N_MOL
+        assert reg.purified_run_length(0, 8) == []  # every run is of length 0
         # the run ends mid-window for every molecule: the flagged last row is not counted
         reg, flags = self.register([3] * self.N_MOL)
-        assert reg.purified_run_length(0, 8).tolist() == [3] * self.N_MOL
-        assert reg.purified_run_length(1, 8).tolist() == self.plain(flags, 1, 8) == [2] * 70
+        assert reg.purified_run_length(0, 8) == [reg.full] * 3
+        assert run_lengths(reg.purified_run_length(1, 8), self.N_MOL).tolist() == self.plain(
+            flags, 1, 8) == [2] * 70

@@ -409,6 +409,11 @@ class TestGoldenOutputs:
             (["compile", "--m", "8", "--jf", "2"], "27da5372bba63b72"),
             (["compile", "--m", "50", "--jf", "3"], "9510d131ea33dbf4"),
             (["compile", "--m", "10", "--ell", "4", "--jf", "2"], "5ce1329c316f3ec2"),
+            # the second chunk is one molecule wide, in process and in a worker
+            (["simulate", "--m", "20", "--jf", "2", "--molecules", "16385", "--seed", "4",
+              "--format", "json"], "d173db631d1183f6"),
+            (["simulate", "--m", "20", "--jf", "2", "--molecules", "16385", "--seed", "4",
+              "--format", "json", "--threads", "2"], "d173db631d1183f6"),
         ],
     )
     def test_sha256_prefix(self, tmp_path, capsys, args, prefix):

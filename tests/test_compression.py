@@ -11,7 +11,7 @@ from algcool.circuit import Bcs, Cnot, GateError, ZcSwap, apply_bcs, validate_sc
 from algcool.compression import compile_bcs
 from support import (
     bits_of, compress, flag_rows, gates, pack, planes, reference_bcs, reference_compile_bcs,
-    register, run_gates, set_flag_plane,
+    register, run_gates, set_flag_plane, unpack,
 )
 
 
@@ -148,7 +148,7 @@ def compiled_outputs(m, inputs):
     """Run the compiled schedule on a batch of inputs; return bits and counts."""
     reg = register_for(inputs)
     counts = compress(reg, m)
-    return reg.comp_bit_rows(0, m).T.tolist(), counts
+    return unpack(reg.comp_bit_rows(0, m), reg.num_molecules).T.tolist(), counts
 
 
 def assert_oracle_agreement(m, inputs):

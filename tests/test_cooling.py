@@ -16,8 +16,6 @@ from algcool.circuit import (
     Cnot,
     Count,
     Cut,
-    GateError,
-    Register,
     Reset,
     Schedule,
     Swap,
@@ -34,8 +32,8 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _build_registers
 from support import (
-    gates, numpy_draws, pack, planes, reference_cooling, reference_cooling_batch, register,
-    replay,
+    gates, numpy_draws, observed, pack, planes, reference_cooling, reference_cooling_batch,
+    register, replay,
 )
 
 
@@ -147,9 +145,10 @@ class TestRunCooling:
         plan = CoolingPlan(1.0, 4, 5, 2)
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, 1.0, 0, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan, sched)
-        assert bool(run.success[0])
-        assert run.output_bits[:, 0].tolist() == [0, 0, 0, 0]
+        run = run_cooling(reg, plan)
+        bits, _, _, success = observed(run)
+        assert bool(success[0])
+        assert bits[:, 0].tolist() == [0, 0, 0, 0]
         assert len(run.truncation_log) == truncation_count(5, 2)
 
     def test_truncation_log_count_and_success_recompute(self):
@@ -159,76 +158,58 @@ class TestRunCooling:
         bits = rng.random((plan.n_required, 64)) < 0.45
         pool = rng.random((sched.census.reset_rows, 64)) < 0.45
         reg = register(bits, fresh=[0] * plan.n_required + pack(pool))
-        run = run_cooling(reg, plan, sched)
+        run = run_cooling(reg, plan)
         assert len(run.truncation_log) == truncation_count(5, 2)
+        _, _, cuts, success = observed(run)
         recomputed = np.ones(64, dtype=bool)
-        for cut, lengths in run.truncation_log:
+        for (cut, _), lengths in zip(run.truncation_log, cuts):
             recomputed &= lengths >= cut.m
-        assert (run.success == recomputed).all()
+        assert (success == recomputed).all()
         assert sched.census.steps <= plan.step_bound
 
     def test_marks_out_of_range_raise_before_any_gate(self):
-        plan = CoolingPlan(0.1, 2, 4, 0)
-        reg = Register([5, 2], 3, fresh=[3, 6])  # unequal rows, so a SWAP would show
-        for marks in ["# count: level=1 at=99 round=1\n# cut: level=1 at=99 m=2",
-                      "# cut: level=1 at=99 m=2"]:
-            with pytest.raises(GateError, match="out of range for n=2"):
-                run_cooling(reg, plan, schedule_from_text(f"SWAP 0 1\n{marks}\n"))
-            assert planes(reg) == ([5, 2], [7, 7], [3, 6])  # no gate ran
-
-        # another plan's schedule, or one with a mark removed, is refused as well
-        plan = CoolingPlan(0.1, 4, 5, 2)
-        sched, n = compile_cooling(plan), plan.n_required
-        dropped = sched.census.marks[3]
-        rows = np.random.default_rng(0).random((2 * n + sched.census.reset_rows, 3)) < 0.5
-        for other in (compile_cooling(CoolingPlan(0.1, 2, 5, 2)),
-                      compile_cooling(CoolingPlan(0.1, 4, 4, 2)),
-                      Schedule([it for it in sched.items if it is not dropped])):
-            reg = register(rows[:n], fresh=pack(rows[n:]))
+        # every mark of the walk fits a register that holds the plan, so a
+        # register one position short is refused before any gate runs
+        for plan in (CoolingPlan(0.1, 2, 4, 1), CoolingPlan(0.1, 4, 5, 2)):
+            n = plan.n_required
+            assert max(mark.top for mark in compile_cooling(plan).census.marks) < n
+            rows = np.random.default_rng(0).random((2 * n, 3)) < 0.5
+            reg = register(rows[: n - 1], fresh=pack(rows[n - 1 :]))
             before = planes(reg)
-            with pytest.raises(GateError, match="marks are not those of plan"):
-                run_cooling(reg, plan, other)
-            assert planes(reg) == before
-            assert reg.draw_reset_rows(sched.census.reset_rows) == pack(rows[2 * n :])
-            with pytest.raises(GateError, match="exhausted"):  # and nothing was drawn
-                reg.draw_reset_rows(1)
+            with pytest.raises(ValueError, match=f"plan requires {n}"):
+                run_cooling(reg, plan)
+            assert planes(reg) == before  # no gate ran
+            assert reg.draw_reset_rows(2) == pack(rows[2 * n - 2 :])  # and nothing was drawn
 
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan, sched)
+        run = run_cooling(reg, plan)
         # ell rounds at the top level, ell per inner block
         assert len(run.round_log) == 5 + 25
         assert all(1 <= count.round <= 5 for count, _ in run.round_log)
 
-    def test_logs_hold_the_schedules_own_marks(self):
+    def test_logs_hold_the_schedules_marks(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan, sched)
+        run = run_cooling(reg, plan)
         for log, kind in ((run.round_log, Count), (run.truncation_log, Cut)):
-            marks = [it for it in sched.items if isinstance(it, kind)]
+            marks = [it for it in sched.census.marks if isinstance(it, kind)]
             assert len(log) == len(marks) > 0
-            assert all(mark is it for (mark, _), it in zip(log, marks))  # in schedule order
+            assert [mark for mark, _ in log] == marks  # in schedule order, by value
 
     @pytest.mark.parametrize("eps,m,ell,jf", [(0.1, 8, 5, 2), (0.3, 4, 5, 3)])
     def test_blocked_and_single_block_runs_agree(self, eps, m, ell, jf):
+        # a run reads only its plan; the schedules it stands for share one census
         plan = CoolingPlan(eps, m, ell, jf)
         blocked = compile_cooling(plan)
         single = Schedule(blocked.items)
         parsed = schedule_from_text(schedule_to_text(blocked))  # blocked again, by its text
         assert len(single.blocks) == 1 < len({id(b) for b in blocked.blocks}) < len(blocked.blocks)
-        a, *others = (run_cooling(_build_registers(plan.n_required, eps, 4, 0, 200,
-                                                   blocked.census.reset_rows), plan, sched)
-                      for sched in (blocked, single, parsed))
-        for b in others:
-            for log_a, log_b in ((a.round_log, b.round_log),
-                                 (a.truncation_log, b.truncation_log)):
-                assert [mark for mark, _ in log_a] == [mark for mark, _ in log_b]
-                assert all((x == y).all() for (_, x), (_, y) in zip(log_a, log_b))
-            assert (a.success == b.success).all() and 0 < a.success.sum() < 200
-            assert (a.output_bits == b.output_bits).all()
+        assert blocked.census == single.census == parsed.census
+        assert len(blocked.census.marks) > 0 and blocked.census.reset_rows > 0
 
     @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2), (14, 4, 2), (16, 4, 2)])
     def test_register_matches_gate_by_gate_replay(self, shape):
@@ -238,23 +219,25 @@ class TestRunCooling:
         sched = compile_cooling(plan)
         fused, gated = (_build_registers(plan.n_required, 0.1, 7, 0, 300,
                                          sched.census.reset_rows) for _ in range(2))
-        run = run_cooling(fused, plan, sched)
+        run = run_cooling(fused, plan)
         counts, cuts = replay(gated, plan, sched)
-        assert not run.success.all()  # short cuts occur
+        _, run_counts, run_cuts, success = observed(run)
+        assert not success.all()  # short cuts occur
         assert planes(fused) == planes(gated)
-        for log, lengths in ((run.round_log, counts), (run.truncation_log, cuts)):
+        for log, lengths in ((run_counts, counts), (run_cuts, cuts)):
             assert len(log) == len(lengths)
-            assert all((a == b).all() for (_, a), b in zip(log, lengths))
+            assert all((a == b).all() for a, b in zip(log, lengths))
 
     @staticmethod
     def run_and_reference(plan, seed, p_one, molecules):
-        """``run_cooling`` on random draws, and ``reference_cooling`` per molecule."""
+        """``run_cooling`` on random draws, read per molecule (``observed``), and
+        ``reference_cooling`` per molecule."""
         sched = compile_cooling(plan)
         n = plan.n_required
         draws = np.random.default_rng(seed).random((2 * n + sched.census.reset_rows,
                                                     molecules)) < p_one
-        run = run_cooling(register(draws[:n], fresh=pack(draws[n:])), plan, sched)
-        return run, [reference_cooling(plan, col.tolist()) for col in draws.T.astype(int)]
+        run = run_cooling(register(draws[:n], fresh=pack(draws[n:])), plan)
+        return observed(run), [reference_cooling(plan, col.tolist()) for col in draws.T.astype(int)]
 
     @given(st.sampled_from([2, 4, 6, 8]), st.sampled_from([4, 5]), st.integers(0, 2),
            st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 0.5]))
@@ -262,19 +245,31 @@ class TestRunCooling:
     @settings(deadline=None, max_examples=40)
     def test_matches_gate_free_reference(self, m, ell, jf, seed, p_one):
         plan = CoolingPlan(0.1, m, ell, jf)
-        run, reference = self.run_and_reference(plan, seed, p_one, 24)
+        (run_bits, run_counts, run_cuts, run_success), reference = self.run_and_reference(
+            plan, seed, p_one, 24)
         for k, (bits, counts, cuts, success) in enumerate(reference):
-            assert run.output_bits[:, k].tolist() == bits
-            assert [int(lengths[k]) for _, lengths in run.round_log] == counts
-            assert [int(lengths[k]) for _, lengths in run.truncation_log] == cuts
-            assert bool(run.success[k]) == success
+            assert run_bits[:, k].tolist() == bits
+            assert [int(lengths[k]) for lengths in run_counts] == counts
+            assert [int(lengths[k]) for lengths in run_cuts] == cuts
+            assert bool(run_success[k]) == success
 
     def test_reference_sees_failed_truncations(self):
         # at ell = 4 some molecules fail a level-1 cut, so level 2 compares
         # pairs with an unflagged operand
-        run, reference = self.run_and_reference(CoolingPlan(0.1, 8, 4, 2), 1, 0.45, 24)
+        (*_, run_success), reference = self.run_and_reference(CoolingPlan(0.1, 8, 4, 2), 1,
+                                                               0.45, 24)
         assert 0 < sum(success for *_, success in reference) < 24
-        assert run.success.tolist() == [success for *_, success in reference]
+        assert run_success.tolist() == [success for *_, success in reference]
+
+    def test_a_lone_molecule_cut_at_exactly_m_succeeds(self):
+        # alone, a molecule's run in unary is as long as the run itself, so a
+        # cut of exactly m ends at entry m - 1, the entry success reads
+        plan, exact = CoolingPlan(0.1, 4, 4, 1), 0
+        for seed in range(20):
+            (*_, success), [(*_, cuts, ref_success)] = self.run_and_reference(plan, seed, 0.45, 1)
+            assert success.tolist() == [ref_success]
+            exact += cuts == [plan.m]
+        assert exact > 0
 
     @staticmethod
     def numpy_draw_rows(plan, seed, molecules):
@@ -306,25 +301,25 @@ class TestRunCooling:
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, plan.epsilon0, seed, 0, molecules,
                                sched.census.reset_rows)
-        run = run_cooling(reg, plan, sched)
+        run_bits, run_counts, run_cuts, run_success = observed(run_cooling(reg, plan))
         bits, counts, cuts, success = reference_cooling_batch(
             plan, self.numpy_draw_rows(plan, seed, molecules))
-        for log, reference in ((run.round_log, counts), (run.truncation_log, cuts)):
+        for log, reference in ((run_counts, counts), (run_cuts, cuts)):
             assert len(log) == len(reference)
-            assert all((lengths == ref).all() for (_, lengths), ref in zip(log, reference))
-        assert (run.success == success).all()
+            assert all((lengths == ref).all() for lengths, ref in zip(log, reference))
+        assert (run_success == success).all()
         assert shape == (200, 5, 3) or not success.all()  # short cuts occur
-        assert (run.output_bits == bits).all()
+        assert (run_bits == bits).all()
 
     def test_register_too_small(self):
         plan = CoolingPlan(0.1, 20, 5, 3)
         reg = register(np.zeros((10, 1), dtype=bool))
         with pytest.raises(ValueError):
-            run_cooling(reg, plan, compile_cooling(plan))
+            run_cooling(reg, plan)
 
     def test_depth_zero_run(self):
         plan = CoolingPlan(0.5, 4, 5, 0)
         reg = _build_registers(4, 0.5, 2, 0, 1, 4)
-        run = run_cooling(reg, plan, compile_cooling(plan))
-        assert bool(run.success[0])
+        run = run_cooling(reg, plan)
+        assert observed(run)[3].tolist() == [True]
         assert run.truncation_log == []

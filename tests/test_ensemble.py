@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from algcool import ensemble
 from algcool.analytic import CoolingPlan
-from algcool.circuit import GateError, _unpack_ints
-from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
-from support import bits_of, numpy_draws
+from algcool.circuit import Count, Cut, GateError
+from algcool.cooling import CoolingRun
+from algcool.ensemble import _Accumulator, _build_registers, compare_to_analytic, run_ensemble
+from support import bits_of, numpy_draws, pack, unpack
 
 
 def stats_equal(a, b):
@@ -110,10 +111,10 @@ class TestWorkerPool:
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         run_cooling = ensemble.run_cooling
 
-        def failing_tail(reg, plan, schedule):
+        def failing_tail(reg, plan):
             if reg.num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
                 raise GateError("injected")
-            return run_cooling(reg, plan, schedule)
+            return run_cooling(reg, plan)
 
         monkeypatch.setattr(ensemble, "run_cooling", failing_tail)  # inherited by the fork
         with pytest.raises(GateError, match="injected"):
@@ -175,9 +176,9 @@ class TestMoleculeDraws:
         with pytest.raises(GateError):
             reg.draw_reset_rows(1)  # the source holds exactly the schedule's reset rows
         batch = _build_registers(n, eps, seed, 0, 70, k)  # the same, 70 at once
-        assert batch.comp_bit_rows(0, n).T.tolist() == [d[:n] for d in draws]
-        assert _unpack_ints(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
-        assert _unpack_ints(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
+        assert unpack(batch.comp_bit_rows(0, n), 70).T.tolist() == [d[:n] for d in draws]
+        assert unpack(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
+        assert unpack(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
 
     @pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32])
     def test_draws_match_numpy_across_the_index_word_boundary(self, index):
@@ -271,6 +272,76 @@ class TestStatistics:
         assert all(k >= 1 for k in stats.truncation_shortfall_histogram)
         failures = stats.num_molecules - stats.success_count
         assert sum(stats.truncation_shortfall_histogram.values()) == failures
+
+
+class TestFold:
+    """``_Accumulator.fold`` counts popcounts of a run's bitsets. On random
+    runs it must equal the per-molecule count it replaced, kept here as the
+    reference on numpy arrays."""
+
+    @staticmethod
+    def per_molecule_fold(acc, bits, counts, cuts, success):
+        """The totals counted per molecule: ``bits`` (m, molecules), the
+        lengths at each ``Count`` and at each ``(Cut, lengths)``, and the
+        molecules that succeeded, as bools."""
+        acc.zero_counts += (bits == 0).sum(axis=1)
+        acc.success_zero_counts += (bits[:, success] == 0).sum(axis=1)
+        acc.success_count += int(success.sum())
+        for i, (cut, lengths) in enumerate(cuts):
+            acc.trunc_length_sums[i] += lengths.sum()
+            short = cut.m - lengths
+            acc.shortfalls.update(short[short > 0].tolist())
+        for i, lengths in enumerate(counts):
+            acc.round_length_sums[i] += lengths.sum()
+
+    @staticmethod
+    def unary(lengths):
+        """Per-molecule lengths as ``Register.purified_run_length`` gives a
+        run: entry i holds the molecules of length > i, and none is empty."""
+        return pack(lengths > np.arange(lengths.max(initial=0))[:, None])
+
+    @given(st.sampled_from([1, 7, 64, 65, 300]), st.sampled_from([2, 4, 6]),
+           st.integers(0, 3), st.integers(0, 3), st.sampled_from(["none", "some", "all"]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_fold_matches_per_molecule_counting(self, width, m, n_counts, n_cuts, succeed,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        n_cuts = max(n_cuts, succeed == "none")
+
+        def lengths(kinds):
+            """0, below m, exactly m or above m (up to the 2m window), by kind 0-3."""
+            kind = rng.choice(kinds, size=width)
+            return np.choose(kind, [np.zeros(width, dtype=np.int64), rng.integers(1, m, width),
+                                    np.full(width, m), rng.integers(m + 1, 2 * m + 1, width)])
+
+        counts = [lengths([0, 1, 2, 3]) for _ in range(n_counts)]
+        cuts = [lengths([2, 3] if succeed == "all" else [0, 1, 2, 3]) for _ in range(n_cuts)]
+        if succeed == "none":  # each molecule falls short at one cut at least
+            short = rng.integers(0, n_cuts, width)
+            for k, lengths_at in enumerate(cuts):
+                lengths_at[short == k] = rng.integers(0, m, width)[short == k]
+        success = np.ones(width, dtype=bool)
+        for lengths_at in cuts:
+            success &= lengths_at >= m
+        assert {"none": not success.any(), "all": success.all(), "some": True}[succeed]
+        bits = rng.random((m, width)) < 0.5
+
+        count_marks = [Count(1, 0, r + 1) for r in range(n_counts)]
+        cut_marks = [Cut(1, 0, m) for _ in range(n_cuts)]
+        run = CoolingRun(
+            round_log=[(mark, self.unary(x)) for mark, x in zip(count_marks, counts)],
+            truncation_log=[(mark, self.unary(x)) for mark, x in zip(cut_marks, cuts)],
+            success=pack(success[None])[0], output_bits=pack(bits), num_molecules=width)
+        got, want = (_Accumulator.empty(m, (*count_marks, *cut_marks)) for _ in range(2))
+        got.fold(run)
+        self.per_molecule_fold(want, bits, counts, list(zip(cut_marks, cuts)), success)
+        for name in ("zero_counts", "success_zero_counts", "trunc_length_sums",
+                     "round_length_sums"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+        assert got.success_count == want.success_count
+        assert dict(got.shortfalls) == dict(want.shortfalls)  # Counter == ignores zero counts
+        assert 0 not in got.shortfalls.values()  # a zero count would be a "k": 0 entry
 
 
 def exact_success_probability(plan):
