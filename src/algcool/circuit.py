@@ -24,10 +24,10 @@ handful of native int operations that move a bit and its flag together,
 whatever the batch size; a SWAP exchanges two list entries, which moves
 references, never bits. Rows enter and leave as int bitsets, bit k
 molecule k, and a purified run leaves in unary, as one bitset per length
-(``purified_run_length``). The RRTR row and every RESET's fresh rows are
-read in order from one thermal source, as reset bits are draws from one
-heat bath; a simulated molecule's bit is one Philox word below one
-integer threshold.
+(``purified_run_length``). The computation bits, the RRTR row and every
+RESET's fresh rows are read in that order from one thermal source, as
+every spin is a draw from one heat bath; a simulated molecule's bit is one
+Philox word below one integer threshold.
 
 A compression round also runs fused, bit-sliced (Biham, FSE 1997):
 ``apply_bcs`` leaves every row its ~m^2 gates would leave. It sorts the
@@ -335,30 +335,30 @@ class Register:
     plane. No row has a bit at or above 2W set, and no RRTR int one at or
     above W.
 
-    ``comp`` and ``fresh`` hold bit rows as int bitsets, bit k molecule k.
-    ``fresh`` is the register's one thermal source: the RRTR row starts as
-    its first n rows, and each RESET takes the next rows in order; a source
-    that runs dry raises.
+    ``source`` is the register's one thermal source, its rows int bitsets,
+    bit k molecule k, read in order: the computation bits are its first n
+    rows, the RRTR row the next n, and each RESET takes the rows after. A
+    source that runs dry raises.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs
     no neighbours); before it acts, it is checked only to fit the register.
     """
 
-    def __init__(self, comp: list[int], num_molecules: int, *, fresh: Iterable[int]):
-        self.n = len(comp)
+    def __init__(self, n: int, num_molecules: int, source: Iterable[int]):
+        self.n = n
         self.num_molecules = num_molecules
         self.full = (1 << num_molecules) - 1
         self.flagged = self.full << num_molecules
-        self.rows = [x & self.full | self.flagged for x in comp]
-        self._fresh = iter(fresh)
-        self.rrtr = self.draw_reset_rows(self.n)
+        self._source = iter(source)
+        self.rows = [x | self.flagged for x in self.draw_reset_rows(n)]
+        self.rrtr = self.draw_reset_rows(n)
 
     # -- thermal source -------------------------------------------------
 
     def draw_reset_rows(self, length: int) -> list[int]:
         """The next ``length`` rows of the thermal source."""
-        rows = [x & self.full for x in islice(self._fresh, length)]
+        rows = [x & self.full for x in islice(self._source, length)]
         if len(rows) < length:
             raise GateError("reset bit source exhausted")
         return rows

@@ -19,9 +19,8 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial, reduce
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -146,10 +145,10 @@ def _build_registers(
     n: int, epsilon0: float, seed: int, start: int, stop: int, reset_rows: int
 ) -> Register:
     """A batched register for molecules [start, stop). Each molecule's
-    draws [0, n) are its computation bits; the rest, in order, are the
-    register's thermal source: draws [n, 2n) the initial RRTR row, then
-    ``reset_rows`` more for the RESETs. The chunk's keys come from one
-    vectorised pass, and one Philox generator is re-keyed per molecule.
+    draws, in order, are the register's one thermal source: draws [0, n)
+    its computation bits, [n, 2n) its initial RRTR row, then ``reset_rows``
+    more for the RESETs. The chunk's keys come from one vectorised pass,
+    and one Philox generator is re-keyed per molecule.
     Molecules are drawn ``_DRAW_BLOCK`` at a time and packed to byte rows
     as they go; the source drops each row once the register has read it."""
     count = stop - start
@@ -165,8 +164,7 @@ def _build_registers(
             _molecule_bits(philox, key, threshold, block[i])
         packed[:, b // 8 : (b + len(block) + 7) // 8] = np.packbits(
             np.ascontiguousarray(block.T), axis=1, bitorder="little")
-    source = _drain(_pack_rows(packed))
-    return Register(list(islice(source, n)), count, fresh=source)
+    return Register(n, count, _drain(_pack_rows(packed)))
 
 
 @dataclass
@@ -224,13 +222,10 @@ class _Accumulator:
             self.round_length_sums[i] += sum(p.bit_count() for p in at_least)
 
     def merge(self, other: "_Accumulator") -> "_Accumulator":
-        self.zero_counts += other.zero_counts
-        self.success_zero_counts += other.success_zero_counts
-        self.trunc_length_sums += other.trunc_length_sums
-        self.round_length_sums += other.round_length_sums
-        self.success_count += other.success_count
-        self.shortfalls.update(other.shortfalls)
-        return self
+        """The field-wise sum. ``Counter + Counter`` keeps only positive
+        counts, and ``fold`` stores no other."""
+        return _Accumulator(*(getattr(self, f.name) + getattr(other, f.name)
+                              for f in fields(self)))
 
 
 def _chunk_totals(
@@ -247,18 +242,6 @@ def _chunk_totals(
     return acc
 
 
-_worker_job: Optional[partial] = None  # one run's _chunk_totals, set in pool workers only
-
-
-def _start_worker(job: partial) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_chunk(start: int) -> _Accumulator:
-    return _worker_job(start)
-
-
 def run_ensemble(
     plan: CoolingPlan,
     num_molecules: int,
@@ -266,17 +249,19 @@ def run_ensemble(
     *,
     threads: int = 1,
 ) -> EnsembleStats:
-    """Run every molecule through the same compiled schedule and aggregate.
+    """Run every molecule through the plan's cooling and aggregate.
 
     Deterministic function of (plan, num_molecules, seed); ``threads`` never
     changes the result. It caps the worker processes, forked from a caller
     that should run no other threads, at one per chunk and per usable CPU.
+    Each worker receives its chunk's job, the plan and its census, as the
+    task argument.
     """
     if num_molecules < 1:
         raise ValueError("num_molecules must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    census = compile_cooling(plan).census  # counted once, here, so forked workers inherit it
+    census = compile_cooling(plan).census  # counted once per run, not per chunk
     job = partial(_chunk_totals, plan, census, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
@@ -285,9 +270,9 @@ def run_ensemble(
         import multiprocessing  # only parallel runs pay for the import
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
         workers = min(threads, len(starts), cpus or os.cpu_count() or 1)  # macOS: no affinity
-        ctx = multiprocessing.get_context("fork")  # workers inherit the job, never pickled
-        with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
-            acc = reduce(_Accumulator.merge, pool.imap(_run_chunk, starts))  # chunk order
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            acc = reduce(_Accumulator.merge, pool.imap(job, starts))  # chunk order
 
     zero_freq = acc.zero_counts / num_molecules
     s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None

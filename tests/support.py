@@ -45,9 +45,11 @@ def observed(run):
 
 def register(bits, fresh=None):
     """A register of computation bits (rows, molecules). Its thermal source
-    is ``fresh``, or else a zero RRTR row and nothing more, so a RESET raises."""
+    is those rows, then ``fresh``, or else a zero RRTR row and nothing more,
+    so a RESET raises."""
     bits = np.asarray(bits, dtype=bool)
-    return Register(pack(bits), bits.shape[1], fresh=[0] * len(bits) if fresh is None else fresh)
+    fresh = [0] * len(bits) if fresh is None else list(fresh)
+    return Register(len(bits), bits.shape[1], pack(bits) + fresh)
 
 
 def bits_of(reg, index=0):

@@ -109,11 +109,26 @@ class TestGateSemantics:
         apply_gate(reg, Reset(0, 3))
         assert bits_of(reg) == [0, 0, 0]  # rrtr row starts all zero
         assert (flag_rows(reg, 0, 3) == 1).all()
+        # one source of distinct rows (4 molecules): the computation bits are
+        # its first n rows, the RRTR row the next n, each RESET the rows after
+        reg = Register(3, 4, range(1, 14))
+        assert planes(reg) == ([1, 2, 3], [15] * 3, [4, 5, 6])
+        set_flag_plane(reg, [0, 0, 0])
+        apply_gate(reg, Reset(1, 2))
+        assert planes(reg) == ([1, 5, 6], [0, 15, 15], [4, 7, 8])
+        apply_gate(reg, Reset(0, 3))
+        assert planes(reg) == ([4, 7, 8], [15] * 3, [9, 10, 11])
+        assert reg.draw_reset_rows(2) == [12, 13]
+        with pytest.raises(GateError, match="^reset bit source exhausted$"):
+            reg.draw_reset_rows(1)
 
     def test_reset_without_source_raises(self):
         reg = single([1, 0])
         with pytest.raises(GateError):
             apply_gate(reg, Reset(0, 2))
+        for rows in (0, 2, 5):  # a source shorter than 2n raises when the register is built
+            with pytest.raises(GateError, match="^reset bit source exhausted$"):
+                Register(3, 4, range(1, 1 + rows))
 
 
 class TestProvenance:
@@ -307,7 +322,7 @@ class TestLevelTagEquivalence:
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.census.reset_rows))
-        reg = Register(pack(bits), n_mol, fresh=pack(np.vstack([rrtr, pool])))
+        reg = Register(n, n_mol, pack(np.vstack([bits, rrtr, pool])))
         run_bits, run_counts, run_cuts, success = observed(run_cooling(reg, plan))
         assert (~success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
@@ -921,7 +936,7 @@ class TestPlaneBounds:
     def test_packed_padding_is_masked(self):
         # rows from outside with every bit set, past the 70th molecule too
         ones = (1 << 128) - 1
-        reg = Register([ones] * 3, 70, fresh=[ones] * 6)
+        reg = Register(3, 70, [ones] * 9)
         assert planes(reg) == ([reg.full] * 3, [reg.full] * 3, [reg.full] * 3)
         apply_gate(reg, Reset(0, 3))
         assert self.in_bounds(reg) and reg.rrtr == [reg.full] * 3

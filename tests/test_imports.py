@@ -1,13 +1,17 @@
 """Source hygiene: every name a module of the package imports is used,
-and the package exports exactly its modules' public APIs."""
+the package exports exactly its modules' public APIs, and every name the
+benchmark's tracer patches exists."""
 
 import ast
+import importlib.util
+from functools import reduce
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "algcool"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "algcool"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,3 +57,21 @@ def test_package_exports_each_module_api():
     for module in modules:
         for name in module.__all__:
             assert getattr(algcool, name) is getattr(module, name), name
+
+
+def test_benchmark_hooks_resolve():
+    """The tracer reports a target it cannot find as a ``None`` metric and
+    still exits 0, so a renamed or moved function must fail here instead.
+    ``benchmarks/child.py`` is a script, not a package: it is loaded by path."""
+    spec = importlib.util.spec_from_file_location("benchmark_child", ROOT / "benchmarks" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    targets = [(module, path) for module, path, _ in child.SPAN_TARGETS + child.LEAF_TARGETS]
+    assert targets
+    missing = []
+    for module, path in targets:
+        try:
+            reduce(getattr, path.split("."), importlib.import_module(module))
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+    assert missing == []
