@@ -8,9 +8,11 @@ the batch is chunked. The substream is numpy's Philox keyed by
 in one vectorised pass over SeedSequence's hash and re-keys a single
 Philox generator per molecule (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC 2011). A drawn bit is one Philox word compared
-with one integer threshold. With ``threads > 1`` the chunks run in
-forked worker processes, each folding its chunk to integer totals; the
-totals are merged in fixed chunk order.
+with one integer threshold. With ``threads > 1`` the chunks are dealt
+round-robin to children made by ``os.fork()``. Each folds its chunks to
+integer totals and pickles them into its own pipe; the parent reads every
+pipe, reaps every child and merges the totals in fixed chunk order. A
+worker that dies without reporting raises in the parent.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial, reduce
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -242,6 +244,65 @@ def _chunk_totals(
     return acc
 
 
+def _fork_workers(job: Callable[[int], _Accumulator],
+                  shares: list[list[int]]) -> list[list[_Accumulator]]:
+    """``[list(map(job, share)) for share in shares]``, each share run in a
+    child made by ``os.fork()``. The child pickles its totals, or the
+    exception it raised with its traceback as text, into its own pipe and
+    leaves by ``os._exit``, so nothing the parent holds is flushed or
+    finalised twice. The parent closes each pipe's write end before the
+    next fork, reads each pipe to EOF as soon as it turns readable and
+    then reaps its child. A child that ended without a report, as an OOM
+    kill ends it, raises ``ChildProcessError`` naming how it ended, without
+    waiting for the others. On any error the children still left are
+    killed and reaped."""
+    import pickle  # only parallel runs pay for the imports
+    import select
+    import signal
+    if not hasattr(os, "fork"):
+        raise ValueError("threads > 1 needs os.fork, which this platform lacks")
+    pipes, children, reports = [], {}, {}  # read ends in fork order; read end -> pid, until reaped
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb", buffering=0))
+            with open(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1  # the report was not written
+                    try:
+                        try:
+                            report = list(map(job, share)), None
+                        except BaseException as exc:  # raised again by the parent
+                            import traceback
+                            report = None, (exc, traceback.format_exc())
+                        pickle.dump(report, out)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            children[pipes[-1]] = pid
+        while children:
+            for pipe in select.select(list(children), [], [])[0]:
+                data = pipe.readall()  # the child is writing its report, or is gone
+                code = os.waitstatus_to_exitcode(os.waitpid(children[pipe], 0)[1])
+                pid = children.pop(pipe)
+                if code:
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise ChildProcessError(f"worker process {pid} ended without a report: {how}")
+                reports[pipe], failure = pickle.loads(data)
+                if failure:
+                    exc, trace = failure
+                    raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
+        return [reports[pipe] for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_ensemble(
     plan: CoolingPlan,
     num_molecules: int,
@@ -253,9 +314,10 @@ def run_ensemble(
 
     Deterministic function of (plan, num_molecules, seed); ``threads`` never
     changes the result. It caps the worker processes, forked from a caller
-    that should run no other threads, at one per chunk and per usable CPU.
-    Each worker receives its chunk's job, the plan and its census, as the
-    task argument.
+    that should run no other threads, at one per chunk and per usable CPU;
+    worker w runs chunks w, w + workers, ... and reports through a pipe
+    (``_fork_workers``). A worker's exception is raised again here, and a
+    worker that dies without a report raises ``ChildProcessError``.
     """
     if num_molecules < 1:
         raise ValueError("num_molecules must be >= 1")
@@ -267,12 +329,11 @@ def run_ensemble(
     if threads == 1 or len(starts) == 1:
         acc = reduce(_Accumulator.merge, map(job, starts))
     else:
-        import multiprocessing  # only parallel runs pay for the import
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
         workers = min(threads, len(starts), cpus or os.cpu_count() or 1)  # macOS: no affinity
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            acc = reduce(_Accumulator.merge, pool.imap(job, starts))  # chunk order
+        reports = _fork_workers(job, [starts[w::workers] for w in range(workers)])
+        acc = reduce(_Accumulator.merge, (reports[i % workers][i // workers]
+                                          for i in range(len(starts))))  # chunk order
 
     zero_freq = acc.zero_counts / num_molecules
     s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None

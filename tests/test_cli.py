@@ -9,7 +9,8 @@ import tracemalloc
 
 import pytest
 
-from algcool.analytic import CoolingPlan
+from algcool import cli
+from algcool.analytic import CoolingPlan, SuccessBound
 from algcool.circuit import Schedule, schedule_from_text, schedule_to_text
 from algcool.cli import build_parser, main
 from algcool.cooling import compile_cooling
@@ -122,6 +123,17 @@ class TestCompile:
         text = out_file.read_text()
         assert schedule_to_text(schedule_from_text(text)) == text
 
+    def test_violations_are_reported_and_nothing_is_written(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "validate_schedule", lambda schedule, n: ["first", "second"])
+        out_file = tmp_path / "sched.txt"
+        code = main(["compile", "--m", "8", "--jf", "2", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: first\nerror: second\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("shape", [(50, 5, 3), (10, 4, 2), (4, 5, 0)])
     def test_block_texts_compose_and_stdout_is_the_file(self, tmp_path, capsys, shape):
         # compile writes each block's own text in turn; their join is the
@@ -190,6 +202,20 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["position", "zero_freq", "bias", "success_bias"]
         assert len(rows) == 7
+
+    def test_strict_exits_1_when_success_is_inconsistent(self, capsys, monkeypatch):
+        # no correct run falls 4 sigma below a true lower bound, so the bound is raised
+        monkeypatch.setattr(CoolingPlan, "success_bound", property(
+            lambda plan: SuccessBound(0.999, False)))
+        argv = ["simulate", "--m", "4", "--jf", "1", "--molecules", "400", "--seed", "11",
+                "--format", "json"]
+        for strict, code in (([], 0), (["--strict"], 1)):
+            got, out = run_cli(capsys, *argv, *strict)
+            deviation = json.loads(out)["deviation"]  # written in both cases
+            assert deviation["success_lower_bound"] == 0.999
+            assert deviation["success_margin_sigmas"] < -4
+            assert deviation["success_consistent"] is False
+            assert got == code
 
     def test_zero_threads_errors(self, capsys):
         code = main(["simulate", "--m", "4", "--jf", "1", "--molecules", "100",
@@ -386,6 +412,15 @@ class TestConfigFile:
         record = json.loads(out)
         assert code == 0 and record["molecules"] == 50 and record["seed"] == 4
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# plan for the report\n\nm = 8\n   \n  # depth\njf=1\n\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        code, out = run_cli(capsys, "plan", "--format", "json")
+        monkeypatch.delenv("ALGCOOL_CONFIG")
+        assert code == 0
+        assert out == run_cli(capsys, "plan", "--m", "8", "--jf", "1", "--format", "json")[1]
+
     def test_bad_config_line_errors(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n")
@@ -414,6 +449,11 @@ class TestGoldenOutputs:
               "--format", "json"], "d173db631d1183f6"),
             (["simulate", "--m", "20", "--jf", "2", "--molecules", "16385", "--seed", "4",
               "--format", "json", "--threads", "2"], "d173db631d1183f6"),
+            # three chunks on two workers: worker 0 takes chunks 0 and 2
+            (["simulate", "--m", "20", "--jf", "2", "--molecules", "40000", "--seed", "5",
+              "--format", "json"], "eb4ce92faf678e92"),
+            (["simulate", "--m", "20", "--jf", "2", "--molecules", "40000", "--seed", "5",
+              "--format", "json", "--threads", "2"], "eb4ce92faf678e92"),
         ],
     )
     def test_sha256_prefix(self, tmp_path, capsys, args, prefix):

@@ -1,8 +1,9 @@
 """Monte Carlo harness tests: determinism, aggregation, statistics."""
 
 import math
-import multiprocessing
 import os
+import signal
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from algcool import ensemble
 from algcool.analytic import CoolingPlan
 from algcool.circuit import Count, Cut, GateError
+from algcool.cli import main
 from algcool.cooling import CoolingRun
 from algcool.ensemble import _Accumulator, _build_registers, compare_to_analytic, run_ensemble
 from support import bits_of, numpy_draws, pack, unpack
@@ -63,7 +65,13 @@ class TestDeterminism:
         assert bits_of(a) != bits_of(other)
 
 
-class TestWorkerPool:
+def assert_no_children():
+    """The test process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
     """Chunks of 100 molecules, so a few hundred molecules make a multi-chunk run."""
 
     PLAN = CoolingPlan(0.1, 4, 5, 1)
@@ -72,41 +80,55 @@ class TestWorkerPool:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(ensemble, "CHUNK_SIZE", 100)
 
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        """A run that waits on a worker forever fails here instead of blocking."""
+        def hung(signum, frame):
+            raise TimeoutError("run_ensemble still waiting after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        fork = type(multiprocessing.get_context("fork"))
-        sizes, make_pool = [], fork.Pool
+    def forks(self, monkeypatch):
+        """The pid of every worker forked, in order."""
+        pids, fork = [], os.fork
 
-        def recording_pool(self, processes=None, *args, **kwargs):
-            sizes.append(processes)
-            return make_pool(self, processes, *args, **kwargs)
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-        monkeypatch.setattr(fork, "Pool", recording_pool)
-        return sizes
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
 
     @pytest.mark.parametrize("cpus, molecules", [(2, 300), (8, 200)])
-    def test_pool_is_bounded_by_chunks_and_cpus(self, monkeypatch, pool_sizes, cpus,
-                                                molecules):
+    def test_workers_are_bounded_by_chunks_and_cpus(self, monkeypatch, forks, cpus,
+                                                    molecules):
         serial = run_ensemble(self.PLAN, molecules, seed=13, threads=1)
-        assert pool_sizes == []
+        assert forks == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         wide = run_ensemble(self.PLAN, molecules, seed=13, threads=64)
-        assert pool_sizes == [min(64, molecules // 100, cpus)] == [2]
+        assert len(forks) == min(64, molecules // 100, cpus) == 2
         assert stats_equal(serial, wide)
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
-    def test_pool_without_sched_getaffinity(self, monkeypatch, pool_sizes, cpus, workers):
+    def test_workers_without_sched_getaffinity(self, monkeypatch, forks, cpus, workers):
         # as on macOS: the usable CPUs fall back to os.cpu_count(), or 1 if unknown
         serial = run_ensemble(self.PLAN, 300, seed=13, threads=1)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         wide = run_ensemble(self.PLAN, 300, seed=13, threads=64)
-        assert pool_sizes == [workers]
+        assert len(forks) == workers
         assert stats_equal(serial, wide)
 
-    def test_single_chunk_runs_in_process(self, pool_sizes):
+    def test_single_chunk_runs_in_process(self, forks):
         run_ensemble(self.PLAN, 100, seed=13, threads=4)
-        assert pool_sizes == []
+        assert forks == []
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         run_cooling = ensemble.run_cooling
@@ -117,13 +139,69 @@ class TestWorkerPool:
             return run_cooling(reg, plan)
 
         monkeypatch.setattr(ensemble, "run_cooling", failing_tail)  # inherited by the fork
-        with pytest.raises(GateError, match="injected"):
+        with pytest.raises(GateError, match="injected") as failure:
             run_ensemble(self.PLAN, 250, seed=13, threads=2)
-        assert multiprocessing.active_children() == []
+        assert "in failing_tail" in str(failure.value.__cause__)  # the worker's traceback
+        assert_no_children()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),  # as an OOM kill
+    ])
+    def test_dead_worker_raises_and_is_reaped(self, monkeypatch, die, how):
+        caller, run_cooling = os.getpid(), ensemble.run_cooling
+
+        def dying_tail(reg, plan):
+            assert os.getpid() != caller, "the chunk ran in the caller"
+            if reg.num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
+                die()
+            return run_cooling(reg, plan)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ensemble, "run_cooling", dying_tail)  # inherited by the fork
+        with pytest.raises(ChildProcessError, match=f"without a report: {how}$"):
+            run_ensemble(self.PLAN, 250, seed=13, threads=2)
+        assert_no_children()
+
+    def test_dead_worker_is_reported_while_another_runs(self, monkeypatch):
+        # chunks 0, 200 on worker 0 and 100, 300 on worker 1. Worker 1 dies on
+        # the short last chunk while worker 0 would spend a minute on chunk
+        # 200: the caller raises at once and kills worker 0
+        calls, run_cooling = [], ensemble.run_cooling
+
+        def slow_or_dead(reg, plan):
+            calls.append(reg.num_molecules)  # a worker's own copy of the list
+            if reg.num_molecules < ensemble.CHUNK_SIZE:
+                os._exit(4)
+            if len(calls) == 2:
+                time.sleep(60)
+            return run_cooling(reg, plan)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ensemble, "run_cooling", slow_or_dead)
+        begun = time.monotonic()
+        with pytest.raises(ChildProcessError, match="without a report: exit status 4$"):
+            run_ensemble(self.PLAN, 350, seed=13, threads=2)
+        assert time.monotonic() - begun < 10
+        assert calls == []
+        assert_no_children()
 
     def test_no_worker_outlives_a_run(self):
         run_ensemble(self.PLAN, 200, seed=13, threads=2)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_parallel_run_needs_fork(self, monkeypatch, capsys):
+        # as on Windows: a parallel run is a ValueError, which the CLI reports
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match="needs os.fork"):
+            run_ensemble(self.PLAN, 200, seed=13, threads=2)
+        run_ensemble(self.PLAN, 200, seed=13, threads=1)
+        capsys.readouterr()
+        assert main(["simulate", "--m", "4", "--jf", "1", "--molecules", "200",
+                     "--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads > 1 needs os.fork, which this platform lacks\n"
 
 
 class TestMoleculeDraws:
