@@ -44,13 +44,12 @@ __all__ = [
 @dataclass
 class CoolingRun:
     """What one batch's run observed, as int bitsets over its
-    ``num_molecules`` molecules (bit k is molecule k). Each log entry is
-    ``(mark, at_least)``: one of the plan's ``Count`` (round log) or ``Cut``
-    (truncation log) marks, in schedule order, and the purified run there
-    in unary, as ``Register.purified_run_length`` gives it."""
+    ``num_molecules`` molecules (bit k is molecule k). The log holds one
+    ``(mark, at_least)`` entry for each of the plan's ``Count`` and ``Cut``
+    marks, in schedule order: the mark and the purified run there in
+    unary, as ``Register.purified_run_length`` gives it."""
 
-    round_log: list[tuple[Count, list[int]]]
-    truncation_log: list[tuple[Cut, list[int]]]
+    log: list[tuple[Count | Cut, list[int]]]
     success: int  # molecules whose every truncation had length >= m
     output_bits: list[int]  # the m output positions' bit rows
     num_molecules: int
@@ -132,7 +131,7 @@ def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
-    logs: dict[type, list] = {Count: [], Cut: []}
+    log = []
     for *_, item in _walk(plan):
         kind = type(item)
         if kind is Bcs:
@@ -140,14 +139,14 @@ def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
         elif kind is Reset:
             apply_gate(reg, item)
         elif kind is not Marker:  # a Count or a Cut
-            logs[kind].append((item, reg.purified_run_length(item.at, window)))
+            log.append((item, reg.purified_run_length(item.at, window)))
 
     success = reg.full
-    for cut, at_least in logs[Cut]:  # entry m - 1 holds the runs of length >= m
-        success &= at_least[cut.m - 1] if len(at_least) >= cut.m else 0
+    for mark, at_least in log:  # entry m - 1 holds the runs of length >= m
+        if type(mark) is Cut:
+            success &= at_least[mark.m - 1] if len(at_least) >= mark.m else 0
     return CoolingRun(
-        round_log=logs[Count],
-        truncation_log=logs[Cut],
+        log=log,
         success=success,
         output_bits=reg.comp_bit_rows(0, plan.m),
         num_molecules=reg.num_molecules,

@@ -9,10 +9,10 @@ in one vectorised pass over SeedSequence's hash and re-keys a single
 Philox generator per molecule (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC 2011). A drawn bit is one Philox word compared
 with one integer threshold. With ``threads > 1`` the chunks are dealt
-round-robin to children made by ``os.fork()``. Each folds its chunks to
-integer totals and pickles them into its own pipe; the parent reads every
-pipe, reaps every child and merges the totals in fixed chunk order. A
-worker that dies without reporting raises in the parent.
+round-robin to children made by ``os.fork()``. Each folds its chunks into
+one integer total and pickles it into its own pipe; the parent reads every
+pipe, reaps every child and sums the totals in any order. A worker that
+dies without reporting raises in the parent.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
-from .circuit import Census, Count, Register
+from .circuit import Census, Count, Cut, Register
 from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
 
 __all__ = [
@@ -194,60 +194,59 @@ class EnsembleStats:
 class _Accumulator:
     zero_counts: np.ndarray
     success_zero_counts: np.ndarray
-    trunc_length_sums: np.ndarray  # per truncation, schedule order
-    round_length_sums: np.ndarray  # per compression round, schedule order
+    length_sums: np.ndarray  # per Count or Cut mark, schedule order
     success_count: int = 0
     shortfalls: Counter = field(default_factory=Counter)
 
     @classmethod
     def empty(cls, m: int, marks: tuple) -> "_Accumulator":
         """Sized for m output positions and a schedule's Count/Cut marks."""
-        rounds = sum(isinstance(mark, Count) for mark in marks)
-        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, len(marks) - rounds, rounds)))
+        return cls(*(np.zeros(k, dtype=np.int64) for k in (m, m, len(marks))))
 
     def fold(self, run: CoolingRun) -> None:
         """Add one run's totals, each counted as popcounts of its bitsets.
         Entry i of a unary run holds the molecules whose length exceeds i,
-        so its length sum is the sum of the entries' popcounts."""
+        so its length sum is the sum of the entries' popcounts. Only a
+        ``Cut`` adds shortfalls."""
         full, succ = (1 << run.num_molecules) - 1, run.success
         zeros = [full ^ row for row in run.output_bits]
         self.zero_counts += [z.bit_count() for z in zeros]
         self.success_zero_counts += [(z & succ).bit_count() for z in zeros]
         self.success_count += succ.bit_count()
-        for i, (cut, at_least) in enumerate(run.truncation_log):
+        for i, (mark, at_least) in enumerate(run.log):
             longer = [p.bit_count() for p in at_least]  # entry k: molecules of length > k
-            self.trunc_length_sums[i] += sum(longer)
-            ge = [run.num_molecules, *longer[: cut.m]] + [0] * (cut.m - len(longer))  # >= k
-            self.shortfalls.update({cut.m - k: ge[k] - ge[k + 1]  # molecules of length k
-                                    for k in range(cut.m) if ge[k] > ge[k + 1]})
-        for i, (_, at_least) in enumerate(run.round_log):
-            self.round_length_sums[i] += sum(p.bit_count() for p in at_least)
+            self.length_sums[i] += sum(longer)
+            if type(mark) is Cut:
+                ge = [run.num_molecules, *longer[: mark.m]] + [0] * (mark.m - len(longer))  # >= k
+                self.shortfalls.update({mark.m - k: ge[k] - ge[k + 1]  # molecules of length k
+                                        for k in range(mark.m) if ge[k] > ge[k + 1]})
 
     def merge(self, other: "_Accumulator") -> "_Accumulator":
-        """The field-wise sum. ``Counter + Counter`` keeps only positive
-        counts, and ``fold`` stores no other."""
+        """The field-wise sum of int64 arrays, ints and ``Counter``s, exact
+        in any order. ``Counter + Counter`` keeps only positive counts, and
+        ``fold`` stores no other."""
         return _Accumulator(*(getattr(self, f.name) + getattr(other, f.name)
                               for f in fields(self)))
 
 
-def _chunk_totals(
-    plan: CoolingPlan, census: Census, seed: int, num_molecules: int, start: int
+def _share_totals(
+    plan: CoolingPlan, census: Census, seed: int, num_molecules: int, starts: list[int]
 ) -> _Accumulator:
-    """Integer totals of molecules [start, start + CHUNK_SIZE). The reset
-    rows and the accumulator's sizes are read from the schedule's census,
-    counted once per run."""
-    stop = min(start + CHUNK_SIZE, num_molecules)
-    reg = _build_registers(
-        plan.n_required, plan.epsilon0, seed, start, stop, census.reset_rows)
+    """Integer totals of molecules [start, start + CHUNK_SIZE) over all
+    ``starts``, one chunk's register at a time. The reset rows and the
+    accumulator's sizes are read from the census, counted once per run."""
     acc = _Accumulator.empty(plan.m, census.marks)
-    acc.fold(run_cooling(reg, plan))
+    for start in starts:
+        stop = min(start + CHUNK_SIZE, num_molecules)
+        acc.fold(run_cooling(_build_registers(
+            plan.n_required, plan.epsilon0, seed, start, stop, census.reset_rows), plan))
     return acc
 
 
-def _fork_workers(job: Callable[[int], _Accumulator],
-                  shares: list[list[int]]) -> list[list[_Accumulator]]:
-    """``[list(map(job, share)) for share in shares]``, each share run in a
-    child made by ``os.fork()``. The child pickles its totals, or the
+def _fork_workers(job: Callable[[list[int]], _Accumulator],
+                  shares: list[list[int]]) -> list[_Accumulator]:
+    """``job(share)`` for each share, run in a child made by ``os.fork()``
+    and listed as the children report. The child pickles its total, or the
     exception it raised with its traceback as text, into its own pipe and
     leaves by ``os._exit``, so nothing the parent holds is flushed or
     finalised twice. The parent closes each pipe's write end before the
@@ -261,7 +260,7 @@ def _fork_workers(job: Callable[[int], _Accumulator],
     import signal
     if not hasattr(os, "fork"):
         raise ValueError("threads > 1 needs os.fork, which this platform lacks")
-    pipes, children, reports = [], {}, {}  # read ends in fork order; read end -> pid, until reaped
+    pipes, children, reports = [], {}, []  # read ends in fork order; read end -> pid, until reaped
     try:
         for share in shares:
             read, write = os.pipe()
@@ -272,7 +271,7 @@ def _fork_workers(job: Callable[[int], _Accumulator],
                     status = 1  # the report was not written
                     try:
                         try:
-                            report = list(map(job, share)), None
+                            report = job(share), None
                         except BaseException as exc:  # raised again by the parent
                             import traceback
                             report = None, (exc, traceback.format_exc())
@@ -290,11 +289,12 @@ def _fork_workers(job: Callable[[int], _Accumulator],
                 if code:
                     how = f"signal {-code}" if code < 0 else f"exit status {code}"
                     raise ChildProcessError(f"worker process {pid} ended without a report: {how}")
-                reports[pipe], failure = pickle.loads(data)
+                total, failure = pickle.loads(data)
                 if failure:
                     exc, trace = failure
                     raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
-        return [reports[pipe] for pipe in pipes]
+                reports.append(total)
+        return reports
     finally:
         for pipe in pipes:
             pipe.close()
@@ -315,8 +315,9 @@ def run_ensemble(
     Deterministic function of (plan, num_molecules, seed); ``threads`` never
     changes the result. It caps the worker processes, forked from a caller
     that should run no other threads, at one per chunk and per usable CPU;
-    worker w runs chunks w, w + workers, ... and reports through a pipe
-    (``_fork_workers``). A worker's exception is raised again here, and a
+    worker w folds chunks w, w + workers, ... into one total and reports it
+    through a pipe (``_fork_workers``), and the totals are summed in the
+    order they arrive. A worker's exception is raised again here, and a
     worker that dies without a report raises ``ChildProcessError``.
     """
     if num_molecules < 1:
@@ -324,23 +325,21 @@ def run_ensemble(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     census = compile_cooling(plan).census  # counted once per run, not per chunk
-    job = partial(_chunk_totals, plan, census, seed, num_molecules)
+    job = partial(_share_totals, plan, census, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:
-        acc = reduce(_Accumulator.merge, map(job, starts))
+        acc = job(starts)
     else:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
         workers = min(threads, len(starts), cpus or os.cpu_count() or 1)  # macOS: no affinity
-        reports = _fork_workers(job, [starts[w::workers] for w in range(workers)])
-        acc = reduce(_Accumulator.merge, (reports[i % workers][i // workers]
-                                          for i in range(len(starts))))  # chunk order
+        acc = reduce(_Accumulator.merge,
+                     _fork_workers(job, [starts[w::workers] for w in range(workers)]))
 
     zero_freq = acc.zero_counts / num_molecules
     s_freq = acc.success_zero_counts / acc.success_count if acc.success_count else None
-    trunc_means = [s / num_molecules for s in acc.trunc_length_sums.tolist()]
-    counts = [mark for mark in census.marks if isinstance(mark, Count)]
-    round_means = [(c.level, c.round, s / num_molecules)
-                   for c, s in zip(counts, acc.round_length_sums.tolist())]
+    means = [(mark, s / num_molecules) for mark, s in zip(census.marks, acc.length_sums.tolist())]
+    trunc_means = [mean for mark, mean in means if type(mark) is Cut]
+    round_means = [(c.level, c.round, mean) for c, mean in means if type(c) is Count]
     return EnsembleStats(
         num_molecules=num_molecules,
         seed=seed,

@@ -31,6 +31,12 @@ def run_lengths(at_least, n_mol):
     return unpack(at_least, n_mol).sum(axis=0, dtype=np.int64)
 
 
+def entries(run, kind):
+    """A ``CoolingRun``'s log entries of one mark type, ``Count`` or ``Cut``,
+    in schedule order."""
+    return [(mark, at_least) for mark, at_least in run.log if type(mark) is kind]
+
+
 def observed(run):
     """A ``CoolingRun`` per molecule, laid out as ``reference_cooling_batch``
     returns its answer: the output bits (m, molecules), the ``Count`` and the
@@ -38,8 +44,8 @@ def observed(run):
     whether each molecule succeeded, as bools (molecules,)."""
     w = run.num_molecules
     return (unpack(run.output_bits, w),
-            [run_lengths(at_least, w) for _, at_least in run.round_log],
-            [run_lengths(at_least, w) for _, at_least in run.truncation_log],
+            [run_lengths(at_least, w) for _, at_least in entries(run, Count)],
+            [run_lengths(at_least, w) for _, at_least in entries(run, Cut)],
             unpack([run.success], w)[0].astype(bool))
 
 

@@ -18,12 +18,12 @@ from algcool.analytic import (
     feasibility_table,
     shannon_yield,
 )
-from algcool.circuit import Reset
+from algcool.circuit import Cut, Reset
 from algcool.cli import main
 from algcool.compression import compile_bcs
 from algcool.cooling import compile_cooling, run_cooling
 from algcool.ensemble import _build_registers, compare_to_analytic, run_ensemble
-from support import compress, gates, reference_bcs, register, unpack
+from support import compress, entries, gates, reference_bcs, register, unpack
 
 # Published feasibility-table cells: (eps0, j_f) -> (eps_f, delta_f,
 # {m: p or None for unfeasible}). Values as displayed; numeric comparison
@@ -175,4 +175,4 @@ def test_criterion_11_structural_counts():
     assert len(resets) == 125
     reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
     run = run_cooling(reg, plan)
-    assert len(run.truncation_log) == 31
+    assert len(entries(run, Cut)) == 31

@@ -106,6 +106,13 @@ class TestMinRounds:
     def test_unreachable(self):
         with pytest.raises(UnreachableTargetError):
             min_rounds(0.1, 1.0)
+        with pytest.raises(UnreachableTargetError, match="within 64 rounds"):
+            min_rounds(1e-300, 0.5)  # a bias that squares its way up too slowly
+
+    @pytest.mark.parametrize("e0", [0.0, 1.0])
+    def test_epsilon0_outside_the_open_interval(self, e0):
+        with pytest.raises(ValueError, match=r"^epsilon0 must be in \(0, 1\)$"):
+            min_rounds(e0, 0.5)
 
     @given(open_eps, open_eps)
     def test_agrees_with_schedule(self, e0, target):
@@ -174,6 +181,10 @@ class TestPpsSignal:
     def test_unobservable_at_small_bias(self):
         assert pps_signal(0.01, 50) < UNFEASIBLE_THRESHOLD
 
+    def test_domain(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            pps_signal(0.1, 0)
+
     @given(st.integers(min_value=1, max_value=300), open_eps, open_eps)
     def test_monotone_in_bias(self, n, e1, e2):
         lo, hi = sorted([e1, e2])
@@ -202,6 +213,8 @@ class TestResourceFormulas:
             CoolingPlan(0.1, 4, 3, 1)  # depth too small
         with pytest.raises(ValueError):
             CoolingPlan(1.5, 4, 5, 1)
+        with pytest.raises(ValueError, match="j_final must be >= 0"):
+            CoolingPlan(0.1, 4, 5, -1)
 
 
 class TestSuccessBounds:
@@ -209,6 +222,10 @@ class TestSuccessBounds:
         assert truncation_count(5, 1) == 1
         assert truncation_count(5, 3) == 31
         assert truncation_count(6, 3) == 43
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            truncation_count(1, 2)
+        with pytest.raises(ValueError, match="j_final must be >= 1"):
+            truncation_count(5, 0)
 
     def test_chernoff_failure(self):
         assert chernoff_failure(5, 50).probability == pytest.approx(
@@ -218,6 +235,10 @@ class TestSuccessBounds:
             math.exp(-50 / 12), rel=1e-12
         )
         assert chernoff_failure(4, 16) == (1.0, True)
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            chernoff_failure(1, 10)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            chernoff_failure(5, 0)
 
     def test_success_lower_bound(self):
         assert CoolingPlan(0.1, 50, 6, 3).success_bound.probability > 0.51

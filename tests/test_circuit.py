@@ -815,6 +815,8 @@ class TestBlocks:
         assert Schedule(a, b) == Schedule(a + b) == Schedule(a, (), b)
         assert Schedule(a, b) != Schedule(b, a)
         assert Schedule() == Schedule([]) == schedule_from_text("")
+        assert hash(Schedule(a, b)) == hash(Schedule(a + b))  # equal schedules hash alike
+        assert Schedule(a).__eq__(1) is NotImplemented  # and no other type is a schedule
 
     def test_repeated_block_failing_validation(self):
         plan = CoolingPlan(0.1, 4, 5, 2)

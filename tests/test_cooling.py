@@ -32,8 +32,8 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _build_registers
 from support import (
-    gates, numpy_draws, observed, pack, planes, reference_cooling, reference_cooling_batch,
-    register, replay,
+    entries, gates, numpy_draws, observed, pack, planes, reference_cooling,
+    reference_cooling_batch, register, replay,
 )
 
 
@@ -149,7 +149,7 @@ class TestRunCooling:
         bits, _, _, success = observed(run)
         assert bool(success[0])
         assert bits[:, 0].tolist() == [0, 0, 0, 0]
-        assert len(run.truncation_log) == truncation_count(5, 2)
+        assert len(entries(run, Cut)) == truncation_count(5, 2)
 
     def test_truncation_log_count_and_success_recompute(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
@@ -159,10 +159,10 @@ class TestRunCooling:
         pool = rng.random((sched.census.reset_rows, 64)) < 0.45
         reg = register(bits, fresh=[0] * plan.n_required + pack(pool))
         run = run_cooling(reg, plan)
-        assert len(run.truncation_log) == truncation_count(5, 2)
+        assert len(entries(run, Cut)) == truncation_count(5, 2)
         _, _, cuts, success = observed(run)
         recomputed = np.ones(64, dtype=bool)
-        for (cut, _), lengths in zip(run.truncation_log, cuts):
+        for (cut, _), lengths in zip(entries(run, Cut), cuts):
             recomputed &= lengths >= cut.m
         assert (success == recomputed).all()
         assert sched.census.steps <= plan.step_bound
@@ -187,16 +187,18 @@ class TestRunCooling:
         reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
         run = run_cooling(reg, plan)
         # ell rounds at the top level, ell per inner block
-        assert len(run.round_log) == 5 + 25
-        assert all(1 <= count.round <= 5 for count, _ in run.round_log)
+        assert len(entries(run, Count)) == 5 + 25
+        assert all(1 <= count.round <= 5 for count, _ in entries(run, Count))
 
     def test_logs_hold_the_schedules_marks(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
         run = run_cooling(reg, plan)
-        for log, kind in ((run.round_log, Count), (run.truncation_log, Cut)):
+        assert [mark for mark, _ in run.log] == list(sched.census.marks)  # one log, in order
+        for kind in (Count, Cut):
             marks = [it for it in sched.census.marks if isinstance(it, kind)]
+            log = entries(run, kind)
             assert len(log) == len(marks) > 0
             assert [mark for mark, _ in log] == marks  # in schedule order, by value
 
@@ -322,4 +324,4 @@ class TestRunCooling:
         reg = _build_registers(4, 0.5, 2, 0, 1, 4)
         run = run_cooling(reg, plan)
         assert observed(run)[3].tolist() == [True]
-        assert run.truncation_log == []
+        assert entries(run, Cut) == []

@@ -5,6 +5,8 @@ import os
 import signal
 import time
 import tracemalloc
+from functools import reduce
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,17 +362,17 @@ class TestFold:
     @staticmethod
     def per_molecule_fold(acc, bits, counts, cuts, success):
         """The totals counted per molecule: ``bits`` (m, molecules), the
-        lengths at each ``Count`` and at each ``(Cut, lengths)``, and the
-        molecules that succeeded, as bools."""
+        lengths at each ``Count`` and at each ``(Cut, lengths)``, logged in
+        that order, and the molecules that succeeded, as bools."""
         acc.zero_counts += (bits == 0).sum(axis=1)
         acc.success_zero_counts += (bits[:, success] == 0).sum(axis=1)
         acc.success_count += int(success.sum())
-        for i, (cut, lengths) in enumerate(cuts):
-            acc.trunc_length_sums[i] += lengths.sum()
+        for i, lengths in enumerate(counts):
+            acc.length_sums[i] += lengths.sum()
+        for i, (cut, lengths) in enumerate(cuts, start=len(counts)):
+            acc.length_sums[i] += lengths.sum()
             short = cut.m - lengths
             acc.shortfalls.update(short[short > 0].tolist())
-        for i, lengths in enumerate(counts):
-            acc.round_length_sums[i] += lengths.sum()
 
     @staticmethod
     def unary(lengths):
@@ -408,18 +410,35 @@ class TestFold:
         count_marks = [Count(1, 0, r + 1) for r in range(n_counts)]
         cut_marks = [Cut(1, 0, m) for _ in range(n_cuts)]
         run = CoolingRun(
-            round_log=[(mark, self.unary(x)) for mark, x in zip(count_marks, counts)],
-            truncation_log=[(mark, self.unary(x)) for mark, x in zip(cut_marks, cuts)],
+            log=[(mark, self.unary(x)) for mark, x in zip(count_marks + cut_marks, counts + cuts)],
             success=pack(success[None])[0], output_bits=pack(bits), num_molecules=width)
         got, want = (_Accumulator.empty(m, (*count_marks, *cut_marks)) for _ in range(2))
         got.fold(run)
         self.per_molecule_fold(want, bits, counts, list(zip(cut_marks, cuts)), success)
-        for name in ("zero_counts", "success_zero_counts", "trunc_length_sums",
-                     "round_length_sums"):
+        for name in ("zero_counts", "success_zero_counts", "length_sums"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
         assert got.success_count == want.success_count
         assert dict(got.shortfalls) == dict(want.shortfalls)  # Counter == ignores zero counts
         assert 0 not in got.shortfalls.values()  # a zero count would be a "k": 0 entry
+
+    def test_merge_is_exact_in_any_order(self, monkeypatch):
+        # workers report their totals in whatever order they finish, and the
+        # caller sums them as they come: every order must give the same totals,
+        # equal to one share that folds every chunk
+        monkeypatch.setattr(ensemble, "CHUNK_SIZE", 100)
+        plan = CoolingPlan(0.1, 4, 4, 2)  # some molecules fall short, some succeed
+        census = ensemble.compile_cooling(plan).census
+        starts = [0, 100, 200, 300]
+        shares = [ensemble._share_totals(plan, census, 3, 350, [start]) for start in starts]
+        whole = ensemble._share_totals(plan, census, 3, 350, starts)
+        assert 0 < whole.success_count < 350 and whole.shortfalls
+        assert all(0 < share.success_count for share in shares)
+        for order in permutations(shares):
+            got = reduce(_Accumulator.merge, order)
+            for name in ("zero_counts", "success_zero_counts", "length_sums"):
+                assert getattr(got, name).tolist() == getattr(whole, name).tolist(), name
+            assert got.success_count == whole.success_count
+            assert dict(got.shortfalls) == dict(whole.shortfalls)
 
 
 def exact_success_probability(plan):
