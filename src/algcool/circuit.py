@@ -337,8 +337,9 @@ class Register:
 
     ``source`` is the register's one thermal source, its rows int bitsets,
     bit k molecule k, read in order: the computation bits are its first n
-    rows, the RRTR row the next n, and each RESET takes the rows after. A
-    source that runs dry raises.
+    rows, the RRTR row the next n, and each RESET takes the rows after.
+    Each row is read when it is needed, so an iterator may make each one
+    as it is read. A source that runs dry raises.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs

@@ -338,8 +338,11 @@ def _set_config_defaults(parsers, config: dict[str, str]) -> None:
     argparse converts a string default with the option's type; a
     store_true flag has no type, so its value is converted here: 1, true
     or yes, or 0, false or no, in any case. A key that some command
-    defines is accepted for all; a key that none defines is an error.
+    defines is accepted for all; a key that none defines is an error, and
+    so are ``jf`` and ``epsilon_des`` together, as their flags are.
     """
+    if {"jf", "epsilon_des"} <= config.keys():
+        raise ValueError("config sets both jf and epsilon_des; set one of them")
     known = set()
     for parser in parsers:
         for action in parser._actions:

@@ -18,6 +18,7 @@ format carries; the run applies it fused (``apply_bcs``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
@@ -87,29 +88,28 @@ def compile_cooling(plan: CoolingPlan) -> Schedule:
     return Schedule(*parts)
 
 
-def _walk(plan: CoolingPlan) -> list[tuple]:
+def _walk(plan: CoolingPlan) -> Iterator[tuple]:
     """The plan's recursion, walked once, in schedule order: every block of
     its schedule but the compressions' gates. A compression is its
     ``(Marker, Bcs)`` block, a reset phase its ``(Marker, Reset)`` block,
     and each ``Count`` or ``Cut`` a block of its own. ``compile_cooling``
-    and ``run_cooling`` both read it, so the order is written once."""
-    m, ell, resets, blocks = plan.m, plan.ell, {}, []
+    and ``run_cooling`` both read it, so the order is written once. Each
+    block is made as it is read, so a run never holds the whole walk."""
+    m, ell, resets = plan.m, plan.ell, {}
 
-    def level(j: int, mu: int) -> None:
+    def level(j: int, mu: int) -> Iterator[tuple]:
         if j == 0:  # one RESET per offset mu
-            reset = resets.setdefault(mu, Reset(mu, m))
-            blocks.append((Marker(f"phase: M_0 offset={mu}"), reset))
+            yield Marker(f"phase: M_0 offset={mu}"), resets.setdefault(mu, Reset(mu, m))
             return
         for depth in range(ell):
-            blocks.append((Marker(f"phase: M_{j} depth={depth} offset={mu}"),))
+            yield (Marker(f"phase: M_{j} depth={depth} offset={mu}"),)
             nu = mu + depth * m // 2
-            level(j - 1, nu)
-            blocks.append((Marker(f"phase: BCS {j - 1}->{j}"), Bcs(m, nu, mu)))
-            blocks.append((Count(j, mu, depth + 1),))
-        blocks.append((Cut(j, mu, m),))
+            yield from level(j - 1, nu)
+            yield Marker(f"phase: BCS {j - 1}->{j}"), Bcs(m, nu, mu)
+            yield (Count(j, mu, depth + 1),)
+        yield (Cut(j, mu, m),)
 
-    level(plan.j_final, 0)
-    return blocks
+    yield from level(plan.j_final, 0)
 
 
 def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:

@@ -94,8 +94,7 @@ def _philox_keys(seed: int, start: int, stop: int) -> np.ndarray:
         raise ValueError("seed and molecule index must be non-negative")
     if start >> 32 != (stop - 1) >> 32:
         raise ValueError("molecule indices straddle a multiple of 2**32")
-    count = stop - start
-    full = partial(np.full, count, dtype=np.uint32)
+    full = partial(np.full, 1, dtype=np.uint32)  # a word every molecule shares
     entropy = _words(seed)
     entropy += [0] * (4 - len(entropy))
     consts = _hash_constants(_INIT_A, _MULT_A)
@@ -104,7 +103,7 @@ def _philox_keys(seed: int, start: int, stop: int) -> np.ndarray:
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    low = np.arange(count, dtype=np.uint32) + np.uint32(start & _MASK32)
+    low = np.arange(stop - start, dtype=np.uint32) + np.uint32(start & _MASK32)
     # the seed's words past the pool, the index's low word, its high words
     for word in [*map(full, entropy[4:]), low, *map(full, _words(start)[1:])]:
         for dst in range(4):
@@ -130,17 +129,11 @@ def _molecule_bits(philox: np.random.Philox, key: np.ndarray, threshold: np.uint
     np.less(philox.random_raw(len(out)), threshold, out=out)
 
 
-def _pack_rows(packed: np.ndarray) -> list[int]:
+def _pack_rows(packed: np.ndarray) -> Iterator[int]:
     """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
-    packs each row's molecules, as one int bitset a row: bit k is molecule k."""
-    return [int.from_bytes(row, "little") for row in packed]
-
-
-def _drain(rows: list[int]) -> Iterator[int]:
-    """The rows in order, each dropped from the list once it is read."""
-    rows.reverse()
-    while rows:
-        yield rows.pop()
+    packs each row's molecules, as one int bitset a row, made as it is
+    read: bit k is molecule k."""
+    return (int.from_bytes(row, "little") for row in packed)
 
 
 def _build_registers(
@@ -151,22 +144,22 @@ def _build_registers(
     its computation bits, [n, 2n) its initial RRTR row, then ``reset_rows``
     more for the RESETs. The chunk's keys come from one vectorised pass,
     and one Philox generator is re-keyed per molecule.
-    Molecules are drawn ``_DRAW_BLOCK`` at a time and packed to byte rows
-    as they go; the source drops each row once the register has read it."""
+    Molecules are drawn ``_DRAW_BLOCK`` at a time, each into a column of
+    one bool block, and packed to byte rows as they go. The register holds
+    each row once, as packed bytes, and makes its int as it reads it."""
     count = stop - start
     threshold = np.uint64(math.ceil((1.0 - epsilon0) / 2.0 * 2**53) << 11)
     rows = 2 * n + reset_rows
     philox = np.random.Philox(0)
     keys = _philox_keys(seed, start, stop)
     packed = np.empty((rows, (count + 7) // 8), dtype=np.uint8)
-    bits = np.empty((min(count, _DRAW_BLOCK), rows), dtype=bool)  # one molecule a row
-    for b in range(0, count, _DRAW_BLOCK):
-        block = bits[: min(_DRAW_BLOCK, count - b)]
-        for i, key in enumerate(keys[b : b + len(block)]):
-            _molecule_bits(philox, key, threshold, block[i])
-        packed[:, b // 8 : (b + len(block) + 7) // 8] = np.packbits(
-            np.ascontiguousarray(block.T), axis=1, bitorder="little")
-    return Register(n, count, _drain(_pack_rows(packed)))
+    bits = np.empty((rows, min(count, _DRAW_BLOCK)), dtype=bool)  # one molecule a column
+    for b in range(0, count, _DRAW_BLOCK):  # the last block may be narrower
+        block = bits[:, : min(_DRAW_BLOCK, count - b)]
+        for i, key in enumerate(keys[b : b + _DRAW_BLOCK]):
+            _molecule_bits(philox, key, threshold, block[:, i])
+        packed[:, b // 8 : (b + _DRAW_BLOCK) // 8] = np.packbits(block, axis=1, bitorder="little")
+    return Register(n, count, _pack_rows(packed))
 
 
 @dataclass

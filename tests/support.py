@@ -15,7 +15,7 @@ from algcool.ensemble import _pack_rows
 
 def pack(bits):
     """Bool rows (rows, molecules) as int bitsets, packed as the engine packs them."""
-    return _pack_rows(np.packbits(bits, axis=1, bitorder="little"))
+    return list(_pack_rows(np.packbits(bits, axis=1, bitorder="little")))
 
 
 def unpack(ints, n_mol):

@@ -361,6 +361,16 @@ class TestConfigFile:
         _, out = run_cli(capsys, "plan", "--jf", "5", "--format", "json")
         assert json.loads(out)["j_final"] == 5
 
+    def test_config_with_jf_and_epsilon_des_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the two flags are mutually exclusive, so the config may not set both
+        cfg = tmp_path / "cfg"
+        cfg.write_text("jf=2\nepsilon_des=0.6\n")
+        monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))
+        code = main(["plan", "--m", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: config sets both jf and epsilon_des; set one of them\n"
+
     def test_config_booleans(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         monkeypatch.setenv("ALGCOOL_CONFIG", str(cfg))

@@ -1,5 +1,7 @@
 """Recursive scheduler tests: structure, space, step bounds, execution."""
 
+import gc
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
@@ -138,6 +140,44 @@ class TestExpectedLength:
     def test_round_index_check(self):
         with pytest.raises(ValueError):
             expected_length_after_round(0.1, 20, 0)
+
+
+class TestWalk:
+    PLAN = CoolingPlan(0.1, 2, 4, 6)  # 21,841 blocks
+
+    def test_a_walk_holds_no_block_list(self):
+        # with the cyclic GC off, a block list that a recursive closure
+        # refers to outlives the loop: 4.98 MB on this plan
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in cooling._walk(self.PLAN):
+                pass
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 64 * 1024
+
+    def test_a_run_peaks_below_the_walks_block_list(self):
+        plan = self.PLAN
+        reg = _build_registers(plan.n_required, plan.epsilon0, 3, 0, 8,
+                               compile_cooling(plan).census.reset_rows)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            blocks = list(cooling._walk(plan))
+            size = tracemalloc.get_traced_memory()[0]
+            del blocks
+            gc.collect()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_cooling(reg, plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < size
 
 
 class TestRunCooling:

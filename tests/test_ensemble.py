@@ -1,5 +1,6 @@
 """Monte Carlo harness tests: determinism, aggregation, statistics."""
 
+import gc
 import math
 import os
 import signal
@@ -275,8 +276,11 @@ class TestMoleculeDraws:
     def test_chunks_never_straddle_the_index_word_boundary(self):
         assert (1 << 32) % ensemble.CHUNK_SIZE == 0
 
-    def test_draining_the_source_releases_its_rows(self):
-        # 4,000 reset rows of 1,024 molecules, 128 bytes of bits each, read once
+    def test_the_register_holds_each_row_once_as_packed_bytes(self):
+        # 4,002 rows of 1,024 molecules, 128 bytes each; an int a row holds
+        # about 688 KB, past the bound, and reading every row adds nothing
+        _build_registers(1, 0.1, 7, 0, 1024, 4000)
+        gc.collect()
         tracemalloc.start()
         try:
             reg = _build_registers(1, 0.1, 7, 0, 1024, 4000)
@@ -285,7 +289,20 @@ class TestMoleculeDraws:
             drained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held - drained > 4000 * 128
+        assert max(held, drained) <= 1.1 * 4002 * 128
+
+    def test_the_draws_peak_below_one_and_a_half_bool_blocks(self):
+        # 64 molecules of 200,002 draws stage as one 12.8 MB bool block; a
+        # transposed copy of it takes the peak to 2.25 blocks
+        _build_registers(1, 0.1, 7, 0, 64, 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _build_registers(1, 0.1, 7, 0, 64, 200000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 64 * 200_002
 
 
 class TestKeys:
