@@ -493,6 +493,14 @@ class TestGoldenOutputs:
              " --format csv", "71a59439f4d4f1ca"),
             ("simulate --epsilon0 0.0 --m 40 --ell 4 --jf 2 --molecules 5 --seed 0"
              " --format json", "bbac79648c25fe7c"),
+            # j_f = 0: one RESET and no marks, on one chunk and on two, the second one wide
+            ("simulate --epsilon0 0.1 --m 4 --jf 0 --molecules 10 --seed 1 --format json",
+             "05c5868a415ca0ce"),
+            ("simulate --m 6 --ell 4 --jf 0 --molecules 16385 --seed 3 --format json",
+             "64718c1a906a8998"),
+            # the paper's eps0 = 0.01 row at its deepest feasible plan: 78,125 RESETs
+            ("simulate --epsilon0 0.01 --m 20 --jf 7 --molecules 64 --seed 1 --format json",
+             "b74fcf873ce91d4e"),
         ],
     )
     def test_stdout_sha256_prefix(self, capsys, command, prefix):
