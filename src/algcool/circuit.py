@@ -50,9 +50,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union, get_args
+from typing import (
+    Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union, get_args,
+)
 
 __all__ = [
     "Cnot",
@@ -335,34 +337,53 @@ class Register:
     plane. No row has a bit at or above 2W set, and no RRTR int one at or
     above W.
 
-    ``source`` is the register's one thermal source, its rows int bitsets,
-    bit k molecule k, read in order: the computation bits are its first n
-    rows, the RRTR row the next n, and each RESET takes the rows after.
-    Each row is read when it is needed, so an iterator may make each one
-    as it is read. A source that runs dry raises.
+    ``source`` is the register's one thermal source, its rows packed to
+    bytes: a 2-D uint8 array of rows of at least ceil(W / 8) bytes, bit k
+    of byte k // 8 (least significant first) molecule k, as
+    ``np.packbits(..., axis=1, bitorder="little")`` packs bool rows. It is
+    read in order: the computation bits are its first n rows, the RRTR row
+    the next n, and each RESET takes the rows after. The register holds
+    the source as it is and makes a row's int as it reads it; bits past
+    molecule W - 1 are dropped. A source that runs dry raises.
+    ``Register.holding`` makes a register of whole rows and no source.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs
     no neighbours); before it acts, it is checked only to fit the register.
     """
 
-    def __init__(self, n: int, num_molecules: int, source: Iterable[int]):
+    def __init__(self, n: int, num_molecules: int, source: Sequence):
         self.n = n
         self.num_molecules = num_molecules
         self.full = (1 << num_molecules) - 1
         self.flagged = self.full << num_molecules
-        self._source = iter(source)
+        self._source, self._drawn = source, 0
         self.rows = [x | self.flagged for x in self.draw_reset_rows(n)]
         self.rrtr = self.draw_reset_rows(n)
 
+    @classmethod
+    def holding(cls, rows: list[int], num_molecules: int) -> "Register":
+        """A register whose positions hold ``rows`` as they are, bits and
+        flags, with a zero RRTR row and an empty thermal source, so that a
+        RESET on it raises."""
+        reg = cls(0, num_molecules, ())
+        reg.n, reg.rows, reg.rrtr = len(rows), rows, [0] * len(rows)
+        return reg
+
     # -- thermal source -------------------------------------------------
 
-    def draw_reset_rows(self, length: int) -> list[int]:
-        """The next ``length`` rows of the thermal source."""
-        rows = [x & self.full for x in islice(self._source, length)]
+    def draw_packed_rows(self, length: int) -> Sequence:
+        """The next ``length`` rows of the thermal source, packed as it holds them."""
+        rows = self._source[self._drawn : self._drawn + length]
         if len(rows) < length:
             raise GateError("reset bit source exhausted")
+        self._drawn += length
         return rows
+
+    def draw_reset_rows(self, length: int) -> list[int]:
+        """The next ``length`` rows of the thermal source, as int bitsets."""
+        return [int.from_bytes(row, "little") & self.full
+                for row in self.draw_packed_rows(length)]
 
     # -- views ----------------------------------------------------------
 

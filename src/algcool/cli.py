@@ -26,7 +26,7 @@ import io
 import json
 import os
 import sys
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,10 +73,15 @@ def _emit(args, parts: Iterable[str]) -> None:
 def _render(
     args, record: dict, csv_header: list, csv_rows: list, text_lines: list
 ) -> None:
-    """Write one command's output in the format ``args`` asks for."""
+    """Write one command's output in the format ``args`` asks for. JSON is
+    written as the encoder makes it, joined a block of pieces at a time,
+    never into one string: the ε₀=0.01, j_f=7 record is 21 MB of text in
+    about 4 million pieces."""
     if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
+        pieces = json.JSONEncoder(indent=2).iterencode(record)
+        _emit(args, chain(iter(lambda: "".join(islice(pieces, 1 << 16)), ""), ["\n"]))
+        return
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -243,7 +248,7 @@ def cmd_simulate(args) -> int:
                 if report.position_z_scores is not None
                 else None
             ),
-            "rounds": [dataclasses.asdict(r) for r in report.rounds],
+            "rounds": [dict(vars(r)) for r in report.rounds],  # flat: no deep copy
         },
     }
     header = ["position", "zero_freq", "bias", "success_bias"]

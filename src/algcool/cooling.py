@@ -10,9 +10,24 @@ length at every truncation and never aborts, because the shared pulse
 sequence cannot branch per molecule. A vacuous success bound (ell = 4)
 is data, ``plan.success_bound.vacuous``, and is never a warning.
 
-The compiler and the run share one walk of the recursion (``_walk``).
-The compiler writes each compression out as its gates, which the text
-format carries; the run applies it fused (``apply_bcs``).
+The compiler walks the recursion block by block (``_walk``) and writes
+each compression out as its gates, which the text format carries. The
+run does not follow that order: it runs level by level, every block of a
+level at once, each block a lane of one wide register, and applies each
+compression fused (``apply_bcs``). Any order that runs a block's
+children before the block gives every block the same result, because
+
+- every position is reset before it is read, so a RESET's rows are fixed
+  stream rows: the RRTR row's last refill at that position, or its
+  initial draw (``_reset_table``);
+- a level-j block reads only rows it wrote: its children's outputs and
+  its own purified prefix, each at its own offset;
+- a compression parks unflagged supervisors from nu + m/2 on, so no
+  purified run reaches past them into rows another block wrote.
+
+The census of a plan, its step and reset counts and its ``Count``/``Cut``
+marks in schedule order, comes from closed forms (``plan_census``); only
+``compile_cooling`` builds the schedule.
 """
 
 from __future__ import annotations
@@ -20,9 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
+from . import circuit
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
     Bcs,
+    Census,
     Count,
     Cut,
     Marker,
@@ -30,30 +49,44 @@ from .circuit import (
     Reset,
     Schedule,
     apply_bcs,
-    apply_gate,
 )
 from .compression import compile_bcs
 
 __all__ = [
     "CoolingRun",
     "compile_cooling",
+    "plan_census",
     "run_cooling",
     "expected_length_after_round",
 ]
+
+# The benchmark's tracer counts RESETs by patching this name; it stays
+# until the engine reports its own counts (ROADMAP item 1).
+apply_gate = circuit.apply_gate
 
 
 @dataclass
 class CoolingRun:
     """What one batch's run observed, as int bitsets over its
-    ``num_molecules`` molecules (bit k is molecule k). The log holds one
-    ``(mark, at_least)`` entry for each of the plan's ``Count`` and ``Cut``
-    marks, in schedule order: the mark and the purified run there in
-    unary, as ``Register.purified_run_length`` gives it."""
+    ``num_molecules`` molecules (bit k is molecule k). ``marks`` are the
+    plan's ``Count`` and ``Cut`` marks in schedule order. Each
+    ``(index, at_least)`` entry of the log is one purified run in unary,
+    as ``Register.purified_run_length`` gives it, read on a register of
+    lanes: lane b, bits [b * s, b * s + num_molecules) for s = 8 *
+    ``lane_bytes``, is the run at mark ``marks[index[b]]``.
+    ``run_cooling`` logs each level's rounds and then its cut, every block
+    of the level a lane; a log of one entry a mark has one lane."""
 
-    log: list[tuple[Count | Cut, list[int]]]
+    marks: tuple[Count | Cut, ...]
+    log: list[tuple[np.ndarray, list[int]]]
     success: int  # molecules whose every truncation had length >= m
     output_bits: list[int]  # the m output positions' bit rows
     num_molecules: int
+
+    @property
+    def lane_bytes(self) -> int:
+        """A lane's width in the log: the batch rounded up to whole bytes."""
+        return -(-self.num_molecules // 8)
 
 
 def expected_length_after_round(e_prev: float, m: int, k: int) -> float:
@@ -93,8 +126,8 @@ def _walk(plan: CoolingPlan) -> Iterator[tuple]:
     its schedule but the compressions' gates. A compression is its
     ``(Marker, Bcs)`` block, a reset phase its ``(Marker, Reset)`` block,
     and each ``Count`` or ``Cut`` a block of its own. ``compile_cooling``
-    and ``run_cooling`` both read it, so the order is written once. Each
-    block is made as it is read, so a run never holds the whole walk."""
+    reads it; the run takes the same order from ``_lanes`` in closed form.
+    Each block is made as it is read, so no walk is ever held whole."""
     m, ell, resets = plan.m, plan.ell, {}
 
     def level(j: int, mu: int) -> Iterator[tuple]:
@@ -112,42 +145,134 @@ def _walk(plan: CoolingPlan) -> Iterator[tuple]:
     yield from level(plan.j_final, 0)
 
 
-def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
-    """Execute a plan's cooling with per-molecule bookkeeping.
+def _lanes(plan: CoolingPlan) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """The blocks of every level in walk order: the RESETs' offsets, and
+    for j = 1..j_final each level-j block's offset and the schedule indices
+    of its marks, its ell Counts (blocks, ell) and its Cut (blocks,).
+    Child d of block b is block b * ell + d one level down, d * m/2
+    further on, so a block's offset is m/2 times the sum of its base-ell
+    digits. A block's marks follow each child's with the Count of that
+    round, and end with its Cut, so a level-j block holds M_j = ell *
+    (M_{j-1} + 1) + 1 marks, M_0 = 0."""
+    ell, half, depth = plan.ell, plan.m // 2, np.arange(plan.ell)
+    held = [0]  # M_j
+    for _ in range(plan.j_final):
+        held.append(ell * (held[-1] + 1) + 1)
+    at = first = np.zeros(1, dtype=np.int64)  # the top block's offset and first mark
+    levels = []
+    for child in held[-2::-1]:  # M_{j-1}, from j = j_final down
+        step = depth * (child + 1)
+        levels.append((at, first[:, None] + step + child, first + ell * (child + 1)))
+        at = (at[:, None] + depth * half).ravel()
+        first = (first[:, None] + step).ravel()
+    return at, levels[::-1]
 
-    The run walks the plan as ``compile_cooling`` does: each RESET goes
-    through ``apply_gate`` and each compression runs fused (``apply_bcs``).
-    At each of the walk's ``Count`` and ``Cut`` marks it logs the mark and
-    the purified run there; a register that holds the plan holds them all.
+
+def plan_census(plan: CoolingPlan) -> Census:
+    """``compile_cooling(plan).census`` from closed forms, with no schedule
+    built. A compression ``Bcs(m, nu, nu0)`` takes h(3L + m - 1) +
+    h(h - 1)/2 gates, h = m/2 and L = nu - nu0 = d * h at depth d, and
+    each of the plan's ell^j_final RESETs one step and m rows. Each mark
+    goes to its schedule index (``_lanes``), and equal marks are one
+    object."""
+    m, ell, half = plan.m, plan.ell, plan.m // 2
+    offsets, levels = _lanes(plan)
+    resets, blocks = len(offsets), sum(len(at) for at, _, _ in levels)
+    per_block = sum(half * (3 * d * half + m - 1) + half * (half - 1) // 2 for d in range(ell))
+    marks: list = [None] * (ell + 1) * blocks
+    for j, (at, rounds, cuts) in enumerate(levels, 1):
+        made: dict[int, list] = {}
+        for mu, row, cut in zip(at.tolist(), rounds.tolist(), cuts.tolist()):
+            if mu not in made:
+                made[mu] = [Count(j, mu, k + 1) for k in range(ell)] + [Cut(j, mu, m)]
+            for i, mark in zip(row + [cut], made[mu]):
+                marks[i] = mark
+    return Census(blocks * per_block + resets, resets, m * resets, tuple(marks))
+
+
+def _reset_table(plan: CoolingPlan, offsets: np.ndarray) -> np.ndarray:
+    """R, the rows each RESET of the walk swaps in, (resets, m), as indices
+    into the register's RRTR row followed by its reset rows. RESET k, at
+    offset mu, takes the RRTR row at [mu, mu + m) and refills position
+    mu + i with reset row k * m + i. So at each position a RESET takes the
+    refill of the last earlier RESET there, or else the initial RRTR row:
+    one stable sort of every RESET's positions puts each after the one
+    before it at the same position."""
+    m, n = plan.m, plan.n_required
+    at = (offsets[:, None] + np.arange(m)).ravel()  # entry k * m + i: position mu + i
+    order = np.argsort(at, kind="stable")
+    where = at[order]
+    again = np.concatenate([[False], where[1:] == where[:-1]])  # not the first RESET there
+    table = np.empty_like(at)
+    table[order] = np.where(again, n + np.roll(order, 1), where)
+    return table.reshape(-1, m)
+
+
+def _thermal_rows(reg: Register, count: int, width: int) -> np.ndarray:
+    """The register's RRTR row, then the next ``count`` rows of its thermal
+    source, packed to ``width`` bytes a row (rows, width)."""
+    rrtr = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in reg.rrtr), dtype=np.uint8)
+    return np.concatenate([rrtr.reshape(-1, width), reg.draw_packed_rows(count)[:, :width]])
+
+
+def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
+    """Execute a plan's cooling with per-molecule bookkeeping, level by
+    level.
+
+    The register gives the run its thermal rows: its RRTR row, then the
+    plan's m * ell^j_final reset rows, drawn from its source. Its
+    positions are never read, since each is reset before it is read, and
+    stay as they are. Level 0 is the rows each RESET swaps in
+    (``_reset_table``), all flagged. For j = 1..j_final one register holds
+    every level-j block at once, lane b the b-th in walk order, each lane
+    the batch rounded up to whole bytes, whose padding is never flagged.
+    At depth d it loads child d's m output rows, lanes b * ell + d of the
+    level below, at d * m/2, compresses them to 0 (``apply_bcs``) and logs
+    the purified run there, and after depth ell - 1 logs the same run
+    for the ``Cut``. Lanes regroup between levels as numpy byte views.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
-    a purified length only if its purified flag is set; the ``Count`` or
-    ``Cut`` names the level, and a failed comparison clears the flag, so
-    lucky dirty bits never inflate the count.
+    a purified length only if its purified flag is set, and a failed
+    comparison clears the flag, so lucky dirty bits never inflate the
+    count.
     """
     if reg.n < plan.n_required:
         raise ValueError(
             f"register has {reg.n} bits; plan requires {plan.n_required}"
         )
-    window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
-    log = []
-    for *_, item in _walk(plan):
-        kind = type(item)
-        if kind is Bcs:
-            apply_bcs(reg, item)
-        elif kind is Reset:
-            apply_gate(reg, item)
-        elif kind is not Marker:  # a Count or a Cut
-            log.append((item, reg.purified_run_length(item.at, window)))
-
-    success = reg.full
-    for mark, at_least in log:  # entry m - 1 holds the runs of length >= m
-        if type(mark) is Cut:
-            success &= at_least[mark.m - 1] if len(at_least) >= mark.m else 0
+    m, ell, half = plan.m, plan.ell, plan.m // 2
+    (offsets, levels), width = _lanes(plan), -(-reg.num_molecules // 8)
+    resets = len(offsets)
+    # each level's outputs: (m rows, bit and flag plane, lanes, bytes); at
+    # level 0 every RESET's rows, each molecule flagged and no padding
+    out = np.empty((m, 2, resets, width), dtype=np.uint8)
+    out[:, 0] = _thermal_rows(reg, m * resets, width)[_reset_table(plan, offsets).T]
+    out[:, 1] = np.frombuffer(reg.full.to_bytes(width, "little"), dtype=np.uint8)
+    size, window = (ell + 1) * half, ell * half  # a block's span; a run's reach
+    success, log = reg.full, []
+    for _, rounds, cuts in levels:
+        lanes = len(cuts)
+        level = Register.holding([0] * size, 8 * width * lanes)
+        children = out.reshape(m, 2, lanes, ell, width)
+        for d in range(ell):
+            level.rows[d * half : d * half + m] = [
+                int.from_bytes(row.tobytes(), "little") for row in children[:, :, :, d]]
+            apply_bcs(level, Bcs(m, d * half, 0))
+            log.append((rounds[:, d], level.purified_run_length(0, window)))
+        cut = log[-1][1]  # no gate between the last round and the cut
+        log.append((cuts, cut))
+        kept = cut[m - 1] if len(cut) >= m else 0  # entry m - 1: runs of length >= m
+        held = np.frombuffer(kept.to_bytes(width * lanes, "little"), dtype=np.uint8)
+        success &= int.from_bytes(  # molecules whose cut held in every lane
+            np.bitwise_and.reduce(held.reshape(lanes, width)).tobytes(), "little")
+        out = np.frombuffer(b"".join(row.to_bytes(2 * width * lanes, "little")
+                                     for row in level.rows[:m]),
+                            dtype=np.uint8).reshape(m, 2, lanes, width)
     return CoolingRun(
+        marks=plan_census(plan).marks,
         log=log,
         success=success,
-        output_bits=reg.comp_bit_rows(0, plan.m),
+        output_bits=[int.from_bytes(row.tobytes(), "little") & reg.full for row in out[:, 0, 0]],
         num_molecules=reg.num_molecules,
     )

@@ -28,8 +28,9 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
+from . import cooling
 from .circuit import Census, Count, Cut, Register
-from .cooling import CoolingRun, compile_cooling, expected_length_after_round, run_cooling
+from .cooling import CoolingRun, expected_length_after_round, plan_census, run_cooling
 
 __all__ = [
     "EnsembleStats",
@@ -45,6 +46,12 @@ CHUNK_SIZE = 16384
 #: never all held as bools; a multiple of 8, so each block packs to whole bytes.
 _DRAW_BLOCK = 64
 
+
+#: The benchmark's tracer times the census compile by patching this name;
+#: it stays until the engine reports its own counts (ROADMAP item 1).
+compile_cooling = cooling.compile_cooling
+
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 _MASK32 = 0xFFFFFFFF
 # numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -132,7 +139,9 @@ def _molecule_bits(philox: np.random.Philox, key: np.ndarray, threshold: np.uint
 def _pack_rows(packed: np.ndarray) -> Iterator[int]:
     """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
     packs each row's molecules, as one int bitset a row, made as it is
-    read: bit k is molecule k."""
+    read: bit k is molecule k. No run calls it, since a register reads its
+    packed source itself; it stays for the benchmark's tracer, which
+    patches it, until the engine reports its own counts (ROADMAP item 1)."""
     return (int.from_bytes(row, "little") for row in packed)
 
 
@@ -159,7 +168,22 @@ def _build_registers(
         for i, key in enumerate(keys[b : b + _DRAW_BLOCK]):
             _molecule_bits(philox, key, threshold, block[:, i])
         packed[:, b // 8 : (b + _DRAW_BLOCK) // 8] = np.packbits(block, axis=1, bitorder="little")
-    return Register(n, count, _pack_rows(packed))
+    return Register(n, count, packed)
+
+
+def _lane_length_sums(at_least: list[int], lanes: int, width: int) -> np.ndarray:
+    """Each lane's sum of run lengths, from runs in unary over ``lanes``
+    lanes of ``width`` bytes. The entries nest, so entry i - 1 less entry
+    i holds the runs of length exactly i; those make the lengths' binary
+    digits, and each digit is counted per lane, a byte at a time."""
+    digits = [0] * len(at_least).bit_length()
+    for length, (longer, beyond) in enumerate(zip(at_least, at_least[1:] + [0]), 1):
+        for t in range(length.bit_length()):
+            if length >> t & 1:
+                digits[t] |= longer ^ beyond
+    raw = b"".join(digit.to_bytes(lanes * width, "little") for digit in digits)
+    counts = _POPCOUNT[np.frombuffer(raw, dtype=np.uint8).reshape(-1, lanes, width)]
+    return counts.sum(axis=2, dtype=np.int64).T @ (1 << np.arange(len(digits), dtype=np.int64))
 
 
 @dataclass
@@ -198,19 +222,21 @@ class _Accumulator:
 
     def fold(self, run: CoolingRun) -> None:
         """Add one run's totals, each counted as popcounts of its bitsets.
-        Entry i of a unary run holds the molecules whose length exceeds i,
-        so its length sum is the sum of the entries' popcounts. Only a
-        ``Cut`` adds shortfalls."""
-        full, succ = (1 << run.num_molecules) - 1, run.success
-        zeros = [full ^ row for row in run.output_bits]
+        Entry i of a unary run holds the molecules whose length exceeds i.
+        Each lane's length sum goes to its own mark (``_lane_length_sums``).
+        Only a ``Cut`` adds shortfalls, summed over its lanes, so they are
+        counted from the popcounts of its whole entries."""
+        w, succ = run.num_molecules, run.success
+        zeros = [((1 << w) - 1) ^ row for row in run.output_bits]
         self.zero_counts += [z.bit_count() for z in zeros]
         self.success_zero_counts += [(z & succ).bit_count() for z in zeros]
         self.success_count += succ.bit_count()
-        for i, (mark, at_least) in enumerate(run.log):
-            longer = [p.bit_count() for p in at_least]  # entry k: molecules of length > k
-            self.length_sums[i] += sum(longer)
+        for index, at_least in run.log:
+            self.length_sums[index] += _lane_length_sums(at_least, len(index), run.lane_bytes)
+            mark = run.marks[index[0]]
             if type(mark) is Cut:
-                ge = [run.num_molecules, *longer[: mark.m]] + [0] * (mark.m - len(longer))  # >= k
+                longer = [p.bit_count() for p in at_least[: mark.m]]  # entry k: length > k
+                ge = [len(index) * w, *longer] + [0] * (mark.m - len(longer))  # >= k
                 self.shortfalls.update({mark.m - k: ge[k] - ge[k + 1]  # molecules of length k
                                         for k in range(mark.m) if ge[k] > ge[k + 1]})
 
@@ -311,13 +337,15 @@ def run_ensemble(
     worker w folds chunks w, w + workers, ... into one total and reports it
     through a pipe (``_fork_workers``), and the totals are summed in the
     order they arrive. A worker's exception is raised again here, and a
-    worker that dies without a report raises ``ChildProcessError``.
+    worker that dies without a report raises ``ChildProcessError``. The
+    census (steps, reset rows, marks) comes from closed forms once per run
+    (``plan_census``); nothing is compiled.
     """
     if num_molecules < 1:
         raise ValueError("num_molecules must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    census = compile_cooling(plan).census  # counted once per run, not per chunk
+    census = plan_census(plan)
     job = partial(_share_totals, plan, census, seed, num_molecules)
     starts = list(range(0, num_molecules, CHUNK_SIZE))
     if threads == 1 or len(starts) == 1:

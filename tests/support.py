@@ -1,15 +1,18 @@
 """Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, a cooling run's bitsets read per molecule, a
-molecule's draws straight from numpy, a cooling run replayed gate by
-gate, the compression compiler written gate by gate, and gate-free
-oracles for one compression round and for a whole cooling run, one
-molecule or a batch."""
+register and a schedule, a cooling run's bitsets read per molecule and
+per mark, a molecule's draws straight from numpy, a cooling run replayed
+gate by gate and run block by block, the compression compiler written
+gate by gate, and gate-free oracles for one compression round and for a
+whole cooling run, one molecule or a batch."""
 
 import numpy as np
 
 from algcool import compression
-from algcool.circuit import Annotation, Bcs, Count, Cut, Register, apply_gate
+from algcool.circuit import (
+    Annotation, Bcs, Count, Cut, Marker, Register, Reset, apply_bcs, apply_gate,
+)
 from algcool.compression import compile_bcs
+from algcool.cooling import CoolingRun, _walk
 from algcool.ensemble import _pack_rows
 
 
@@ -18,11 +21,17 @@ def pack(bits):
     return list(_pack_rows(np.packbits(bits, axis=1, bitorder="little")))
 
 
-def unpack(ints, n_mol):
-    """Int bitsets as uint8 bits (len(ints), molecules): ``pack`` undone."""
+def packed(ints, n_mol):
+    """Int bitsets as packed byte rows (len(ints), bytes), a register's
+    thermal source as the engine packs it."""
     width = (n_mol + 7) // 8
     raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(ints), width), axis=1, bitorder="little")[:, :n_mol]
+    return raw.reshape(len(ints), width)
+
+
+def unpack(ints, n_mol):
+    """Int bitsets as uint8 bits (len(ints), molecules): ``pack`` undone."""
+    return np.unpackbits(packed(ints, n_mol), axis=1, bitorder="little")[:, :n_mol]
 
 
 def run_lengths(at_least, n_mol):
@@ -31,10 +40,20 @@ def run_lengths(at_least, n_mol):
     return unpack(at_least, n_mol).sum(axis=0, dtype=np.int64)
 
 
-def entries(run, kind):
-    """A ``CoolingRun``'s log entries of one mark type, ``Count`` or ``Cut``,
-    in schedule order."""
-    return [(mark, at_least) for mark, at_least in run.log if type(mark) is kind]
+def entries(run, kind=None):
+    """A ``CoolingRun``'s log mark by mark, in schedule order, as
+    ``(mark, at_least)``: each lane's run cut out of its entry, as
+    ``Register.purified_run_length`` would give it on that lane alone (it
+    stops before its first empty entry). Every mark, or those of one type,
+    ``Count`` or ``Cut``."""
+    stride, full = 8 * run.lane_bytes, (1 << run.num_molecules) - 1
+    per_mark = {}
+    for index, at_least in run.log:
+        for lane, i in enumerate(index.tolist()):
+            rows = [row >> lane * stride & full for row in at_least]
+            per_mark[i] = rows[: rows.index(0)] if 0 in rows else rows
+    return [(run.marks[i], per_mark[i]) for i in sorted(per_mark)
+            if kind is None or type(run.marks[i]) is kind]
 
 
 def observed(run):
@@ -55,7 +74,7 @@ def register(bits, fresh=None):
     so a RESET raises."""
     bits = np.asarray(bits, dtype=bool)
     fresh = [0] * len(bits) if fresh is None else list(fresh)
-    return Register(len(bits), bits.shape[1], pack(bits) + fresh)
+    return Register(len(bits), bits.shape[1], packed(pack(bits) + fresh, bits.shape[1]))
 
 
 def bits_of(reg, index=0):
@@ -100,6 +119,34 @@ def run_gates(reg, schedule):
     """Apply every gate of a schedule in order."""
     for gate in gates(schedule):
         apply_gate(reg, gate)
+
+
+def serial_cooling(reg, plan):
+    """The serial oracle for ``run_cooling``: the plan's walk one block at
+    a time, in schedule order, on the register itself. Each RESET goes
+    through ``apply_gate``, each compression runs fused (``apply_bcs``),
+    and each ``Count`` and ``Cut`` logs the purified run at its offset over
+    the ``ell * m / 2`` window. Returns a ``CoolingRun`` whose log holds one
+    one-lane entry per mark."""
+    if reg.n < plan.n_required:
+        raise ValueError(f"register has {reg.n} bits; plan requires {plan.n_required}")
+    window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
+    marks, log = [], []
+    for *_, item in _walk(plan):
+        kind = type(item)
+        if kind is Bcs:
+            apply_bcs(reg, item)
+        elif kind is Reset:
+            apply_gate(reg, item)
+        elif kind is not Marker:  # a Count or a Cut
+            log.append((np.array([len(marks)]), reg.purified_run_length(item.at, window)))
+            marks.append(item)
+    success = reg.full
+    for mark, (_, at_least) in zip(marks, log):  # entry m - 1 holds the runs of length >= m
+        if type(mark) is Cut:
+            success &= at_least[mark.m - 1] if len(at_least) >= mark.m else 0
+    return CoolingRun(marks=tuple(marks), log=log, success=success,
+                      output_bits=reg.comp_bit_rows(0, plan.m), num_molecules=reg.num_molecules)
 
 
 def replay(reg, plan, schedule):

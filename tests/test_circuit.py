@@ -34,7 +34,7 @@ from algcool.circuit import (
 )
 from algcool.cooling import compile_cooling, run_cooling
 from support import (
-    bits_of, flag_rows, gates, observed, pack, planes, register, run_gates, run_lengths,
+    bits_of, flag_rows, gates, observed, pack, packed, planes, register, run_gates, run_lengths,
     set_flag_plane, unpack,
 )
 
@@ -111,7 +111,7 @@ class TestGateSemantics:
         assert (flag_rows(reg, 0, 3) == 1).all()
         # one source of distinct rows (4 molecules): the computation bits are
         # its first n rows, the RRTR row the next n, each RESET the rows after
-        reg = Register(3, 4, range(1, 14))
+        reg = Register(3, 4, packed(range(1, 14), 4))
         assert planes(reg) == ([1, 2, 3], [15] * 3, [4, 5, 6])
         set_flag_plane(reg, [0, 0, 0])
         apply_gate(reg, Reset(1, 2))
@@ -128,7 +128,7 @@ class TestGateSemantics:
             apply_gate(reg, Reset(0, 2))
         for rows in (0, 2, 5):  # a source shorter than 2n raises when the register is built
             with pytest.raises(GateError, match="^reset bit source exhausted$"):
-                Register(3, 4, range(1, 1 + rows))
+                Register(3, 4, packed(range(1, 1 + rows), 4))
 
 
 class TestProvenance:
@@ -322,7 +322,8 @@ class TestLevelTagEquivalence:
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.census.reset_rows))
-        reg = Register(n, n_mol, pack(np.vstack([bits, rrtr, pool])))
+        source = np.packbits(np.vstack([bits, rrtr, pool]), axis=1, bitorder="little")
+        reg = Register(n, n_mol, source)
         run_bits, run_counts, run_cuts, success = observed(run_cooling(reg, plan))
         assert (~success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
@@ -937,8 +938,7 @@ class TestPlaneBounds:
 
     def test_packed_padding_is_masked(self):
         # rows from outside with every bit set, past the 70th molecule too
-        ones = (1 << 128) - 1
-        reg = Register(3, 70, [ones] * 9)
+        reg = Register(3, 70, np.full((9, 16), 0xFF, dtype=np.uint8))  # 128 bits a row
         assert planes(reg) == ([reg.full] * 3, [reg.full] * 3, [reg.full] * 3)
         apply_gate(reg, Reset(0, 3))
         assert self.in_bounds(reg) and reg.rrtr == [reg.full] * 3

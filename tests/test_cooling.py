@@ -30,12 +30,13 @@ from algcool.compression import compile_bcs
 from algcool.cooling import (
     compile_cooling,
     expected_length_after_round,
+    plan_census,
     run_cooling,
 )
-from algcool.ensemble import _build_registers
+from algcool.ensemble import _Accumulator, _build_registers
 from support import (
     entries, gates, numpy_draws, observed, pack, planes, reference_cooling,
-    reference_cooling_batch, register, replay,
+    reference_cooling_batch, register, replay, serial_cooling,
 )
 
 
@@ -235,7 +236,7 @@ class TestRunCooling:
         sched = compile_cooling(plan)
         reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
         run = run_cooling(reg, plan)
-        assert [mark for mark, _ in run.log] == list(sched.census.marks)  # one log, in order
+        assert [mark for mark, _ in entries(run)] == list(sched.census.marks)  # one log, in order
         for kind in (Count, Cut):
             marks = [it for it in sched.census.marks if isinstance(it, kind)]
             log = entries(run, kind)
@@ -256,12 +257,13 @@ class TestRunCooling:
     @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2), (14, 4, 2), (16, 4, 2)])
     def test_register_matches_gate_by_gate_replay(self, shape):
         # plans whose short cuts leave unflagged operands in later compressions;
-        # h = 7 and 8 put the count of agreed pairs on either side of a binary digit
+        # h = 7 and 8 put the count of agreed pairs on either side of a binary digit.
+        # The serial run leaves its register as the gates would
         plan = CoolingPlan(0.1, *shape)
         sched = compile_cooling(plan)
         fused, gated = (_build_registers(plan.n_required, 0.1, 7, 0, 300,
                                          sched.census.reset_rows) for _ in range(2))
-        run = run_cooling(fused, plan)
+        run = serial_cooling(fused, plan)
         counts, cuts = replay(gated, plan, sched)
         _, run_counts, run_cuts, success = observed(run)
         assert not success.all()  # short cuts occur
@@ -365,3 +367,54 @@ class TestRunCooling:
         run = run_cooling(reg, plan)
         assert observed(run)[3].tolist() == [True]
         assert entries(run, Cut) == []
+
+
+class TestClosedFormCensus:
+    @pytest.mark.parametrize("jf", range(4))
+    def test_equals_the_compiled_census(self, jf):
+        for ell, m in product(range(4, 8), range(2, 13, 2)):
+            plan = CoolingPlan(0.1, m, ell, jf)
+            assert plan_census(plan) == compile_cooling(plan).census, (m, ell, jf)
+
+    @pytest.mark.parametrize("shape", [(50, 5, 3), (200, 5, 2)])
+    def test_equals_the_compiled_census_of_wide_plans(self, shape):
+        plan = CoolingPlan(0.1, *shape)
+        assert plan_census(plan) == compile_cooling(plan).census
+
+    def test_deep_plan_without_a_schedule(self):
+        # the eps0 = 0.01 row's deepest plan: 390,621 walk blocks, none built
+        census = plan_census(CoolingPlan(0.01, 20, 5, 7))
+        assert (census.resets, census.reset_rows) == (5**7, 20 * 5**7)
+        assert len(census.marks) == 6 * (5**7 - 1) // 4
+        assert len({id(mark) for mark in census.marks}) < 1000  # equal marks are one object
+
+
+class TestLevelMajorRun:
+    """The level-major run against the serial oracle, which runs the plan's
+    walk block by block on one register."""
+
+    @given(st.sampled_from([2, 4, 6, 8, 10]), st.sampled_from([4, 5, 6, 7]), st.integers(0, 4),
+           st.sampled_from([1, 7, 8, 9, 77]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.05, 0.3, 0.5]))
+    @example(8, 4, 2, 1, 1, 0.45)  # widths that are not whole bytes
+    @example(4, 4, 3, 7, 2, 0.45)
+    @example(10, 7, 2, 9, 3, 0.3)
+    @example(2, 5, 4, 77, 4, 0.3)
+    @example(6, 7, 4, 9, 5, 0.5)  # 2,401 RESETs
+    @settings(deadline=None, max_examples=40)
+    def test_matches_the_serial_oracle_mark_by_mark(self, m, ell, jf, width, seed, p_one):
+        plan = CoolingPlan(0.1, m, ell, jf)
+        n = plan.n_required
+        draws = np.random.default_rng(seed).random((2 * n + m * ell**jf, width)) < p_one
+        run, oracle = (run_plan(register(draws[:n], fresh=pack(draws[n:])), plan)
+                       for run_plan in (run_cooling, serial_cooling))
+        assert entries(run) == entries(oracle)  # every mark, lane by lane
+        assert run.output_bits == oracle.output_bits
+        assert run.success == oracle.success
+        totals = [_Accumulator.empty(m, run.marks) for _ in range(2)]
+        for acc, observed_run in zip(totals, (run, oracle)):
+            acc.fold(observed_run)
+        for name in ("zero_counts", "success_zero_counts", "length_sums"):
+            assert getattr(totals[0], name).tolist() == getattr(totals[1], name).tolist(), name
+        assert totals[0].success_count == totals[1].success_count
+        assert totals[0].shortfalls == totals[1].shortfalls

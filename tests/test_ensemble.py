@@ -427,7 +427,8 @@ class TestFold:
         count_marks = [Count(1, 0, r + 1) for r in range(n_counts)]
         cut_marks = [Cut(1, 0, m) for _ in range(n_cuts)]
         run = CoolingRun(
-            log=[(mark, self.unary(x)) for mark, x in zip(count_marks + cut_marks, counts + cuts)],
+            marks=(*count_marks, *cut_marks),
+            log=[(np.array([i]), self.unary(x)) for i, x in enumerate(counts + cuts)],
             success=pack(success[None])[0], output_bits=pack(bits), num_molecules=width)
         got, want = (_Accumulator.empty(m, (*count_marks, *cut_marks)) for _ in range(2))
         got.fold(run)
