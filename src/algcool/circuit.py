@@ -372,18 +372,13 @@ class Register:
 
     # -- thermal source -------------------------------------------------
 
-    def draw_packed_rows(self, length: int) -> Sequence:
-        """The next ``length`` rows of the thermal source, packed as it holds them."""
+    def draw_reset_rows(self, length: int) -> list[int]:
+        """The next ``length`` rows of the thermal source, as int bitsets."""
         rows = self._source[self._drawn : self._drawn + length]
         if len(rows) < length:
             raise GateError("reset bit source exhausted")
         self._drawn += length
-        return rows
-
-    def draw_reset_rows(self, length: int) -> list[int]:
-        """The next ``length`` rows of the thermal source, as int bitsets."""
-        return [int.from_bytes(row, "little") & self.full
-                for row in self.draw_packed_rows(length)]
+        return [int.from_bytes(row, "little") & self.full for row in rows]
 
     # -- views ----------------------------------------------------------
 

@@ -192,44 +192,41 @@ def plan_census(plan: CoolingPlan) -> Census:
 
 def _reset_table(plan: CoolingPlan, offsets: np.ndarray) -> np.ndarray:
     """R, the rows each RESET of the walk swaps in, (resets, m), as indices
-    into the register's RRTR row followed by its reset rows. RESET k, at
-    offset mu, takes the RRTR row at [mu, mu + m) and refills position
-    mu + i with reset row k * m + i. So at each position a RESET takes the
-    refill of the last earlier RESET there, or else the initial RRTR row:
-    one stable sort of every RESET's positions puts each after the one
-    before it at the same position."""
-    m, n = plan.m, plan.n_required
-    at = (offsets[:, None] + np.arange(m)).ravel()  # entry k * m + i: position mu + i
+    into the draws past the computation rows: the RRTR row, then the reset
+    rows. Every offset is a multiple of h = m/2, so RESET k, at offset mu =
+    q * h, covers half-blocks q and q + 1 and refills half-block q + i with
+    reset rows (2k + i) * h + [0, h). So each half-block a RESET takes is
+    the refill of the last earlier RESET there, or else the initial RRTR
+    rows at q * h: one stable sort of the 2 * resets half-blocks puts each
+    after the one before it at the same place."""
+    half, n = plan.m // 2, plan.n_required
+    at = (offsets[:, None] // half + np.arange(2)).ravel()  # entry 2k + i: half-block q + i
     order = np.argsort(at, kind="stable")
     where = at[order]
     again = np.concatenate([[False], where[1:] == where[:-1]])  # not the first RESET there
-    table = np.empty_like(at)
-    table[order] = np.where(again, n + np.roll(order, 1), where)
-    return table.reshape(-1, m)
+    start = np.empty_like(at)
+    start[order] = np.where(again, n + np.roll(order, 1) * half, where * half)
+    return (start[:, None] + np.arange(half)).reshape(-1, plan.m)
 
 
-def _thermal_rows(reg: Register, count: int, width: int) -> np.ndarray:
-    """The register's RRTR row, then the next ``count`` rows of its thermal
-    source, packed to ``width`` bytes a row (rows, width)."""
-    rrtr = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in reg.rrtr), dtype=np.uint8)
-    return np.concatenate([rrtr.reshape(-1, width), reg.draw_packed_rows(count)[:, :width]])
-
-
-def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
+def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> CoolingRun:
     """Execute a plan's cooling with per-molecule bookkeeping, level by
     level.
 
-    The register gives the run its thermal rows: its RRTR row, then the
-    plan's m * ell^j_final reset rows, drawn from its source. Its
-    positions are never read, since each is reset before it is read, and
-    stay as they are. Level 0 is the rows each RESET swaps in
-    (``_reset_table``), all flagged. For j = 1..j_final one register holds
-    every level-j block at once, lane b the b-th in walk order, each lane
-    the batch rounded up to whole bytes, whose padding is never flagged.
-    At depth d it loads child d's m output rows, lanes b * ell + d of the
-    level below, at d * m/2, compresses them to 0 (``apply_bcs``) and logs
-    the purified run there, and after depth ell - 1 logs the same run
-    for the ``Cut``. Lanes regroup between levels as numpy byte views.
+    ``draws`` are a chunk's packed draws, as ``ensemble._build_registers``
+    makes them: rows of ceil(``num_molecules`` / 8) bytes, bit k of byte
+    k // 8 (least significant first) molecule k, with n computation rows,
+    then the n-row RRTR row, then the plan's m * ell^j_final reset rows. A
+    run never reads the computation rows, since each position is reset
+    before it is read. Level 0 is one gather from ``draws[n:]``: the rows
+    each RESET swaps in (``_reset_table``), all flagged. For j =
+    1..j_final one register holds every level-j block at once, lane b the
+    b-th in walk order, each lane the batch rounded up to whole bytes,
+    whose padding is never flagged. At depth d it loads child d's m output
+    rows, lanes b * ell + d of the level below, at d * m/2, compresses
+    them to 0 (``apply_bcs``) and logs the purified run there, and after
+    depth ell - 1 logs the same run for the ``Cut``. Lanes regroup between
+    levels as numpy byte views.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
@@ -237,20 +234,20 @@ def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
     comparison clears the flag, so lucky dirty bits never inflate the
     count.
     """
-    if reg.n < plan.n_required:
-        raise ValueError(
-            f"register has {reg.n} bits; plan requires {plan.n_required}"
-        )
-    m, ell, half = plan.m, plan.ell, plan.m // 2
-    (offsets, levels), width = _lanes(plan), -(-reg.num_molecules // 8)
-    resets = len(offsets)
+    m, ell, half, n = plan.m, plan.ell, plan.m // 2, plan.n_required
+    (offsets, levels), width = _lanes(plan), -(-num_molecules // 8)
+    resets, full = len(offsets), (1 << num_molecules) - 1
+    shape = (2 * n + m * resets, width)
+    if draws.shape != shape:
+        raise ValueError(f"draws have shape {draws.shape}; the plan on {num_molecules} "
+                         f"molecules needs {shape}")
     # each level's outputs: (m rows, bit and flag plane, lanes, bytes); at
     # level 0 every RESET's rows, each molecule flagged and no padding
     out = np.empty((m, 2, resets, width), dtype=np.uint8)
-    out[:, 0] = _thermal_rows(reg, m * resets, width)[_reset_table(plan, offsets).T]
-    out[:, 1] = np.frombuffer(reg.full.to_bytes(width, "little"), dtype=np.uint8)
+    out[:, 0] = draws[n:][_reset_table(plan, offsets).T]
+    out[:, 1] = np.frombuffer(full.to_bytes(width, "little"), dtype=np.uint8)
     size, window = (ell + 1) * half, ell * half  # a block's span; a run's reach
-    success, log = reg.full, []
+    success, log = full, []
     for _, rounds, cuts in levels:
         lanes = len(cuts)
         level = Register.holding([0] * size, 8 * width * lanes)
@@ -273,6 +270,6 @@ def run_cooling(reg: Register, plan: CoolingPlan) -> CoolingRun:
         marks=plan_census(plan).marks,
         log=log,
         success=success,
-        output_bits=[int.from_bytes(row.tobytes(), "little") & reg.full for row in out[:, 0, 0]],
-        num_molecules=reg.num_molecules,
+        output_bits=[int.from_bytes(row.tobytes(), "little") & full for row in out[:, 0, 0]],
+        num_molecules=num_molecules,
     )

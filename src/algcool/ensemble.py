@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
 from . import cooling
-from .circuit import Census, Count, Cut, Register
+from .circuit import Census, Count, Cut
 from .cooling import CoolingRun, expected_length_after_round, plan_census, run_cooling
 
 __all__ = [
@@ -139,23 +139,25 @@ def _molecule_bits(philox: np.random.Philox, key: np.ndarray, threshold: np.uint
 def _pack_rows(packed: np.ndarray) -> Iterator[int]:
     """Byte rows (rows, bytes), as ``np.packbits(..., bitorder="little")``
     packs each row's molecules, as one int bitset a row, made as it is
-    read: bit k is molecule k. No run calls it, since a register reads its
-    packed source itself; it stays for the benchmark's tracer, which
+    read: bit k is molecule k. No run calls it, since a run reads its
+    packed draws itself; it stays for the benchmark's tracer, which
     patches it, until the engine reports its own counts (ROADMAP item 1)."""
     return (int.from_bytes(row, "little") for row in packed)
 
 
 def _build_registers(
     n: int, epsilon0: float, seed: int, start: int, stop: int, reset_rows: int
-) -> Register:
-    """A batched register for molecules [start, stop). Each molecule's
-    draws, in order, are the register's one thermal source: draws [0, n)
-    its computation bits, [n, 2n) its initial RRTR row, then ``reset_rows``
-    more for the RESETs. The chunk's keys come from one vectorised pass,
-    and one Philox generator is re-keyed per molecule.
-    Molecules are drawn ``_DRAW_BLOCK`` at a time, each into a column of
-    one bool block, and packed to byte rows as they go. The register holds
-    each row once, as packed bytes, and makes its int as it reads it."""
+) -> np.ndarray:
+    """The packed draws of molecules [start, stop), as ``run_cooling``
+    reads them: uint8 (2n + ``reset_rows``, ceil(molecules / 8)), bit k of
+    byte k // 8 (least significant first) molecule k. Each molecule's
+    draws, in order, are its n computation bits, its n-bit initial RRTR
+    row, then ``reset_rows`` more for the RESETs. The chunk's keys come
+    from one vectorised pass, and one Philox generator is re-keyed per
+    molecule. Molecules are drawn ``_DRAW_BLOCK`` at a time, each into a
+    column of one bool block, and packed to byte rows as they go. The name
+    stays for the benchmark's tracer, which patches it and reads its
+    arguments, until the engine reports its own counts (ROADMAP item 1)."""
     count = stop - start
     threshold = np.uint64(math.ceil((1.0 - epsilon0) / 2.0 * 2**53) << 11)
     rows = 2 * n + reset_rows
@@ -168,7 +170,7 @@ def _build_registers(
         for i, key in enumerate(keys[b : b + _DRAW_BLOCK]):
             _molecule_bits(philox, key, threshold, block[:, i])
         packed[:, b // 8 : (b + _DRAW_BLOCK) // 8] = np.packbits(block, axis=1, bitorder="little")
-    return Register(n, count, packed)
+    return packed
 
 
 def _lane_length_sums(at_least: list[int], lanes: int, width: int) -> np.ndarray:
@@ -252,13 +254,14 @@ def _share_totals(
     plan: CoolingPlan, census: Census, seed: int, num_molecules: int, starts: list[int]
 ) -> _Accumulator:
     """Integer totals of molecules [start, start + CHUNK_SIZE) over all
-    ``starts``, one chunk's register at a time. The reset rows and the
+    ``starts``, one chunk's draws at a time. The reset rows and the
     accumulator's sizes are read from the census, counted once per run."""
     acc = _Accumulator.empty(plan.m, census.marks)
     for start in starts:
         stop = min(start + CHUNK_SIZE, num_molecules)
-        acc.fold(run_cooling(_build_registers(
-            plan.n_required, plan.epsilon0, seed, start, stop, census.reset_rows), plan))
+        draws = _build_registers(plan.n_required, plan.epsilon0, seed, start, stop,
+                                 census.reset_rows)
+        acc.fold(run_cooling(draws, stop - start, plan))
     return acc
 
 

@@ -1,9 +1,9 @@
-"""Helpers the tests share: registers built from bool arrays, views of a
-register and a schedule, a cooling run's bitsets read per molecule and
-per mark, a molecule's draws straight from numpy, a cooling run replayed
-gate by gate and run block by block, the compression compiler written
-gate by gate, and gate-free oracles for one compression round and for a
-whole cooling run, one molecule or a batch."""
+"""Helpers the tests share: packed draws and registers built from bool
+arrays, views of a register and a schedule, a cooling run's bitsets read
+per molecule and per mark, a molecule's draws straight from numpy, a
+cooling run replayed gate by gate and run block by block, the
+compression compiler written gate by gate, and gate-free oracles for one
+compression round and for a whole cooling run, one molecule or a batch."""
 
 import numpy as np
 
@@ -16,9 +16,20 @@ from algcool.cooling import CoolingRun, _walk
 from algcool.ensemble import _pack_rows
 
 
+def packed_draws(bits):
+    """Bool rows (rows, molecules) as packed byte rows (rows, bytes), laid
+    out as a chunk's draws are: bit k of byte k // 8 is molecule k."""
+    return np.packbits(np.asarray(bits, dtype=bool), axis=1, bitorder="little")
+
+
+def unpack_draws(draws, n_mol):
+    """Packed byte rows as uint8 bits (rows, molecules): ``packed_draws`` undone."""
+    return np.unpackbits(draws, axis=1, bitorder="little")[:, :n_mol]
+
+
 def pack(bits):
     """Bool rows (rows, molecules) as int bitsets, packed as the engine packs them."""
-    return list(_pack_rows(np.packbits(bits, axis=1, bitorder="little")))
+    return list(_pack_rows(packed_draws(bits)))
 
 
 def packed(ints, n_mol):
@@ -31,7 +42,7 @@ def packed(ints, n_mol):
 
 def unpack(ints, n_mol):
     """Int bitsets as uint8 bits (len(ints), molecules): ``pack`` undone."""
-    return np.unpackbits(packed(ints, n_mol), axis=1, bitorder="little")[:, :n_mol]
+    return unpack_draws(packed(ints, n_mol), n_mol)
 
 
 def run_lengths(at_least, n_mol):
@@ -214,8 +225,8 @@ def reference_bcs(bits: list[int]) -> tuple[list[int], list[int], list[int]]:
 def reference_cooling(plan, draws):
     """Gate-free oracle for ``run_cooling`` on one molecule.
 
-    ``draws`` is the molecule's thermal source as ``_build_registers`` reads
-    it: its n computation bits, its n-bit RRTR row, then the rows its RESETs
+    ``draws`` is the molecule's thermal source as ``_build_registers`` lays
+    it out: its n computation bits, its n-bit RRTR row, then the rows its RESETs
     take, in order. Each position holds ``[bit, flagged]``. A RESET takes the
     RRTR row's bits, flagged, and refills that stretch of the row from the
     source. A compression of the m bits at nu, pushed to nu0, leaves

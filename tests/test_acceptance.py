@@ -173,6 +173,6 @@ def test_criterion_11_structural_counts():
     sched = compile_cooling(plan)
     resets = [g for g in gates(sched) if isinstance(g, Reset)]
     assert len(resets) == 125
-    reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-    run = run_cooling(reg, plan)
+    draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
+    run = run_cooling(draws, 1, plan)
     assert len(entries(run, Cut)) == 31

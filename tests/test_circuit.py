@@ -323,8 +323,7 @@ class TestLevelTagEquivalence:
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
                             for rows in (n, n, schedule.census.reset_rows))
         source = np.packbits(np.vstack([bits, rrtr, pool]), axis=1, bitorder="little")
-        reg = Register(n, n_mol, source)
-        run_bits, run_counts, run_cuts, success = observed(run_cooling(reg, plan))
+        run_bits, run_counts, run_cuts, success = observed(run_cooling(source, n_mol, plan))
         assert (~success).sum() >= n_mol // 10  # failed truncations are exercised
         for i in range(n_mol):
             out, counts, cuts = level_tag_run(

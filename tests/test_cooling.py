@@ -18,6 +18,7 @@ from algcool.circuit import (
     Cnot,
     Count,
     Cut,
+    Register,
     Reset,
     Schedule,
     Swap,
@@ -35,8 +36,8 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _Accumulator, _build_registers
 from support import (
-    entries, gates, numpy_draws, observed, pack, planes, reference_cooling,
-    reference_cooling_batch, register, replay, serial_cooling,
+    entries, gates, numpy_draws, observed, packed_draws, planes, reference_cooling,
+    reference_cooling_batch, replay, serial_cooling,
 )
 
 
@@ -163,8 +164,8 @@ class TestWalk:
 
     def test_a_run_peaks_below_the_walks_block_list(self):
         plan = self.PLAN
-        reg = _build_registers(plan.n_required, plan.epsilon0, 3, 0, 8,
-                               compile_cooling(plan).census.reset_rows)
+        draws = _build_registers(plan.n_required, plan.epsilon0, 3, 0, 8,
+                                 compile_cooling(plan).census.reset_rows)
         gc.collect()
         tracemalloc.start()
         try:
@@ -174,7 +175,7 @@ class TestWalk:
             gc.collect()
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run_cooling(reg, plan)
+            run_cooling(draws, 8, plan)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -185,8 +186,8 @@ class TestRunCooling:
     def test_pure_input_always_succeeds(self):
         plan = CoolingPlan(1.0, 4, 5, 2)
         sched = compile_cooling(plan)
-        reg = _build_registers(plan.n_required, 1.0, 0, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan)
+        draws = _build_registers(plan.n_required, 1.0, 0, 0, 1, sched.census.reset_rows)
+        run = run_cooling(draws, 1, plan)
         bits, _, _, success = observed(run)
         assert bool(success[0])
         assert bits[:, 0].tolist() == [0, 0, 0, 0]
@@ -198,8 +199,8 @@ class TestRunCooling:
         rng = np.random.default_rng(3)
         bits = rng.random((plan.n_required, 64)) < 0.45
         pool = rng.random((sched.census.reset_rows, 64)) < 0.45
-        reg = register(bits, fresh=[0] * plan.n_required + pack(pool))
-        run = run_cooling(reg, plan)
+        draws = packed_draws(np.vstack([bits, np.zeros_like(bits), pool]))
+        run = run_cooling(draws, 64, plan)
         assert len(entries(run, Cut)) == truncation_count(5, 2)
         _, _, cuts, success = observed(run)
         recomputed = np.ones(64, dtype=bool)
@@ -208,25 +209,11 @@ class TestRunCooling:
         assert (success == recomputed).all()
         assert sched.census.steps <= plan.step_bound
 
-    def test_marks_out_of_range_raise_before_any_gate(self):
-        # every mark of the walk fits a register that holds the plan, so a
-        # register one position short is refused before any gate runs
-        for plan in (CoolingPlan(0.1, 2, 4, 1), CoolingPlan(0.1, 4, 5, 2)):
-            n = plan.n_required
-            assert max(mark.top for mark in compile_cooling(plan).census.marks) < n
-            rows = np.random.default_rng(0).random((2 * n, 3)) < 0.5
-            reg = register(rows[: n - 1], fresh=pack(rows[n - 1 :]))
-            before = planes(reg)
-            with pytest.raises(ValueError, match=f"plan requires {n}"):
-                run_cooling(reg, plan)
-            assert planes(reg) == before  # no gate ran
-            assert reg.draw_reset_rows(2) == pack(rows[2 * n - 2 :])  # and nothing was drawn
-
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
-        reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan)
+        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
+        run = run_cooling(draws, 1, plan)
         # ell rounds at the top level, ell per inner block
         assert len(entries(run, Count)) == 5 + 25
         assert all(1 <= count.round <= 5 for count, _ in entries(run, Count))
@@ -234,8 +221,8 @@ class TestRunCooling:
     def test_logs_hold_the_schedules_marks(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         sched = compile_cooling(plan)
-        reg = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
-        run = run_cooling(reg, plan)
+        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
+        run = run_cooling(draws, 1, plan)
         assert [mark for mark, _ in entries(run)] == list(sched.census.marks)  # one log, in order
         for kind in (Count, Cut):
             marks = [it for it in sched.census.marks if isinstance(it, kind)]
@@ -261,8 +248,8 @@ class TestRunCooling:
         # The serial run leaves its register as the gates would
         plan = CoolingPlan(0.1, *shape)
         sched = compile_cooling(plan)
-        fused, gated = (_build_registers(plan.n_required, 0.1, 7, 0, 300,
-                                         sched.census.reset_rows) for _ in range(2))
+        draws = _build_registers(plan.n_required, 0.1, 7, 0, 300, sched.census.reset_rows)
+        fused, gated = (Register(plan.n_required, 300, draws) for _ in range(2))
         run = serial_cooling(fused, plan)
         counts, cuts = replay(gated, plan, sched)
         _, run_counts, run_cuts, success = observed(run)
@@ -280,7 +267,7 @@ class TestRunCooling:
         n = plan.n_required
         draws = np.random.default_rng(seed).random((2 * n + sched.census.reset_rows,
                                                     molecules)) < p_one
-        run = run_cooling(register(draws[:n], fresh=pack(draws[n:])), plan)
+        run = run_cooling(packed_draws(draws), molecules, plan)
         return observed(run), [reference_cooling(plan, col.tolist()) for col in draws.T.astype(int)]
 
     @given(st.sampled_from([2, 4, 6, 8]), st.sampled_from([4, 5]), st.integers(0, 2),
@@ -343,9 +330,9 @@ class TestRunCooling:
     def test_engine_matches_batch_reference(self, shape, molecules):
         plan, seed = CoolingPlan(0.1, *shape), 5
         sched = compile_cooling(plan)
-        reg = _build_registers(plan.n_required, plan.epsilon0, seed, 0, molecules,
-                               sched.census.reset_rows)
-        run_bits, run_counts, run_cuts, run_success = observed(run_cooling(reg, plan))
+        draws = _build_registers(plan.n_required, plan.epsilon0, seed, 0, molecules,
+                                 sched.census.reset_rows)
+        run_bits, run_counts, run_cuts, run_success = observed(run_cooling(draws, molecules, plan))
         bits, counts, cuts, success = reference_cooling_batch(
             plan, self.numpy_draw_rows(plan, seed, molecules))
         for log, reference in ((run_counts, counts), (run_cuts, cuts)):
@@ -355,16 +342,26 @@ class TestRunCooling:
         assert shape == (200, 5, 3) or not success.all()  # short cuts occur
         assert (run_bits == bits).all()
 
-    def test_register_too_small(self):
-        plan = CoolingPlan(0.1, 20, 5, 3)
-        reg = register(np.zeros((10, 1), dtype=bool))
-        with pytest.raises(ValueError):
-            run_cooling(reg, plan)
+    @pytest.mark.parametrize("molecules", [1, 8, 9])
+    def test_draws_of_the_wrong_shape_raise(self, molecules):
+        # every mark of the walk fits the plan's n positions; draws one row
+        # short, or a byte too narrow for the batch, are refused, both sizes named
+        for plan in (CoolingPlan(0.1, 2, 4, 1), CoolingPlan(0.1, 4, 5, 2)):
+            census = compile_cooling(plan).census
+            assert max(mark.top for mark in census.marks) < plan.n_required
+            rows, width = 2 * plan.n_required + census.reset_rows, (molecules + 7) // 8
+            draws = np.zeros((rows, width + 1), dtype=np.uint8)
+            run_cooling(draws[:, :width], molecules, plan)  # the right shape runs
+            for wrong in (draws[1:, :width], draws[:, : width - 1], draws):
+                with pytest.raises(ValueError, match=(
+                        rf"^draws have shape \({wrong.shape[0]}, {wrong.shape[1]}\); the plan "
+                        rf"on {molecules} molecules needs \({rows}, {width}\)$")):
+                    run_cooling(wrong, molecules, plan)
 
     def test_depth_zero_run(self):
         plan = CoolingPlan(0.5, 4, 5, 0)
-        reg = _build_registers(4, 0.5, 2, 0, 1, 4)
-        run = run_cooling(reg, plan)
+        draws = _build_registers(4, 0.5, 2, 0, 1, 4)
+        run = run_cooling(draws, 1, plan)
         assert observed(run)[3].tolist() == [True]
         assert entries(run, Cut) == []
 
@@ -389,6 +386,28 @@ class TestClosedFormCensus:
         assert len({id(mark) for mark in census.marks}) < 1000  # equal marks are one object
 
 
+class TestResetTable:
+    @given(st.sampled_from([2, 4, 6, 10, 20]), st.sampled_from([4, 5, 6, 7]), st.integers(0, 4))
+    @example(4, 4, 0)
+    @example(2, 4, 4)
+    @example(10, 7, 3)
+    @settings(deadline=None, max_examples=30)
+    def test_matches_a_replay_of_the_walks_resets(self, m, ell, jf):
+        # each RESET of the walk, in order, takes each position's last refill,
+        # or its initial RRTR row, as indices into the draws past the n
+        # computation rows, and refills the positions with its own reset rows
+        plan = CoolingPlan(0.1, m, ell, jf)
+        n = plan.n_required
+        refill, expected = list(range(n)), []
+        resets = [block[-1] for block in cooling._walk(plan) if type(block[-1]) is Reset]
+        for k, reset in enumerate(resets):
+            span = slice(reset.start, reset.start + reset.length)
+            expected.append(refill[span])
+            refill[span] = range(n + k * m, n + (k + 1) * m)
+        offsets, _ = cooling._lanes(plan)
+        assert cooling._reset_table(plan, offsets).tolist() == expected
+
+
 class TestLevelMajorRun:
     """The level-major run against the serial oracle, which runs the plan's
     walk block by block on one register."""
@@ -405,9 +424,9 @@ class TestLevelMajorRun:
     def test_matches_the_serial_oracle_mark_by_mark(self, m, ell, jf, width, seed, p_one):
         plan = CoolingPlan(0.1, m, ell, jf)
         n = plan.n_required
-        draws = np.random.default_rng(seed).random((2 * n + m * ell**jf, width)) < p_one
-        run, oracle = (run_plan(register(draws[:n], fresh=pack(draws[n:])), plan)
-                       for run_plan in (run_cooling, serial_cooling))
+        draws = packed_draws(np.random.default_rng(seed).random((2 * n + m * ell**jf, width))
+                             < p_one)
+        run, oracle = run_cooling(draws, width, plan), serial_cooling(Register(n, width, draws), plan)
         assert entries(run) == entries(oracle)  # every mark, lane by lane
         assert run.output_bits == oracle.output_bits
         assert run.success == oracle.success

@@ -20,7 +20,7 @@ from algcool.circuit import Count, Cut, GateError
 from algcool.cli import main
 from algcool.cooling import CoolingRun
 from algcool.ensemble import _Accumulator, _build_registers, compare_to_analytic, run_ensemble
-from support import bits_of, numpy_draws, pack, unpack
+from support import numpy_draws, pack, unpack_draws
 
 
 def stats_equal(a, b):
@@ -60,12 +60,12 @@ class TestDeterminism:
         assert not stats_equal(a, c)
 
     def test_molecule_draws_follow_seed_and_index(self):
-        # molecule i draws the same register every time, another molecule another
+        # molecule i draws the same bits every time, another molecule others
         a = _build_registers(16, 0.1, 9, 17, 18, 0)
         b = _build_registers(16, 0.1, 9, 17, 18, 0)
         other = _build_registers(16, 0.1, 9, 18, 19, 0)
-        assert bits_of(a) == bits_of(b)
-        assert bits_of(a) != bits_of(other)
+        assert (a[:16] == b[:16]).all()
+        assert (a[:16] != other[:16]).any()
 
 
 def assert_no_children():
@@ -136,10 +136,10 @@ class TestForkedWorkers:
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         run_cooling = ensemble.run_cooling
 
-        def failing_tail(reg, plan):
-            if reg.num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
+        def failing_tail(draws, num_molecules, plan):
+            if num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
                 raise GateError("injected")
-            return run_cooling(reg, plan)
+            return run_cooling(draws, num_molecules, plan)
 
         monkeypatch.setattr(ensemble, "run_cooling", failing_tail)  # inherited by the fork
         with pytest.raises(GateError, match="injected") as failure:
@@ -154,11 +154,11 @@ class TestForkedWorkers:
     def test_dead_worker_raises_and_is_reaped(self, monkeypatch, die, how):
         caller, run_cooling = os.getpid(), ensemble.run_cooling
 
-        def dying_tail(reg, plan):
+        def dying_tail(draws, num_molecules, plan):
             assert os.getpid() != caller, "the chunk ran in the caller"
-            if reg.num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
+            if num_molecules < ensemble.CHUNK_SIZE:  # only the last chunk, start 200
                 die()
-            return run_cooling(reg, plan)
+            return run_cooling(draws, num_molecules, plan)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ensemble, "run_cooling", dying_tail)  # inherited by the fork
@@ -172,13 +172,13 @@ class TestForkedWorkers:
         # 200: the caller raises at once and kills worker 0
         calls, run_cooling = [], ensemble.run_cooling
 
-        def slow_or_dead(reg, plan):
-            calls.append(reg.num_molecules)  # a worker's own copy of the list
-            if reg.num_molecules < ensemble.CHUNK_SIZE:
+        def slow_or_dead(draws, num_molecules, plan):
+            calls.append(num_molecules)  # a worker's own copy of the list
+            if num_molecules < ensemble.CHUNK_SIZE:
                 os._exit(4)
             if len(calls) == 2:
                 time.sleep(60)
-            return run_cooling(reg, plan)
+            return run_cooling(draws, num_molecules, plan)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ensemble, "run_cooling", slow_or_dead)
@@ -209,13 +209,12 @@ class TestForkedWorkers:
 
 class TestMoleculeDraws:
     def test_pure_input_all_zero(self):
-        assert bits_of(_build_registers(8, 1.0, 0, 0, 1, 0)) == [0] * 8
+        assert unpack_draws(_build_registers(8, 1.0, 0, 0, 1, 0), 1)[:8, 0].tolist() == [0] * 8
 
     def test_fair_coin_and_thermal_frequencies(self):
         # 10^6 pooled reset bits of one molecule: P(0) within 3 binomial sigma
         for eps, p_zero in [(0.0, 0.5), (0.1, 0.55)]:
-            reg = _build_registers(1, eps, 42, 0, 1, 10**6)
-            ones = np.array(reg.draw_reset_rows(10**6))
+            ones = unpack_draws(_build_registers(1, eps, 42, 0, 1, 10**6)[2:], 1)
             freq = 1.0 - ones.mean()
             sigma = np.sqrt(p_zero * (1 - p_zero) / 10**6)
             assert abs(freq - p_zero) < 3 * sigma
@@ -241,32 +240,30 @@ class TestMoleculeDraws:
         words = [0, (t - 1) % 2**64, t, t + 2047, 2**64 - 1]
         fake = SimpleNamespace(random_raw=lambda size: np.array(words[:size], dtype=np.uint64))
         monkeypatch.setattr(np.random, "Philox", lambda seed: fake)
-        reg = _build_registers(2, eps, 0, 0, 1, len(words) - 4)
+        draws = _build_registers(2, eps, 0, 0, 1, len(words) - 4)
         expected = [int((w >> 11) * 2**-53 < p) for w in words]
-        assert bits_of(reg) + reg.rrtr + reg.draw_reset_rows(len(words) - 4) == expected
+        assert unpack_draws(draws, 1)[:, 0].tolist() == expected
         assert expected[1:3] == ([0, 0] if eps == 1.0 else [1, 0])
 
     def test_draw_order(self):
         # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
         n, k, eps, seed = 5, 7, 0.1, 3
         draws = [numpy_draws(seed, i, 2 * n + k, eps) for i in range(70)]
-        reg = _build_registers(n, eps, seed, 11, 12, k)
-        assert bits_of(reg) == draws[11][:n]
-        assert reg.rrtr == draws[11][n : 2 * n]
-        assert reg.draw_reset_rows(3) + reg.draw_reset_rows(k - 3) == draws[11][2 * n :]
-        with pytest.raises(GateError):
-            reg.draw_reset_rows(1)  # the source holds exactly the schedule's reset rows
-        batch = _build_registers(n, eps, seed, 0, 70, k)  # the same, 70 at once
-        assert unpack(batch.comp_bit_rows(0, n), 70).T.tolist() == [d[:n] for d in draws]
-        assert unpack(batch.rrtr, 70).T.tolist() == [d[n : 2 * n] for d in draws]
-        assert unpack(batch.draw_reset_rows(k), 70).T.tolist() == [d[2 * n :] for d in draws]
+        one = unpack_draws(_build_registers(n, eps, seed, 11, 12, k), 1)[:, 0].tolist()
+        assert one[:n] == draws[11][:n]
+        assert one[n : 2 * n] == draws[11][n : 2 * n]
+        assert one[2 * n :] == draws[11][2 * n :]  # exactly the schedule's reset rows
+        batch = unpack_draws(_build_registers(n, eps, seed, 0, 70, k), 70)  # the same, 70 at once
+        assert batch[:n].T.tolist() == [d[:n] for d in draws]
+        assert batch[n : 2 * n].T.tolist() == [d[n : 2 * n] for d in draws]
+        assert batch[2 * n :].T.tolist() == [d[2 * n :] for d in draws]
 
     @pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32])
     def test_draws_match_numpy_across_the_index_word_boundary(self, index):
         n, k, eps, seed = 4, 5, 0.1, 12
         draws = numpy_draws(seed, index, 2 * n + k, eps)
-        reg = _build_registers(n, eps, seed, index, index + 1, k)
-        assert bits_of(reg) + reg.rrtr + reg.draw_reset_rows(k) == draws
+        built = _build_registers(n, eps, seed, index, index + 1, k)
+        assert unpack_draws(built, 1)[:, 0].tolist() == draws
 
     def test_a_batch_straddling_the_index_word_boundary(self):
         # chunks never straddle a multiple of 2**32, so a batch that does is refused
@@ -277,19 +274,18 @@ class TestMoleculeDraws:
         assert (1 << 32) % ensemble.CHUNK_SIZE == 0
 
     def test_the_register_holds_each_row_once_as_packed_bytes(self):
-        # 4,002 rows of 1,024 molecules, 128 bytes each; an int a row holds
-        # about 688 KB, past the bound, and reading every row adds nothing
+        # 4,002 rows of 1,024 molecules, 128 bytes each; an int a row would
+        # hold about 688 KB more, past the bound
         _build_registers(1, 0.1, 7, 0, 1024, 4000)
         gc.collect()
         tracemalloc.start()
         try:
-            reg = _build_registers(1, 0.1, 7, 0, 1024, 4000)
+            draws = _build_registers(1, 0.1, 7, 0, 1024, 4000)
             held = tracemalloc.get_traced_memory()[0]
-            reg.draw_reset_rows(4000)
-            drained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert max(held, drained) <= 1.1 * 4002 * 128
+        assert draws.shape == (4002, 128) and draws.dtype == np.uint8
+        assert held <= 1.1 * 4002 * 128
 
     def test_the_draws_peak_below_one_and_a_half_bool_blocks(self):
         # 64 molecules of 200,002 draws stage as one 12.8 MB bool block; a

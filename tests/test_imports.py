@@ -1,9 +1,12 @@
 """Source hygiene: every name a module of the package imports is used,
-the package exports exactly its modules' public APIs, and every name the
+every function, class and method it defines is named somewhere else, the
+package exports exactly its modules' public APIs, and every name the
 benchmark's tracer patches exists."""
 
 import ast
 import importlib.util
+import re
+from collections import defaultdict
 from functools import reduce
 from pathlib import Path
 from types import ModuleType
@@ -13,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "algcool"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +48,43 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_definitions(sources: dict[str, str], others: list[str]) -> list[str]:
+    """Functions, classes and methods defined in ``sources`` (a name for
+    each text) that no text names outside every definition of that name:
+    not the rest of ``sources``, nor ``others``. Dunders, which Python
+    calls, are exempt."""
+    own = defaultdict(lambda: defaultdict(set))  # name -> source -> lines of its definitions
+    for key, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DEFINITIONS) and not re.fullmatch(r"__\w+__", node.name):
+                own[node.name][key].update(range(node.lineno - 1, node.end_lineno))
+    unnamed = []
+    for name, lines in own.items():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        outside = [line for key, text in sources.items()
+                   for i, line in enumerate(text.splitlines()) if i not in lines[key]]
+        if not any(word.search(text) for text in outside + others):
+            unnamed.append(name)
+    return sorted(unnamed)
+
+
+def test_checker_finds_unnamed_definitions():
+    source = ("class A:\n    def __init__(self):\n        self.used()\n\n"
+              "    def used(self):\n        pass\n\n\n"
+              "def lone(n):\n    return lone(n - 1)  # named only in itself\n\n\n"
+              "def elsewhere():\n    pass\n")
+    assert unnamed_definitions({"m.py": source}, ["elsewhere()\n"]) == ["A", "lone"]
+
+
+def test_every_definition_is_named_elsewhere():
+    """A function, class or method of the package that nothing in ``src/``,
+    ``tests/`` or ``benchmarks/`` names is a leftover."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text() for folder in ("tests", "benchmarks")
+              for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unnamed_definitions(sources, others) == []
 
 
 def test_package_exports_each_module_api():
