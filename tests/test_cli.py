@@ -167,6 +167,19 @@ class TestCompile:
         assert code == 0 and out_file.stat().st_size == 11_515_704
         assert peak < 5.5e6
 
+    @pytest.mark.parametrize("args,counts", [
+        (["--m", "50", "--jf", "3"], "817750 gates, 125 reset phases, 817750 steps (bound 1562500)"),
+        (["--m", "8", "--jf", "2"], "3925 gates, 25 reset phases, 3925 steps (bound 8000)"),
+        (["--m", "10", "--ell", "4", "--jf", "2"],
+         "3366 gates, 16 reset phases, 3366 steps (bound 6400)"),
+        (["--m", "6", "--jf", "0"], "1 gates, 1 reset phases, 1 steps (bound 180)"),
+    ])
+    def test_out_summary_line(self, tmp_path, capsys, args, counts):
+        out_file = tmp_path / "sched.txt"
+        code, out = run_cli(capsys, "compile", "--epsilon0", "0.1", *args, "--out", str(out_file))
+        assert code == 0
+        assert out == f"wrote {out_file}: {counts}\n"
+
     def test_reported_steps_within_bound(self, capsys):
         code, out = run_cli(capsys, "compile", "--m", "4", "--jf", "1")
         assert code == 0
