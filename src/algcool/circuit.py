@@ -37,10 +37,10 @@ the purified prefix the round pushes past once, by a barrel shift of F.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
-compression blocks ell^j times. Its census, its validation and its text
-are worked out once per distinct block and combined in block order, and
-an item formats its line once. A parse cuts the text at annotation lines
-and shares each chunk that recurs, so a parsed schedule is blocked as a
+compression blocks ell^j times. Its validation and its text are worked
+out once per distinct block and combined in block order, and an item
+formats its line once. A parse cuts the text at annotation lines and
+shares each chunk that recurs, so a parsed schedule is blocked as a
 compiled one is. A table parses each distinct line on first lookup; a
 line seen before is one dict lookup in C.
 """
@@ -53,7 +53,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import (
-    Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union, get_args,
+    Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union, get_args,
 )
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "Bcs",
     "Count",
     "Cut",
-    "Census",
     "Schedule",
     "GateError",
     "Register",
@@ -255,17 +254,7 @@ class Cut(Annotation):
         return _span_shape(self.at, self.m)
 
 
-class Census(NamedTuple):
-    """The shape of a schedule, which every run of it shares."""
-
-    steps: int  # one per gate, a RESET of any width included
-    resets: int  # RESET gates
-    reset_rows: int  # fresh rows a run's RESETs draw from the thermal source
-    marks: tuple[Union[Count, Cut], ...]  # where rounds end and cuts fall, in order
-
-
 _GATE_KINDS = frozenset(get_args(Gate))
-_STEP_ONLY = _GATE_KINDS - {Reset}  # the bulk, skipped by a cheap exact-type test
 
 T = TypeVar("T")
 Block = tuple[Union[Gate, Annotation], ...]
@@ -278,25 +267,13 @@ def _per_block(blocks: tuple[Block, ...], work: Callable[[Block], T]) -> list[T]
     return [done[id(block)] for block in blocks]
 
 
-def _block_census(block: Block) -> Census:
-    """The block's census. The bulk, a block of gates alone, is told from
-    its item types; any other is counted from its RESETs and annotations."""
-    if set(map(type, block)) <= _STEP_ONLY:
-        return Census(len(block), 0, 0, ())
-    rare = [it for it in block if type(it) not in _STEP_ONLY]
-    resets = [it for it in rare if isinstance(it, Reset)]
-    return Census(len(block) - sum(isinstance(it, Annotation) for it in rare), len(resets),
-                  sum(r.length for r in resets),
-                  tuple(it for it in rare if isinstance(it, (Count, Cut))))
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Schedule:
     """An ordered, data-independent, immutable sequence of gates plus
     annotations, held as its blocks: ``Schedule(*blocks)`` keeps each
     block as a tuple of items, and a block that recurs is one shared tuple
-    object. ``census``, ``validate_schedule`` and ``schedule_to_text`` do
-    their per-item work once per distinct block. ``items`` is the flat
+    object. ``validate_schedule`` and ``schedule_to_text`` do their
+    per-item work once per distinct block. ``items`` is the flat
     sequence, built on each use; two schedules are equal when their items
     are, however they are blocked."""
 
@@ -316,12 +293,6 @@ class Schedule:
 
     def __hash__(self) -> int:
         return hash(self.items)
-
-    @cached_property
-    def census(self) -> Census:
-        counts = _per_block(self.blocks, _block_census)
-        return Census(*(sum(c[k] for c in counts) for k in range(3)),  # steps, resets, rows
-                      tuple(chain.from_iterable(c.marks for c in counts)))
 
 
 class Register:

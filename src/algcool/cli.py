@@ -40,7 +40,7 @@ from .analytic import (
     timing_feasibility,
 )
 from .circuit import Schedule, schedule_to_text, validate_schedule
-from .cooling import compile_cooling
+from .cooling import compile_cooling, plan_census
 from .ensemble import compare_to_analytic, run_ensemble
 
 SCHEMA_VERSION = 1
@@ -202,7 +202,7 @@ def cmd_compile(args) -> int:
         return 1
     _emit(args, _block_texts(schedule))
     if args.out:
-        census = schedule.census  # a run takes one step per gate
+        census = plan_census(plan)  # a run takes one step per gate
         print(
             f"wrote {args.out}: {census.steps} gates, {census.resets} reset phases, "
             f"{census.steps} steps (bound {plan.step_bound})"

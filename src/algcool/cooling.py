@@ -33,7 +33,7 @@ marks in schedule order, comes from closed forms (``plan_census``); only
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from . import circuit
 from .analytic import CoolingPlan, expected_keep_fraction
 from .circuit import (
     Bcs,
-    Census,
     Count,
     Cut,
     Marker,
@@ -53,6 +52,7 @@ from .circuit import (
 from .compression import compile_bcs
 
 __all__ = [
+    "Census",
     "CoolingRun",
     "compile_cooling",
     "plan_census",
@@ -63,6 +63,15 @@ __all__ = [
 # The benchmark's tracer counts RESETs by patching this name; it stays
 # until the engine reports its own counts (ROADMAP item 1).
 apply_gate = circuit.apply_gate
+
+
+class Census(NamedTuple):
+    """The shape of a plan's schedule, which every run of the plan shares."""
+
+    steps: int  # one per gate, a RESET of any width included
+    resets: int  # RESET gates
+    reset_rows: int  # fresh rows a run's RESETs draw from the thermal source
+    marks: tuple[Count | Cut, ...]  # where rounds end and cuts fall, in order
 
 
 @dataclass
@@ -169,12 +178,12 @@ def _lanes(plan: CoolingPlan) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]
 
 
 def plan_census(plan: CoolingPlan) -> Census:
-    """``compile_cooling(plan).census`` from closed forms, with no schedule
-    built. A compression ``Bcs(m, nu, nu0)`` takes h(3L + m - 1) +
-    h(h - 1)/2 gates, h = m/2 and L = nu - nu0 = d * h at depth d, and
-    each of the plan's ell^j_final RESETs one step and m rows. Each mark
-    goes to its schedule index (``_lanes``), and equal marks are one
-    object."""
+    """The plan's census from closed forms, with no schedule built: the
+    gates, RESETs and marks ``compile_cooling(plan)`` emits. A compression
+    ``Bcs(m, nu, nu0)`` takes h(3L + m - 1) + h(h - 1)/2 gates, h = m/2
+    and L = nu - nu0 = d * h at depth d, and each of the plan's
+    ell^j_final RESETs one step and m rows. Each mark goes to its schedule
+    index (``_lanes``), and equal marks are one object."""
     m, ell, half = plan.m, plan.ell, plan.m // 2
     offsets, levels = _lanes(plan)
     resets, blocks = len(offsets), sum(len(at) for at, _, _ in levels)

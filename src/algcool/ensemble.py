@@ -29,8 +29,8 @@ import numpy as np
 
 from .analytic import CoolingPlan, expected_keep_fraction
 from . import cooling
-from .circuit import Census, Count, Cut
-from .cooling import CoolingRun, expected_length_after_round, plan_census, run_cooling
+from .circuit import Count, Cut
+from .cooling import Census, CoolingRun, expected_length_after_round, plan_census, run_cooling
 
 __all__ = [
     "EnsembleStats",
@@ -444,7 +444,7 @@ def compare_to_analytic(stats: EnsembleStats, plan: CoolingPlan) -> DeviationRep
         expected = expected_length_after_round(e_prev, plan.m, k)
         keep = 2 * expected_keep_fraction(e_prev)  # per-pair keep probability
         var_one = k * (plan.m / 2.0) * keep * (1.0 - keep)
-        sigma = np.sqrt(var_one / n_mol)
+        sigma = math.sqrt(var_one / n_mol)
         z = (observed - expected) / sigma if sigma > 0 else 0.0
         rounds.append(RoundDeviation(level, k, observed, expected, z))
 

@@ -1,9 +1,10 @@
 """Helpers the tests share: packed draws and registers built from bool
 arrays, views of a register and a schedule, a cooling run's bitsets read
 per molecule and per mark, a molecule's draws straight from numpy, a
-cooling run replayed gate by gate and run block by block, the
-compression compiler written gate by gate, and gate-free oracles for one
-compression round and for a whole cooling run, one molecule or a batch."""
+schedule's census counted from its items, a cooling run replayed gate by
+gate and run block by block, the compression compiler written gate by
+gate, and gate-free oracles for one compression round and for a whole
+cooling run, one molecule or a batch."""
 
 import numpy as np
 
@@ -124,6 +125,15 @@ def numpy_draws(seed, index, rows, eps):
 def gates(schedule):
     """A schedule's gates in order, its annotations left out."""
     return [item for item in schedule.items if not isinstance(item, Annotation)]
+
+
+def plain_census(schedule):
+    """A schedule's census counted from its own items: steps (one per gate,
+    a RESET of any width included), RESETs, reset rows, and its ``Count``
+    and ``Cut`` marks in order, to compare with ``plan_census``."""
+    resets = [g for g in gates(schedule) if isinstance(g, Reset)]
+    marks = tuple(it for it in schedule.items if isinstance(it, (Count, Cut)))
+    return len(gates(schedule)), len(resets), sum(r.length for r in resets), marks
 
 
 def run_gates(reg, schedule):

@@ -32,10 +32,10 @@ from algcool.circuit import (
     _chunks,
     validate_schedule,
 )
-from algcool.cooling import compile_cooling, run_cooling
+from algcool.cooling import compile_cooling, plan_census, run_cooling
 from support import (
-    bits_of, flag_rows, gates, observed, pack, packed, planes, register, run_gates, run_lengths,
-    set_flag_plane, unpack,
+    bits_of, flag_rows, gates, observed, pack, packed, plain_census, planes, register, run_gates,
+    run_lengths, set_flag_plane, unpack,
 )
 
 
@@ -321,7 +321,7 @@ class TestLevelTagEquivalence:
         n, n_mol = plan.n_required, 130
         rng = np.random.default_rng(m * 100 + ell * 10 + jf)
         bits, rrtr, pool = (rng.random((rows, n_mol)) < (1 - eps) / 2
-                            for rows in (n, n, schedule.census.reset_rows))
+                            for rows in (n, n, plan_census(plan).reset_rows))
         source = np.packbits(np.vstack([bits, rrtr, pool]), axis=1, bitorder="little")
         run_bits, run_counts, run_cuts, success = observed(run_cooling(source, n_mol, plan))
         assert (~success).sum() >= n_mol // 10  # failed truncations are exercised
@@ -333,63 +333,24 @@ class TestLevelTagEquivalence:
             assert [int(lengths[i]) for lengths in run_cuts] == cuts
 
 
-class TestStepAccounting:
-    def test_unit_costs_and_wide_reset(self):
-        sched = Schedule([Cnot(0, 1), Swap(1, 2), ZcSwap(0, 1, 2), Reset(0, 4)])
-        assert sched.census.steps == 4  # RESET of width 4 is one parallel step
-
-    def test_zcswap_at_cost_two(self):
-        # a slower conditional swap adds one step per ZCSWAP to the gate count
-        sched = Schedule([Marker("x"), ZcSwap(0, 1, 2), Cnot(1, 2)])
-        zcswaps = sum(isinstance(g, ZcSwap) for g in gates(sched))
-        assert sched.census.steps + zcswaps == 3
-
-    def test_schedule_step_total(self):
-        sched = Schedule([Marker("x"), Swap(0, 1), Reset(0, 3), Cnot(1, 2)])
-        assert sched.census.steps == 3
-        assert sched.census.reset_rows == 3
-        assert len(gates(sched)) == 3
-
-    def test_items_are_an_immutable_tuple(self):
-        items = [Marker("x"), Swap(0, 1)]
-        sched = Schedule(items)
-        assert type(sched.items) is tuple and sched.items == tuple(items)
-        assert type(compile_cooling(CoolingPlan(0.1, 4, 5, 1)).items) is tuple
-        assert type(schedule_from_text("SWAP 0 1\n").items) is tuple
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            sched.items = ()
-
-
-def plain_census(schedule):
-    """The census restated from the items: steps, RESETs, reset rows, marks."""
-    resets = [g for g in gates(schedule) if isinstance(g, Reset)]
-    marks = [it for it in schedule.items if isinstance(it, (Count, Cut))]
-    return len(gates(schedule)), len(resets), sum(r.length for r in resets), marks
-
-
 class TestCensus:
+    """A plan's census, from closed forms, is what its schedule holds,
+    compiled or parsed back from its text."""
+
     @pytest.mark.parametrize(
         "eps,m,ell,jf",
         [(0.1, 6, 5, 0), (0.1, 4, 4, 1), (0.1, 8, 5, 2), (0.1, 20, 5, 2), (0.1, 50, 5, 3)],
     )
     def test_compiled_plans(self, eps, m, ell, jf):
-        sched = compile_cooling(CoolingPlan(eps, m, ell, jf))
-        steps, resets, rows, marks = sched.census
-        assert (steps, resets, rows, list(marks)) == plain_census(sched)
-        assert sched.census is sched.census  # counted once
+        plan = CoolingPlan(eps, m, ell, jf)
+        sched = compile_cooling(plan)
+        parsed = schedule_from_text(schedule_to_text(sched))
+        assert plan_census(plan) == plain_census(sched) == plain_census(parsed)
 
     def test_parsed_headline(self, headline_text):
-        sched = schedule_from_text(headline_text)
-        steps, resets, rows, marks = sched.census
-        assert (steps, resets, rows, list(marks)) == plain_census(sched)
+        steps, resets, rows, marks = plain_census(schedule_from_text(headline_text))
         assert (steps, resets, rows, len(marks)) == (817750, 125, 6250, 186)
-
-    def test_every_item_kind(self):
-        sched = Schedule([Marker("x"), Bcs(2, 0, 0), Cnot(0, 1), Count(1, 0, 1),
-                          Reset(0, 3), ZcSwap(2, 0, 1), Cut(1, 0, 2), Swap(1, 2), Reset(1, 2)])
-        steps, resets, rows, marks = sched.census
-        assert (steps, resets, rows, list(marks)) == plain_census(sched)
-        assert (steps, resets, rows, marks) == (5, 2, 5, (Count(1, 0, 1), Cut(1, 0, 2)))
+        assert (steps, resets, rows, marks) == plan_census(CoolingPlan(0.1, 50, 5, 3))
 
 
 class TestValidation:
@@ -645,7 +606,7 @@ class TestSerialization:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sched.census.steps == 817750
+        assert len(gates(sched)) == 817750
         assert peak < 2 * len(headline_text)
         assert peak - kept < 7e6
 
@@ -659,7 +620,7 @@ class TestSerialization:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(sched.blocks) == 5 and sched.census.steps == 300_000
+        assert len(sched.blocks) == 5 and len(gates(sched)) == 300_000
         assert peak - kept < 7e6
 
     def test_text_peak_without_recurring_blocks(self, swap_text):
@@ -791,9 +752,6 @@ class TestBlocks:
         flat = Schedule(list(itertools.chain.from_iterable(blocks)))
         assert len({id(b) for b in sched.blocks}) == len({id(b) for b in blocks})  # still shared
         assert sched == flat and flat == sched and sched.items == flat.items
-        steps, resets, rows, marks = sched.census
-        assert sched.census == flat.census
-        assert (steps, resets, rows, list(marks)) == plain_census(flat)
         plain = [item.check(n) for item in flat.items if item.top >= n]
         assert validate_schedule(sched, n) == validate_schedule(flat, n) == plain
         assert schedule_to_text(sched) == schedule_to_text(flat)
@@ -809,6 +767,15 @@ class TestBlocks:
         once, twice = (Marker("a"), Swap(0, 1), Count(1, 0, 1)), (Cnot(1, 2), Reset(0, 2))
         for sched in Schedule(once, twice), Schedule(twice, once, twice, twice):
             assert schedule_to_text(sched) == plain_text(sched)
+
+    def test_items_are_an_immutable_tuple(self):
+        items = [Marker("x"), Swap(0, 1)]
+        sched = Schedule(items)
+        assert type(sched.items) is tuple and sched.items == tuple(items)
+        assert type(compile_cooling(CoolingPlan(0.1, 4, 5, 1)).items) is tuple
+        assert type(schedule_from_text("SWAP 0 1\n").items) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.items = ()
 
     def test_equality_ignores_blocking(self):
         a, b = (Swap(0, 1), Cnot(1, 2)), (Reset(0, 2),)
@@ -835,16 +802,15 @@ class TestBlocks:
         compiled, parsed = compile_cooling(plan), schedule_from_text(headline_text)
         # one chunk per annotation line and the gate lines after it
         assert len(parsed.blocks) == len(compiled.blocks)
-        assert distinct_refs(parsed) < distinct_refs(compiled) < compiled.census.steps / 2
+        assert distinct_refs(parsed) < distinct_refs(compiled) < len(gates(compiled)) / 2
         assert parsed == compiled
-        assert parsed.census == compiled.census
         n = plan.n_required - 1
         assert validate_schedule(parsed, n) == validate_schedule(compiled, n) != []
         assert schedule_to_text(parsed) == schedule_to_text(compiled) == headline_text
 
     def test_compiled_headline_keeps_blocks_not_items(self):
         sched = compile_cooling(CoolingPlan(0.1, 50, 5, 3))
-        assert distinct_refs(sched) < sched.census.steps / 2  # 238,276 of 817,750
+        assert distinct_refs(sched) < len(gates(sched)) / 2  # 238,276 of 817,750
         assert "items" not in vars(sched)  # the flat view is built on use, never kept
 
 

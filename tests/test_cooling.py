@@ -36,7 +36,7 @@ from algcool.cooling import (
 )
 from algcool.ensemble import _Accumulator, _build_registers
 from support import (
-    entries, gates, numpy_draws, observed, packed_draws, planes, reference_cooling,
+    entries, gates, numpy_draws, observed, packed_draws, plain_census, planes, reference_cooling,
     reference_cooling_batch, replay, serial_cooling,
 )
 
@@ -61,8 +61,9 @@ def closed_form_counts(m, ell, jf):
 
 
 def gate_counts(schedule):
-    """Gates of each kind, counted from the items, and the census's reset rows."""
-    return {**Counter(map(type, gates(schedule))), "rows": schedule.census.reset_rows}
+    """Gates of each kind and the RESETs' rows, counted from the items."""
+    return {**Counter(map(type, gates(schedule))),
+            "rows": sum(r.length for r in reset_phases(schedule))}
 
 
 class TestCompileStructure:
@@ -120,14 +121,13 @@ class TestCompileStructure:
     def test_step_bounds(self):
         for m, ell, jf in [(4, 5, 3), (8, 6, 2), (20, 5, 3)]:
             plan = CoolingPlan(0.1, m, ell, jf)
-            assert compile_cooling(plan).census.steps <= plan.step_bound
+            assert len(gates(compile_cooling(plan))) <= plan.step_bound
 
     def test_gate_counts_match_closed_forms(self):
         for m, ell, jf in product((2, 4, 6, 8, 20), range(4, 8), range(4)):
             sched = compile_cooling(CoolingPlan(0.1, m, ell, jf))
             expected = {k: v for k, v in closed_form_counts(m, ell, jf).items() if v}
             assert gate_counts(sched) == expected, (m, ell, jf)
-            assert sched.census.resets == ell**jf, (m, ell, jf)
         headline = gate_counts(compile_cooling(CoolingPlan(0.1, 50, 5, 3)))
         assert [headline[k] for k in (Cnot, ZcSwap, Swap, Reset)] == [3875, 240250, 573500, 125]
         assert headline == closed_form_counts(50, 5, 3)
@@ -165,7 +165,7 @@ class TestWalk:
     def test_a_run_peaks_below_the_walks_block_list(self):
         plan = self.PLAN
         draws = _build_registers(plan.n_required, plan.epsilon0, 3, 0, 8,
-                                 compile_cooling(plan).census.reset_rows)
+                                 plan_census(plan).reset_rows)
         gc.collect()
         tracemalloc.start()
         try:
@@ -185,8 +185,7 @@ class TestWalk:
 class TestRunCooling:
     def test_pure_input_always_succeeds(self):
         plan = CoolingPlan(1.0, 4, 5, 2)
-        sched = compile_cooling(plan)
-        draws = _build_registers(plan.n_required, 1.0, 0, 0, 1, sched.census.reset_rows)
+        draws = _build_registers(plan.n_required, 1.0, 0, 0, 1, plan_census(plan).reset_rows)
         run = run_cooling(draws, 1, plan)
         bits, _, _, success = observed(run)
         assert bool(success[0])
@@ -195,10 +194,9 @@ class TestRunCooling:
 
     def test_truncation_log_count_and_success_recompute(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
-        sched = compile_cooling(plan)
         rng = np.random.default_rng(3)
         bits = rng.random((plan.n_required, 64)) < 0.45
-        pool = rng.random((sched.census.reset_rows, 64)) < 0.45
+        pool = rng.random((plan_census(plan).reset_rows, 64)) < 0.45
         draws = packed_draws(np.vstack([bits, np.zeros_like(bits), pool]))
         run = run_cooling(draws, 64, plan)
         assert len(entries(run, Cut)) == truncation_count(5, 2)
@@ -207,12 +205,10 @@ class TestRunCooling:
         for (cut, _), lengths in zip(entries(run, Cut), cuts):
             recomputed &= lengths >= cut.m
         assert (success == recomputed).all()
-        assert sched.census.steps <= plan.step_bound
 
     def test_round_log_counts(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
-        sched = compile_cooling(plan)
-        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
+        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, plan_census(plan).reset_rows)
         run = run_cooling(draws, 1, plan)
         # ell rounds at the top level, ell per inner block
         assert len(entries(run, Count)) == 5 + 25
@@ -220,26 +216,27 @@ class TestRunCooling:
 
     def test_logs_hold_the_schedules_marks(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
-        sched = compile_cooling(plan)
-        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, sched.census.reset_rows)
+        *_, rows, schedule_marks = plain_census(compile_cooling(plan))
+        draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, rows)
         run = run_cooling(draws, 1, plan)
-        assert [mark for mark, _ in entries(run)] == list(sched.census.marks)  # one log, in order
+        assert [mark for mark, _ in entries(run)] == list(schedule_marks)  # one log, in order
         for kind in (Count, Cut):
-            marks = [it for it in sched.census.marks if isinstance(it, kind)]
+            marks = [it for it in schedule_marks if isinstance(it, kind)]
             log = entries(run, kind)
             assert len(log) == len(marks) > 0
             assert [mark for mark, _ in log] == marks  # in schedule order, by value
 
     @pytest.mark.parametrize("eps,m,ell,jf", [(0.1, 8, 5, 2), (0.3, 4, 5, 3)])
     def test_blocked_and_single_block_runs_agree(self, eps, m, ell, jf):
-        # a run reads only its plan; the schedules it stands for share one census
+        # a run reads only its plan; the schedules it stands for have its census
         plan = CoolingPlan(eps, m, ell, jf)
         blocked = compile_cooling(plan)
         single = Schedule(blocked.items)
         parsed = schedule_from_text(schedule_to_text(blocked))  # blocked again, by its text
         assert len(single.blocks) == 1 < len({id(b) for b in blocked.blocks}) < len(blocked.blocks)
-        assert blocked.census == single.census == parsed.census
-        assert len(blocked.census.marks) > 0 and blocked.census.reset_rows > 0
+        census = plan_census(plan)
+        assert plain_census(blocked) == plain_census(single) == plain_census(parsed) == census
+        assert len(census.marks) > 0 and census.reset_rows > 0
 
     @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 4), (4, 7, 2), (14, 4, 2), (16, 4, 2)])
     def test_register_matches_gate_by_gate_replay(self, shape):
@@ -248,7 +245,7 @@ class TestRunCooling:
         # The serial run leaves its register as the gates would
         plan = CoolingPlan(0.1, *shape)
         sched = compile_cooling(plan)
-        draws = _build_registers(plan.n_required, 0.1, 7, 0, 300, sched.census.reset_rows)
+        draws = _build_registers(plan.n_required, 0.1, 7, 0, 300, plan_census(plan).reset_rows)
         fused, gated = (Register(plan.n_required, 300, draws) for _ in range(2))
         run = serial_cooling(fused, plan)
         counts, cuts = replay(gated, plan, sched)
@@ -263,9 +260,8 @@ class TestRunCooling:
     def run_and_reference(plan, seed, p_one, molecules):
         """``run_cooling`` on random draws, read per molecule (``observed``), and
         ``reference_cooling`` per molecule."""
-        sched = compile_cooling(plan)
         n = plan.n_required
-        draws = np.random.default_rng(seed).random((2 * n + sched.census.reset_rows,
+        draws = np.random.default_rng(seed).random((2 * n + plan_census(plan).reset_rows,
                                                     molecules)) < p_one
         run = run_cooling(packed_draws(draws), molecules, plan)
         return observed(run), [reference_cooling(plan, col.tolist()) for col in draws.T.astype(int)]
@@ -305,7 +301,7 @@ class TestRunCooling:
     @staticmethod
     def numpy_draw_rows(plan, seed, molecules):
         """Every molecule's thermal source straight from numpy, (molecules, rows)."""
-        rows = 2 * plan.n_required + compile_cooling(plan).census.reset_rows
+        rows = 2 * plan.n_required + plan_census(plan).reset_rows
         return np.array([numpy_draws(seed, i, rows, plan.epsilon0) for i in range(molecules)],
                         dtype=np.uint8)
 
@@ -329,9 +325,8 @@ class TestRunCooling:
     ])
     def test_engine_matches_batch_reference(self, shape, molecules):
         plan, seed = CoolingPlan(0.1, *shape), 5
-        sched = compile_cooling(plan)
         draws = _build_registers(plan.n_required, plan.epsilon0, seed, 0, molecules,
-                                 sched.census.reset_rows)
+                                 plan_census(plan).reset_rows)
         run_bits, run_counts, run_cuts, run_success = observed(run_cooling(draws, molecules, plan))
         bits, counts, cuts, success = reference_cooling_batch(
             plan, self.numpy_draw_rows(plan, seed, molecules))
@@ -347,7 +342,7 @@ class TestRunCooling:
         # every mark of the walk fits the plan's n positions; draws one row
         # short, or a byte too narrow for the batch, are refused, both sizes named
         for plan in (CoolingPlan(0.1, 2, 4, 1), CoolingPlan(0.1, 4, 5, 2)):
-            census = compile_cooling(plan).census
+            census = plan_census(plan)
             assert max(mark.top for mark in census.marks) < plan.n_required
             rows, width = 2 * plan.n_required + census.reset_rows, (molecules + 7) // 8
             draws = np.zeros((rows, width + 1), dtype=np.uint8)
@@ -371,12 +366,12 @@ class TestClosedFormCensus:
     def test_equals_the_compiled_census(self, jf):
         for ell, m in product(range(4, 8), range(2, 13, 2)):
             plan = CoolingPlan(0.1, m, ell, jf)
-            assert plan_census(plan) == compile_cooling(plan).census, (m, ell, jf)
+            assert plan_census(plan) == plain_census(compile_cooling(plan)), (m, ell, jf)
 
     @pytest.mark.parametrize("shape", [(50, 5, 3), (200, 5, 2)])
     def test_equals_the_compiled_census_of_wide_plans(self, shape):
         plan = CoolingPlan(0.1, *shape)
-        assert plan_census(plan) == compile_cooling(plan).census
+        assert plan_census(plan) == plain_census(compile_cooling(plan))
 
     def test_deep_plan_without_a_schedule(self):
         # the eps0 = 0.01 row's deepest plan: 390,621 walk blocks, none built

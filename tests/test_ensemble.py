@@ -441,7 +441,7 @@ class TestFold:
         # equal to one share that folds every chunk
         monkeypatch.setattr(ensemble, "CHUNK_SIZE", 100)
         plan = CoolingPlan(0.1, 4, 4, 2)  # some molecules fall short, some succeed
-        census = ensemble.compile_cooling(plan).census
+        census = ensemble.plan_census(plan)
         starts = [0, 100, 200, 300]
         shares = [ensemble._share_totals(plan, census, 3, 350, [start]) for start in starts]
         whole = ensemble._share_totals(plan, census, 3, 350, starts)
