@@ -77,17 +77,16 @@ class Census(NamedTuple):
 @dataclass
 class CoolingRun:
     """What one batch's run observed, as int bitsets over its
-    ``num_molecules`` molecules (bit k is molecule k). ``marks`` are the
-    plan's ``Count`` and ``Cut`` marks in schedule order. Each
-    ``(index, at_least)`` entry of the log is one purified run in unary,
-    as ``Register.purified_run_length`` gives it, read on a register of
-    lanes: lane b, bits [b * s, b * s + num_molecules) for s = 8 *
-    ``lane_bytes``, is the run at mark ``marks[index[b]]``.
-    ``run_cooling`` logs each level's rounds and then its cut, every block
-    of the level a lane; a log of one entry a mark has one lane."""
+    ``num_molecules`` molecules (bit k is molecule k). The log holds one
+    ``(rounds, cuts, runs)`` entry a level: the schedule indices of its
+    blocks' ``Count`` marks (blocks, ell) and ``Cut`` marks (blocks,),
+    each an index into ``plan_census(plan).marks``, and ``runs[d]``, the
+    purified run after depth d in unary, as ``Register.purified_run_length``
+    gives it, read on a register of lanes: lane b, bits [b * s, b * s +
+    ``num_molecules``) for s = 8 * ``lane_bytes``, is block b's. A cut is
+    its block's last round, ``runs[-1]``, since no gate comes between."""
 
-    marks: tuple[Count | Cut, ...]
-    log: list[tuple[np.ndarray, list[int]]]
+    log: list[tuple[np.ndarray, np.ndarray, list[list[int]]]]
     success: int  # molecules whose every truncation had length >= m
     output_bits: list[int]  # the m output positions' bit rows
     num_molecules: int
@@ -233,9 +232,9 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
     b-th in walk order, each lane the batch rounded up to whole bytes,
     whose padding is never flagged. At depth d it loads child d's m output
     rows, lanes b * ell + d of the level below, at d * m/2, compresses
-    them to 0 (``apply_bcs``) and logs the purified run there, and after
-    depth ell - 1 logs the same run for the ``Cut``. Lanes regroup between
-    levels as numpy byte views.
+    them to 0 (``apply_bcs``) and keeps the purified run there; the level
+    is logged once, its cut the run after depth ell - 1. Lanes regroup
+    between levels as numpy byte views.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
@@ -260,14 +259,14 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
     for _, rounds, cuts in levels:
         lanes = len(cuts)
         level = Register.holding([0] * size, 8 * width * lanes)
-        children = out.reshape(m, 2, lanes, ell, width)
+        children, runs = out.reshape(m, 2, lanes, ell, width), []
         for d in range(ell):
             level.rows[d * half : d * half + m] = [
                 int.from_bytes(row.tobytes(), "little") for row in children[:, :, :, d]]
             apply_bcs(level, Bcs(m, d * half, 0))
-            log.append((rounds[:, d], level.purified_run_length(0, window)))
-        cut = log[-1][1]  # no gate between the last round and the cut
-        log.append((cuts, cut))
+            runs.append(level.purified_run_length(0, window))
+        log.append((rounds, cuts, runs))
+        cut = runs[-1]  # no gate between the last round and the cut
         kept = cut[m - 1] if len(cut) >= m else 0  # entry m - 1: runs of length >= m
         held = np.frombuffer(kept.to_bytes(width * lanes, "little"), dtype=np.uint8)
         success &= int.from_bytes(  # molecules whose cut held in every lane
@@ -276,7 +275,6 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
                                      for row in level.rows[:m]),
                             dtype=np.uint8).reshape(m, 2, lanes, width)
     return CoolingRun(
-        marks=plan_census(plan).marks,
         log=log,
         success=success,
         output_bits=[int.from_bytes(row.tobytes(), "little") & full for row in out[:, 0, 0]],

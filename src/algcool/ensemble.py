@@ -42,9 +42,8 @@ __all__ = [
 #: Molecules per execution batch; results never depend on it or on threads.
 CHUNK_SIZE = 16384
 
-#: Molecules drawn as bools before they are packed, so a chunk's draws are
-#: never all held as bools; a multiple of 8, so each block packs to whole bytes.
-_DRAW_BLOCK = 64
+#: Bytes of bool a chunk's molecules are drawn into, 64 to 8 at a time, before packing.
+_DRAW_BUDGET = 4 << 20
 
 
 #: The benchmark's tracer times the census compile by patching this name;
@@ -154,22 +153,24 @@ def _build_registers(
     draws, in order, are its n computation bits, its n-bit initial RRTR
     row, then ``reset_rows`` more for the RESETs. The chunk's keys come
     from one vectorised pass, and one Philox generator is re-keyed per
-    molecule. Molecules are drawn ``_DRAW_BLOCK`` at a time, each into a
-    column of one bool block, and packed to byte rows as they go. The name
-    stays for the benchmark's tracer, which patches it and reads its
-    arguments, until the engine reports its own counts (ROADMAP item 1)."""
+    molecule. Molecules are drawn a block at a time, each into a column of
+    one bool block of at most ``_DRAW_BUDGET`` bytes, and packed to byte
+    rows as they go. The name stays for the benchmark's tracer, which
+    patches it and reads its arguments, until the engine reports its own
+    counts (ROADMAP item 1)."""
     count = stop - start
     threshold = np.uint64(math.ceil((1.0 - epsilon0) / 2.0 * 2**53) << 11)
     rows = 2 * n + reset_rows
+    step = min(64, max(8, _DRAW_BUDGET // rows // 8 * 8))  # molecules a block
     philox = np.random.Philox(0)
     keys = _philox_keys(seed, start, stop)
     packed = np.empty((rows, (count + 7) // 8), dtype=np.uint8)
-    bits = np.empty((rows, min(count, _DRAW_BLOCK)), dtype=bool)  # one molecule a column
-    for b in range(0, count, _DRAW_BLOCK):  # the last block may be narrower
-        block = bits[:, : min(_DRAW_BLOCK, count - b)]
-        for i, key in enumerate(keys[b : b + _DRAW_BLOCK]):
+    bits = np.empty((rows, min(count, step)), dtype=bool)  # one molecule a column
+    for b in range(0, count, step):  # the last block may be narrower
+        block = bits[:, : min(step, count - b)]
+        for i, key in enumerate(keys[b : b + step]):
             _molecule_bits(philox, key, threshold, block[:, i])
-        packed[:, b // 8 : (b + _DRAW_BLOCK) // 8] = np.packbits(block, axis=1, bitorder="little")
+        packed[:, b // 8 : (b + step) // 8] = np.packbits(block, axis=1, bitorder="little")
     return packed
 
 
@@ -225,22 +226,23 @@ class _Accumulator:
     def fold(self, run: CoolingRun) -> None:
         """Add one run's totals, each counted as popcounts of its bitsets.
         Entry i of a unary run holds the molecules whose length exceeds i.
-        Each lane's length sum goes to its own mark (``_lane_length_sums``).
-        Only a ``Cut`` adds shortfalls, summed over its lanes, so they are
-        counted from the popcounts of its whole entries."""
-        w, succ = run.num_molecules, run.success
+        Each lane's length sum goes to its own mark (``_lane_length_sums``),
+        a cut's being its last round's. A level's shortfalls, summed over
+        its lanes, are counted from the popcounts of its last run."""
+        w, succ, m = run.num_molecules, run.success, len(self.zero_counts)
         zeros = [((1 << w) - 1) ^ row for row in run.output_bits]
         self.zero_counts += [z.bit_count() for z in zeros]
         self.success_zero_counts += [(z & succ).bit_count() for z in zeros]
         self.success_count += succ.bit_count()
-        for index, at_least in run.log:
-            self.length_sums[index] += _lane_length_sums(at_least, len(index), run.lane_bytes)
-            mark = run.marks[index[0]]
-            if type(mark) is Cut:
-                longer = [p.bit_count() for p in at_least[: mark.m]]  # entry k: length > k
-                ge = [len(index) * w, *longer] + [0] * (mark.m - len(longer))  # >= k
-                self.shortfalls.update({mark.m - k: ge[k] - ge[k + 1]  # molecules of length k
-                                        for k in range(mark.m) if ge[k] > ge[k + 1]})
+        for rounds, cuts, runs in run.log:
+            for d, at_least in enumerate(runs):
+                sums = _lane_length_sums(at_least, len(cuts), run.lane_bytes)
+                self.length_sums[rounds[:, d]] += sums
+            self.length_sums[cuts] += sums
+            longer = [p.bit_count() for p in runs[-1][:m]]  # entry k: length > k
+            ge = [len(cuts) * w, *longer] + [0] * (m - len(longer))  # >= k
+            self.shortfalls.update({m - k: ge[k] - ge[k + 1]  # molecules of length k
+                                    for k in range(m) if ge[k] > ge[k + 1]})
 
     def merge(self, other: "_Accumulator") -> "_Accumulator":
         """The field-wise sum of int64 arrays, ints and ``Counter``s, exact

@@ -52,20 +52,33 @@ def run_lengths(at_least, n_mol):
     return unpack(at_least, n_mol).sum(axis=0, dtype=np.int64)
 
 
-def entries(run, kind=None):
-    """A ``CoolingRun``'s log mark by mark, in schedule order, as
-    ``(mark, at_least)``: each lane's run cut out of its entry, as
+def _per_mark(run):
+    """A ``CoolingRun``'s log as ``{index: (kind, at_least)}``, one item a
+    mark: each lane's run cut out of its level's entry, as
     ``Register.purified_run_length`` would give it on that lane alone (it
-    stops before its first empty entry). Every mark, or those of one type,
-    ``Count`` or ``Cut``."""
+    stops before its first empty entry), ``Count`` for a round and ``Cut``
+    for a level's cut, which is its block's last round."""
     stride, full = 8 * run.lane_bytes, (1 << run.num_molecules) - 1
     per_mark = {}
-    for index, at_least in run.log:
-        for lane, i in enumerate(index.tolist()):
-            rows = [row >> lane * stride & full for row in at_least]
-            per_mark[i] = rows[: rows.index(0)] if 0 in rows else rows
-    return [(run.marks[i], per_mark[i]) for i in sorted(per_mark)
-            if kind is None or type(run.marks[i]) is kind]
+    for rounds, cuts, runs in run.log:
+        for kind, index, at_least in [*((Count, rounds[:, d], r) for d, r in enumerate(runs)),
+                                      (Cut, cuts, runs[-1])]:
+            for lane, i in enumerate(index.tolist()):
+                rows = [row >> lane * stride & full for row in at_least]
+                per_mark[i] = kind, rows[: rows.index(0)] if 0 in rows else rows
+    return per_mark
+
+
+def entries(run, marks, kind=None):
+    """A ``CoolingRun``'s log mark by mark, in schedule order, as
+    ``(mark, at_least)``, each index read in ``marks``, as
+    ``plan_census(plan).marks`` lists them. Every mark, or those of one
+    type, ``Count`` or ``Cut``. Each mark's type is the one its log entry
+    gives it."""
+    per_mark = _per_mark(run)
+    assert all(type(marks[i]) is logged for i, (logged, _) in per_mark.items())
+    return [(marks[i], at_least) for i, (_, at_least) in sorted(per_mark.items())
+            if kind is None or type(marks[i]) is kind]
 
 
 def observed(run):
@@ -73,10 +86,10 @@ def observed(run):
     returns its answer: the output bits (m, molecules), the ``Count`` and the
     ``Cut`` lengths, each a (molecules,) array, in schedule order, and
     whether each molecule succeeded, as bools (molecules,)."""
-    w = run.num_molecules
+    w, per_mark = run.num_molecules, sorted(_per_mark(run).items())
     return (unpack(run.output_bits, w),
-            [run_lengths(at_least, w) for _, at_least in entries(run, Count)],
-            [run_lengths(at_least, w) for _, at_least in entries(run, Cut)],
+            *([run_lengths(at_least, w) for _, (logged, at_least) in per_mark if logged is kind]
+              for kind in (Count, Cut)),
             unpack([run.success], w)[0].astype(bool))
 
 
@@ -146,13 +159,16 @@ def serial_cooling(reg, plan):
     """The serial oracle for ``run_cooling``: the plan's walk one block at
     a time, in schedule order, on the register itself. Each RESET goes
     through ``apply_gate``, each compression runs fused (``apply_bcs``),
-    and each ``Count`` and ``Cut`` logs the purified run at its offset over
-    the ``ell * m / 2`` window. Returns a ``CoolingRun`` whose log holds one
-    one-lane entry per mark."""
+    and each ``Count`` and ``Cut`` reads the purified run at its offset
+    over the ``ell * m / 2`` window. Each ``Cut``'s run must equal its
+    block's last round's. Returns a ``CoolingRun`` whose log holds one
+    one-lane entry a block, logged at its ``Cut``, each mark at its index
+    in schedule order."""
     if reg.n < plan.n_required:
         raise ValueError(f"register has {reg.n} bits; plan requires {plan.n_required}")
     window = plan.ell * plan.m // 2  # purified run cannot outgrow ell rounds
-    marks, log = [], []
+    index, log, open_blocks = 0, [], {}  # level -> the open block's (index, run) a round
+    success = reg.full
     for *_, item in _walk(plan):
         kind = type(item)
         if kind is Bcs:
@@ -160,14 +176,18 @@ def serial_cooling(reg, plan):
         elif kind is Reset:
             apply_gate(reg, item)
         elif kind is not Marker:  # a Count or a Cut
-            log.append((np.array([len(marks)]), reg.purified_run_length(item.at, window)))
-            marks.append(item)
-    success = reg.full
-    for mark, (_, at_least) in zip(marks, log):  # entry m - 1 holds the runs of length >= m
-        if type(mark) is Cut:
-            success &= at_least[mark.m - 1] if len(at_least) >= mark.m else 0
-    return CoolingRun(marks=tuple(marks), log=log, success=success,
-                      output_bits=reg.comp_bit_rows(0, plan.m), num_molecules=reg.num_molecules)
+            at_least = reg.purified_run_length(item.at, window)
+            if kind is Count:
+                open_blocks.setdefault(item.level, []).append((index, at_least))
+            else:
+                rounds, runs = zip(*open_blocks.pop(item.level))
+                assert at_least == runs[-1]  # no gate between the last round and the cut
+                log.append((np.array([rounds]), np.array([index]), list(runs)))
+                # entry m - 1 holds the runs of length >= m
+                success &= at_least[item.m - 1] if len(at_least) >= item.m else 0
+            index += 1
+    return CoolingRun(log=log, success=success, output_bits=reg.comp_bit_rows(0, plan.m),
+                      num_molecules=reg.num_molecules)
 
 
 def replay(reg, plan, schedule):

@@ -175,4 +175,4 @@ def test_criterion_11_structural_counts():
     assert len(resets) == 125
     draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, plan_census(plan).reset_rows)
     run = run_cooling(draws, 1, plan)
-    assert len(entries(run, Cut)) == 31
+    assert len(entries(run, plan_census(plan).marks, Cut)) == 31

@@ -190,7 +190,7 @@ class TestRunCooling:
         bits, _, _, success = observed(run)
         assert bool(success[0])
         assert bits[:, 0].tolist() == [0, 0, 0, 0]
-        assert len(entries(run, Cut)) == truncation_count(5, 2)
+        assert len(entries(run, plan_census(plan).marks, Cut)) == truncation_count(5, 2)
 
     def test_truncation_log_count_and_success_recompute(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
@@ -199,10 +199,11 @@ class TestRunCooling:
         pool = rng.random((plan_census(plan).reset_rows, 64)) < 0.45
         draws = packed_draws(np.vstack([bits, np.zeros_like(bits), pool]))
         run = run_cooling(draws, 64, plan)
-        assert len(entries(run, Cut)) == truncation_count(5, 2)
+        logged = entries(run, plan_census(plan).marks, Cut)
+        assert len(logged) == truncation_count(5, 2)
         _, _, cuts, success = observed(run)
         recomputed = np.ones(64, dtype=bool)
-        for (cut, _), lengths in zip(entries(run, Cut), cuts):
+        for (cut, _), lengths in zip(logged, cuts):
             recomputed &= lengths >= cut.m
         assert (success == recomputed).all()
 
@@ -211,18 +212,20 @@ class TestRunCooling:
         draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, plan_census(plan).reset_rows)
         run = run_cooling(draws, 1, plan)
         # ell rounds at the top level, ell per inner block
-        assert len(entries(run, Count)) == 5 + 25
-        assert all(1 <= count.round <= 5 for count, _ in entries(run, Count))
+        logged = entries(run, plan_census(plan).marks, Count)
+        assert len(logged) == 5 + 25
+        assert all(1 <= count.round <= 5 for count, _ in logged)
 
     def test_logs_hold_the_schedules_marks(self):
         plan = CoolingPlan(0.1, 4, 5, 2)
         *_, rows, schedule_marks = plain_census(compile_cooling(plan))
         draws = _build_registers(plan.n_required, 0.1, 1, 0, 1, rows)
         run = run_cooling(draws, 1, plan)
-        assert [mark for mark, _ in entries(run)] == list(schedule_marks)  # one log, in order
+        # one log, every mark once, each of the type it is logged as
+        assert [mark for mark, _ in entries(run, schedule_marks)] == list(schedule_marks)
         for kind in (Count, Cut):
             marks = [it for it in schedule_marks if isinstance(it, kind)]
-            log = entries(run, kind)
+            log = entries(run, schedule_marks, kind)
             assert len(log) == len(marks) > 0
             assert [mark for mark, _ in log] == marks  # in schedule order, by value
 
@@ -358,7 +361,7 @@ class TestRunCooling:
         draws = _build_registers(4, 0.5, 2, 0, 1, 4)
         run = run_cooling(draws, 1, plan)
         assert observed(run)[3].tolist() == [True]
-        assert entries(run, Cut) == []
+        assert run.log == [] and plan_census(plan).marks == ()
 
 
 class TestClosedFormCensus:
@@ -422,10 +425,11 @@ class TestLevelMajorRun:
         draws = packed_draws(np.random.default_rng(seed).random((2 * n + m * ell**jf, width))
                              < p_one)
         run, oracle = run_cooling(draws, width, plan), serial_cooling(Register(n, width, draws), plan)
-        assert entries(run) == entries(oracle)  # every mark, lane by lane
+        marks = plan_census(plan).marks
+        assert entries(run, marks) == entries(oracle, marks)  # every mark, lane by lane
         assert run.output_bits == oracle.output_bits
         assert run.success == oracle.success
-        totals = [_Accumulator.empty(m, run.marks) for _ in range(2)]
+        totals = [_Accumulator.empty(m, marks) for _ in range(2)]
         for acc, observed_run in zip(totals, (run, oracle)):
             acc.fold(observed_run)
         for name in ("zero_counts", "success_zero_counts", "length_sums"):

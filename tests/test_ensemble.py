@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algcool import ensemble
+from algcool import cooling, ensemble
 from algcool.analytic import CoolingPlan
 from algcool.circuit import Count, Cut, GateError
 from algcool.cli import main
-from algcool.cooling import CoolingRun
+from algcool.cooling import CoolingRun, plan_census
 from algcool.ensemble import _Accumulator, _build_registers, compare_to_analytic, run_ensemble
 from support import numpy_draws, pack, unpack_draws
 
@@ -66,6 +66,19 @@ class TestDeterminism:
         other = _build_registers(16, 0.1, 9, 18, 19, 0)
         assert (a[:16] == b[:16]).all()
         assert (a[:16] != other[:16]).any()
+
+    def test_one_census_per_run(self, monkeypatch):
+        # three chunks on one process: the census is made once, not per chunk
+        census, calls = cooling.plan_census, []
+
+        def counted(plan):
+            calls.append(plan)
+            return census(plan)
+
+        for module in (cooling, ensemble):
+            monkeypatch.setattr(module, "plan_census", counted)
+        run_ensemble(CoolingPlan(0.1, 4, 4, 1), 2 * ensemble.CHUNK_SIZE + 1, seed=1)
+        assert len(calls) == 1
 
 
 def assert_no_children():
@@ -245,6 +258,37 @@ class TestMoleculeDraws:
         assert unpack_draws(draws, 1)[:, 0].tolist() == expected
         assert expected[1:3] == ([0, 0] if eps == 1.0 else [1, 0])
 
+    @pytest.mark.parametrize("step", [8, 16, 32, 64])
+    def test_draws_are_the_same_at_every_block_width(self, monkeypatch, step):
+        # a budget of rows * step bytes draws step molecules a block; 101
+        # molecules end on a narrower block, and every width draws numpy's bits
+        n, k, eps, seed = 5, 17, 0.1, 4
+        rows, widths, packbits = 2 * n + k, [], np.packbits
+
+        def recording(block, **kwargs):
+            widths.append(block.shape[1])
+            return packbits(block, **kwargs)
+
+        monkeypatch.setattr(ensemble, "_DRAW_BUDGET", rows * step)
+        monkeypatch.setattr(np, "packbits", recording)
+        built = _build_registers(n, eps, seed, 0, 101, k)
+        assert widths == [step] * (101 // step) + [101 % step]
+        draws = [numpy_draws(seed, i, rows, eps) for i in range(101)]
+        assert unpack_draws(built, 101).T.tolist() == draws
+
+    def test_the_staging_block_follows_the_rows(self):
+        # (0.1, 200, 5, 4): 128,600 rows, 1.03 MB packed on 64 molecules; a
+        # 64-molecule bool block would stage 8.2 MB (11.1 MB peak), a
+        # 32-molecule one 4.1 MB (6.9 MB peak)
+        plan = CoolingPlan(0.1, 200, 5, 4)
+        tracemalloc.start()
+        try:
+            _build_registers(plan.n_required, 0.1, 1, 0, 64, plan_census(plan).reset_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6
+
     def test_draw_order(self):
         # draws [0, n) are the bits, [n, 2n) the RRTR row, the rest the RESETs' rows
         n, k, eps, seed = 5, 7, 0.1, 3
@@ -373,19 +417,18 @@ class TestFold:
     reference on numpy arrays."""
 
     @staticmethod
-    def per_molecule_fold(acc, bits, counts, cuts, success):
+    def per_molecule_fold(acc, bits, marks, lengths, success):
         """The totals counted per molecule: ``bits`` (m, molecules), the
-        lengths at each ``Count`` and at each ``(Cut, lengths)``, logged in
-        that order, and the molecules that succeeded, as bools."""
+        lengths at each of ``marks``, a ``Count`` or a ``Cut``, and the
+        molecules that succeeded, as bools."""
         acc.zero_counts += (bits == 0).sum(axis=1)
         acc.success_zero_counts += (bits[:, success] == 0).sum(axis=1)
         acc.success_count += int(success.sum())
-        for i, lengths in enumerate(counts):
-            acc.length_sums[i] += lengths.sum()
-        for i, (cut, lengths) in enumerate(cuts, start=len(counts)):
-            acc.length_sums[i] += lengths.sum()
-            short = cut.m - lengths
-            acc.shortfalls.update(short[short > 0].tolist())
+        for i, (mark, at) in enumerate(zip(marks, lengths)):
+            acc.length_sums[i] += at.sum()
+            if type(mark) is Cut:
+                short = mark.m - at
+                acc.shortfalls.update(short[short > 0].tolist())
 
     @staticmethod
     def unary(lengths):
@@ -394,13 +437,13 @@ class TestFold:
         return pack(lengths > np.arange(lengths.max(initial=0))[:, None])
 
     @given(st.sampled_from([1, 7, 64, 65, 300]), st.sampled_from([2, 4, 6]),
-           st.integers(0, 3), st.integers(0, 3), st.sampled_from(["none", "some", "all"]),
+           st.integers(1, 3), st.integers(0, 3), st.sampled_from(["none", "some", "all"]),
            st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=60)
-    def test_fold_matches_per_molecule_counting(self, width, m, n_counts, n_cuts, succeed,
-                                                seed):
+    def test_fold_matches_per_molecule_counting(self, width, m, ell, n_levels, succeed, seed):
+        # one-lane levels of ell rounds each, whose cut is the last round
         rng = np.random.default_rng(seed)
-        n_cuts = max(n_cuts, succeed == "none")
+        n_levels = max(n_levels, succeed == "none")
 
         def lengths(kinds):
             """0, below m, exactly m or above m (up to the 2m window), by kind 0-3."""
@@ -408,27 +451,29 @@ class TestFold:
             return np.choose(kind, [np.zeros(width, dtype=np.int64), rng.integers(1, m, width),
                                     np.full(width, m), rng.integers(m + 1, 2 * m + 1, width)])
 
-        counts = [lengths([0, 1, 2, 3]) for _ in range(n_counts)]
-        cuts = [lengths([2, 3] if succeed == "all" else [0, 1, 2, 3]) for _ in range(n_cuts)]
+        levels = [[lengths([0, 1, 2, 3]) for _ in range(ell - 1)]
+                  + [lengths([2, 3] if succeed == "all" else [0, 1, 2, 3])]
+                  for _ in range(n_levels)]
         if succeed == "none":  # each molecule falls short at one cut at least
-            short = rng.integers(0, n_cuts, width)
-            for k, lengths_at in enumerate(cuts):
-                lengths_at[short == k] = rng.integers(0, m, width)[short == k]
+            short = rng.integers(0, n_levels, width)
+            for k, level in enumerate(levels):
+                level[-1][short == k] = rng.integers(0, m, width)[short == k]
         success = np.ones(width, dtype=bool)
-        for lengths_at in cuts:
-            success &= lengths_at >= m
+        for level in levels:
+            success &= level[-1] >= m
         assert {"none": not success.any(), "all": success.all(), "some": True}[succeed]
         bits = rng.random((m, width)) < 0.5
 
-        count_marks = [Count(1, 0, r + 1) for r in range(n_counts)]
-        cut_marks = [Cut(1, 0, m) for _ in range(n_cuts)]
+        marks = (*[Count(1, 0, r + 1) for r in range(ell)], Cut(1, 0, m)) * n_levels
+        first = np.arange(n_levels) * (ell + 1)  # each level's first mark
         run = CoolingRun(
-            marks=(*count_marks, *cut_marks),
-            log=[(np.array([i]), self.unary(x)) for i, x in enumerate(counts + cuts)],
+            log=[(at + np.arange(ell)[None], np.array([at + ell]), list(map(self.unary, level)))
+                 for at, level in zip(first, levels)],
             success=pack(success[None])[0], output_bits=pack(bits), num_molecules=width)
-        got, want = (_Accumulator.empty(m, (*count_marks, *cut_marks)) for _ in range(2))
+        got, want = (_Accumulator.empty(m, marks) for _ in range(2))
         got.fold(run)
-        self.per_molecule_fold(want, bits, counts, list(zip(cut_marks, cuts)), success)
+        at_marks = [x for level in levels for x in (*level, level[-1])]  # a cut: its last round
+        self.per_molecule_fold(want, bits, marks, at_marks, success)
         for name in ("zero_counts", "success_zero_counts", "length_sums"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
         assert got.success_count == want.success_count
