@@ -41,8 +41,10 @@ compression blocks ell^j times. Its validation and its text are worked
 out once per distinct block and combined in block order, and an item
 formats its line once. A parse cuts the text at annotation lines and
 shares each chunk that recurs, so a parsed schedule is blocked as a
-compiled one is. A table parses each distinct line on first lookup; a
-line seen before is one dict lookup in C.
+compiled one is. A compression as ``compile`` writes it is read as one
+block of text, one comparison with ``compression.bcs_text``; any other
+chunk goes line by line through a table that parses each distinct line
+on first lookup, and a line seen before is one dict lookup in C.
 """
 
 from __future__ import annotations
@@ -563,6 +565,28 @@ class _LineTable(dict):
         return item
 
 
+def _compression(chunk: str, table: _LineTable) -> Optional[Block]:
+    """A chunk's block if it is one compression as ``compile`` writes it:
+    a ``# bcs:`` line as its ``Bcs`` writes it, then exactly the text of
+    that compression's gates (``bcs_text``). The gates are then
+    ``compile_bcs``'s, after one string comparison; any other chunk, or a
+    first line the table cannot parse, is None and goes line by line."""
+    from .compression import bcs_text, compile_bcs  # compression builds on this module
+
+    head = chunk.find("\n") + 1
+    if not chunk.startswith("# bcs:") or not head:
+        return None
+    try:
+        bcs = table[chunk[: head - 1]]
+    except ValueError:  # the line-by-line parse raises it, naming the line
+        return None
+    if type(bcs) is not Bcs or bcs.text_line != chunk[:head]:
+        return None
+    if chunk[head:] != bcs_text(bcs.m, bcs.nu, bcs.nu0):
+        return None
+    return (bcs, *compile_bcs(bcs.m, bcs.nu, bcs.nu0).blocks[1])
+
+
 def schedule_from_text(text: str) -> Schedule:
     """Parse the text format back; bit-exact round trip with to_text.
 
@@ -570,11 +594,15 @@ def schedule_from_text(text: str) -> Schedule:
     lines after it (at most about 1 MB), and each chunk becomes one block.
     A chunk whose text recurs is parsed once, and every occurrence of it
     is the same block, so a parsed schedule shares its compression blocks
-    as a compiled one does. A distinct chunk's lines are looked up in a
-    table that parses a line on first lookup, so each distinct line is
-    parsed once per call and every occurrence of it is one object. A
-    malformed line, an ill-formed item included, raises at its first
-    occurrence, naming its line number. One chunk's lines are held at once.
+    as a compiled one does. A distinct chunk that is one compression as
+    ``compile`` writes it, its ``# bcs:`` line and its gates' text, is
+    read as one block of text: one comparison with ``bcs_text``, and its
+    gates are ``compile_bcs``'s. Any other chunk's lines are looked up in
+    a table that parses a line on first lookup, so each distinct line is
+    parsed once per call and every occurrence of it is one object. Both
+    give the same items. A malformed line, an ill-formed item included,
+    raises at its first occurrence, naming its line number. One chunk's
+    lines are held at once.
     """
     blocks: list[Block] = []
     table = _LineTable()
@@ -585,15 +613,19 @@ def schedule_from_text(text: str) -> Schedule:
         key = hash(chunk), len(chunk)  # a hit is confirmed against the text
         hit = seen.get(key)
         if hit is None or not text.startswith(chunk, hit[0]):
-            lines = chunk.splitlines()
-            del chunk  # hold one chunk's text or its lines, never two chunks' lines
-            try:
-                hit = start, tuple(filter(None, map(table.__getitem__, lines))), len(lines)
-            except ValueError as exc:  # raised at the first line the table lacks
-                bad = next(raw for raw in lines if raw not in table)
-                raise ValueError(f"line {lineno + lines.index(bad) + 1}: {exc}") from exc
+            block = _compression(chunk, table)
+            if block is not None:
+                hit = start, block, len(block)  # a line an item
+            else:
+                lines = chunk.splitlines()
+                del chunk  # hold one chunk's text or its lines, never two chunks' lines
+                try:
+                    hit = start, tuple(filter(None, map(table.__getitem__, lines))), len(lines)
+                except ValueError as exc:  # raised at the first line the table lacks
+                    bad = next(raw for raw in lines if raw not in table)
+                    raise ValueError(f"line {lineno + lines.index(bad) + 1}: {exc}") from exc
+                del lines
             seen.setdefault(key, hit)
-            del lines
         blocks.append(hit[1])
         lineno += hit[2]
     return Schedule(*blocks)

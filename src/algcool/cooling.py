@@ -11,11 +11,12 @@ sequence cannot branch per molecule. A vacuous success bound (ell = 4)
 is data, ``plan.success_bound.vacuous``, and is never a warning.
 
 The compiler walks the recursion block by block (``_walk``) and writes
-each compression out as its gates, which the text format carries. The
-run does not follow that order: it runs level by level, every block of a
-level at once, each block a lane of one wide register, and applies each
-compression fused (``apply_bcs``). Any order that runs a block's
-children before the block gives every block the same result, because
+each compression out as its gates: ``compile_cooling`` as gate objects,
+``compile`` as their text. The run does not follow that order: it runs
+level by level, every block of a level at once, each block a lane of one
+wide register, and applies each compression fused (``apply_bcs``). Any
+order that runs a block's children before the block gives every block
+the same result, because
 
 - every position is reset before it is read, so a RESET's rows are fixed
   stream rows: the RRTR row's last refill at that position, or its
@@ -134,8 +135,9 @@ def _walk(plan: CoolingPlan) -> Iterator[tuple]:
     its schedule but the compressions' gates. A compression is its
     ``(Marker, Bcs)`` block, a reset phase its ``(Marker, Reset)`` block,
     and each ``Count`` or ``Cut`` a block of its own. ``compile_cooling``
-    reads it; the run takes the same order from ``_lanes`` in closed form.
-    Each block is made as it is read, so no walk is ever held whole."""
+    and ``compile`` read it; the run takes the same order from ``_lanes``
+    in closed form. Each block is made as it is read; ``compile`` holds
+    the walk, 621 blocks of 901 items on the headline, never its gates."""
     m, ell, resets = plan.m, plan.ell, {}
 
     def level(j: int, mu: int) -> Iterator[tuple]:

@@ -8,9 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from algcool import circuit
+from algcool import circuit, compression
 from algcool.analytic import CoolingPlan
 from algcool.circuit import (
     Annotation,
@@ -32,6 +32,7 @@ from algcool.circuit import (
     _chunks,
     validate_schedule,
 )
+from algcool.compression import bcs_text
 from algcool.cooling import compile_cooling, plan_census, run_cooling
 from support import (
     bits_of, flag_rows, gates, observed, pack, packed, plain_census, planes, register, run_gates,
@@ -537,9 +538,82 @@ PARSE_ERRORS = {"SWAP 0 x": "non-integer operand",
                 "SWAP 0 1 # x": "SWAP expects 2 operands"}
 
 #: Lines for random texts: gates, annotations that start runs, blank lines
-#: and the malformed lines.
-PARSE_LINES = ["SWAP 0 1", "CNOT 1 2", "ZCSWAP 2 0 1", "RESET 0 2", "# bcs: m=2 nu=0 nu0=0",
-               "# count: level=1 at=0 round=1", "# phase: x", "", "  ", *PARSE_ERRORS]
+#: and the malformed lines. "# bcs: m=2 nu=0 nu0=0" then "CNOT 0 1" alone
+#: is that compression as compiled, which a parse reads as one block.
+PARSE_LINES = ["SWAP 0 1", "CNOT 1 2", "CNOT 0 1", "ZCSWAP 2 0 1", "RESET 0 2",
+               "# bcs: m=2 nu=0 nu0=0", "# count: level=1 at=0 round=1", "# phase: x", "", "  ",
+               *PARSE_ERRORS]
+
+#: A compression's ``# bcs:`` line as a compile never writes it: ill-formed,
+#: misordered, broken by a carriage return, or well-formed but spaced otherwise.
+ODD_BCS_LINES = ["# bcs: m={m}\rnu={nu} nu0={nu0}", "# bcs:  m={m} nu={nu} nu0={nu0}",
+                 "#bcs: m={m} nu={nu} nu0={nu0}", "# bcs: m={m} nu={nu} nu0={nu0} ",
+                 "# bcs: nu={nu} m={m} nu0={nu0}", "# bcs: m={m} nu={nu} nu0=x",
+                 "# bcs: m={odd} nu={nu} nu0={nu0}", "# bcs: m={m} nu={nu} nu0={far}"]
+
+ALTERATIONS = ["operand", "swap lines", "drop line", "double line", "crlf", "blank line",
+               "trailing space", "other shape", "odd bcs line", "no final newline"]
+
+
+def shapes():
+    """A compression's (m, nu, nu0) as the walk places one: nu - nu0 = d * m/2."""
+    return st.builds(lambda h, d, nu0: (2 * h, nu0 + d * h, nu0),
+                     st.integers(1, 4), st.integers(0, 4), st.integers(0, 3))
+
+
+def compressed(shape):
+    """A compression's chunk as compiled: its ``# bcs:`` line, then its gates."""
+    return Bcs(*shape).text_line + bcs_text(*shape)
+
+
+@st.composite
+def altered_compressions(draw):
+    """A compiled compression's chunk and a copy of it altered once."""
+    shape = draw(shapes())
+    chunk = compressed(shape)
+    lines = chunk.splitlines(keepends=True)
+    alteration = draw(st.sampled_from(ALTERATIONS))
+    gate_line = st.one_of(st.just(len(lines) - 1), st.integers(1, len(lines) - 1))
+    i, j = draw(gate_line), draw(gate_line)  # the last gate line often: a prefix still matches
+    if alteration == "operand":
+        kind, *operands = lines[i].split()
+        operands[draw(st.integers(0, len(operands) - 1))] = str(draw(st.integers(0, 20)))
+        lines[i] = " ".join([kind, *operands]) + "\n"
+    elif alteration == "swap lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif alteration == "drop line":
+        del lines[i]
+    elif alteration == "double line":
+        lines.insert(i + 1, lines[i])
+    elif alteration == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif alteration == "blank line":
+        lines.insert(i + 1, draw(st.sampled_from(["\n", "  \n"])))
+    elif alteration == "trailing space":
+        lines[i] = lines[i][:-1] + " \n"
+    elif alteration == "other shape":
+        other = draw(shapes().filter(lambda s: s != shape))
+        lines = lines[:1] + [bcs_text(*other)]
+    elif alteration == "odd bcs line":
+        m, nu, nu0 = shape
+        odd = draw(st.sampled_from(ODD_BCS_LINES))
+        lines[0] = odd.format(m=m, nu=nu, nu0=nu0, odd=m + 1, far=nu + 1) + "\n"
+    else:  # no final newline
+        lines[-1] = lines[-1][:-1]
+    return chunk, "".join(lines)
+
+
+def line_by_line(text):
+    """The per-line oracle: the items of ``text``'s lines, each parsed
+    alone, or the error of its first bad line, numbered as in ``text``."""
+    items = []
+    for n, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip():
+            try:
+                items.append(schedule_from_text(raw).items[0])
+            except ValueError as exc:
+                return f"line {n}: {str(exc).removeprefix('line 1: ')}"
+    return tuple(items)
 
 
 class TestSerialization:
@@ -674,6 +748,21 @@ class TestSerialization:
             elif chunk == other and not collide:
                 assert block is same  # equal chunks are one block
 
+    @settings(max_examples=300, deadline=None)
+    @given(altered_compressions())
+    @example((compressed((2, 0, 0)), compressed((2, 0, 0)) + "CNOT 0 1\n"))  # a line past it
+    @example((compressed((2, 2, 0)), "# bcs: m=2\rnu=2 nu0=0\n" + bcs_text(2, 2, 0)))
+    def test_altered_compression_parses_line_by_line(self, case):
+        # a compression read as one block of text must give what its lines
+        # give one by one, whatever is changed: the same items or the same error
+        chunk, altered = case
+        text = "# phase: BCS 0->1\n" + chunk + altered  # the first chunk as compiled
+        try:
+            parsed = schedule_from_text(text).items
+        except ValueError as exc:
+            parsed = str(exc)
+        assert parsed == line_by_line(text)
+
     @pytest.mark.parametrize("bad", [
         "SWAP 0 5", "# cut: level=1 at=2 m=0", "# bcs: m=3 nu=0 nu0=0",
         "# count: level=1 at=0 round=0", "# cut: level=0 at=0 m=1",
@@ -697,12 +786,20 @@ class TestSerialization:
             schedule_from_text("SWAP 0 1\nSWAP 0 1\nSWAP 0 x\n")
 
     def test_parse_shares_equal_lines(self, headline_text):
-        with mock.patch.object(circuit, "_parse_line", wraps=circuit._parse_line) as parse:
+        with mock.patch.object(circuit, "_parse_line", wraps=circuit._parse_line) as parse, \
+                mock.patch.object(compression, "compile_bcs",
+                                  wraps=compression.compile_bcs) as compile_bcs:
             items = schedule_from_text(headline_text).items
         distinct_lines = {raw for raw in headline_text.splitlines() if raw.strip()}
         assert len(items) == 818526
         assert len({id(it) for it in items}) == len(distinct_lines) == 1236
-        assert parse.call_count == 1236  # the line table parses each distinct line once
+        # each distinct compression is read as one block of text: its gates
+        # come from one compile_bcs call, and the line table parses each
+        # distinct line outside them (annotations and RESETs) once
+        compressions = {raw for raw in distinct_lines if raw.startswith("# bcs:")}
+        assert compile_bcs.call_count == len(compressions) == 45
+        outside = {raw for raw in distinct_lines if raw.startswith(("#", "RESET"))}
+        assert parse.call_count == len(outside) == 239
         # shared objects still re-serialize line for line
         assert schedule_to_text(Schedule(items)) == headline_text
 

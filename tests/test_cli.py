@@ -11,7 +11,7 @@ import pytest
 
 from algcool import cli
 from algcool.analytic import CoolingPlan, SuccessBound
-from algcool.circuit import Schedule, schedule_from_text, schedule_to_text
+from algcool.circuit import Bcs, Count, Marker, Schedule, schedule_from_text, schedule_to_text
 from algcool.cli import build_parser, main
 from algcool.cooling import compile_cooling
 from support import gates
@@ -134,6 +134,17 @@ class TestCompile:
         assert captured.out == ""
         assert captured.err == "error: first\nerror: second\n"
         assert not out_file.exists()
+
+    def test_a_compression_is_checked_by_its_bcs(self, tmp_path, capsys, monkeypatch):
+        # compile builds no gate: a compression that does not fit is caught
+        # by its Bcs span, which holds every gate of it, before anything is written
+        walk = [(Marker("phase: BCS 0->1"), Bcs(8, 17, 0)), (Count(1, 0, 1),)]  # top 24
+        monkeypatch.setattr(cli, "_walk", lambda plan: iter(walk))
+        out_file = tmp_path / "sched.txt"
+        code = main(["compile", "--m", "8", "--jf", "1", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_file.exists()
+        assert captured.err == "error: # bcs: m=8 nu=17 nu0=0: position out of range for n=24\n"
 
     @pytest.mark.parametrize("shape", [(50, 5, 3), (10, 4, 2), (4, 5, 0)])
     def test_block_texts_compose_and_stdout_is_the_file(self, tmp_path, capsys, shape):

@@ -1,5 +1,6 @@
 """Compression-round tests: compiler output, execution, oracle agreement."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algcool.circuit import Bcs, Cnot, GateError, ZcSwap, apply_bcs, validate_schedule
-from algcool.compression import compile_bcs
+from algcool.circuit import (
+    Bcs, Cnot, GateError, Schedule, ZcSwap, apply_bcs, schedule_to_text, validate_schedule,
+)
+from algcool.compression import bcs_text, compile_bcs
 from support import (
     bits_of, compress, flag_rows, gates, pack, planes, reference_bcs, reference_compile_bcs,
     register, run_gates, set_flag_plane, unpack,
@@ -59,6 +62,24 @@ class TestCompileBcs:
     def test_blocks_are_the_annotation_then_the_gates(self):
         sched = compile_bcs(10, nu=15, nu0=5)
         assert sched.blocks == ((sched.items[0],), sched.items[1:])
+
+
+class TestBcsText:
+    """``bcs_text`` is the closed form ``compile`` writes and a parse reads."""
+
+    @pytest.mark.parametrize("m", range(2, 65, 2))
+    def test_is_the_text_of_the_gates(self, m):
+        for depth, nu0 in product(range(6), (0, 1, 7, 50)):  # every depth of ell <= 6
+            nu = nu0 + depth * m // 2  # L = depth * m/2, as the walk places it
+            gates = compile_bcs(m, nu, nu0).blocks[1]
+            assert bcs_text(m, nu, nu0) == schedule_to_text(Schedule(gates))
+            for gate in set(gates):  # inside the Bcs span, so compile checks the Bcs alone
+                assert nu0 <= min(getattr(gate, f.name) for f in fields(gate))
+                assert gate.top <= Bcs(m, nu, nu0).top == nu + m - 1
+
+    def test_bad_geometry(self):
+        with pytest.raises(GateError, match="push target not in"):
+            bcs_text(4, nu=2, nu0=5)
 
 
 class TestRunBcs:
