@@ -570,8 +570,11 @@ def _compression(chunk: str, table: _LineTable) -> Optional[Block]:
     a ``# bcs:`` line as its ``Bcs`` writes it, then exactly the text of
     that compression's gates (``bcs_text``). The gates are then
     ``compile_bcs``'s, after one string comparison; any other chunk, or a
-    first line the table cannot parse, is None and goes line by line."""
-    from .compression import bcs_text, compile_bcs  # compression builds on this module
+    first line the table cannot parse, is None and goes line by line.
+    ``bcs_text`` is built only for a chunk with as many gate lines as the
+    compression has gates and room for them, so it is at most a few times
+    as long as the chunk, whatever the annotation's numbers."""
+    from .compression import bcs_gates, bcs_text, compile_bcs  # compression builds on this module
 
     head = chunk.find("\n") + 1
     if not chunk.startswith("# bcs:") or not head:
@@ -581,6 +584,10 @@ def _compression(chunk: str, table: _LineTable) -> Optional[Block]:
     except ValueError:  # the line-by-line parse raises it, naming the line
         return None
     if type(bcs) is not Bcs or bcs.text_line != chunk[:head]:
+        return None
+    gates = bcs_gates(bcs.m, bcs.nu, bcs.nu0)
+    # a gate line names at least two positions >= nu0 and takes >= 7 more characters
+    if gates * (2 * len(str(bcs.nu0)) + 7) > len(chunk) - head or chunk.count("\n", head) != gates:
         return None
     if chunk[head:] != bcs_text(bcs.m, bcs.nu, bcs.nu0):
         return None
@@ -597,12 +604,14 @@ def schedule_from_text(text: str) -> Schedule:
     as a compiled one does. A distinct chunk that is one compression as
     ``compile`` writes it, its ``# bcs:`` line and its gates' text, is
     read as one block of text: one comparison with ``bcs_text``, and its
-    gates are ``compile_bcs``'s. Any other chunk's lines are looked up in
-    a table that parses a line on first lookup, so each distinct line is
-    parsed once per call and every occurrence of it is one object. Both
-    give the same items. A malformed line, an ill-formed item included,
-    raises at its first occurrence, naming its line number. One chunk's
-    lines are held at once.
+    gates are ``compile_bcs``'s, shared gate objects. Any other chunk's
+    lines are looked up in a table that parses a line on first lookup, so
+    each distinct line is parsed once per call and every occurrence of it
+    in such chunks is one object. Both give the same items, but a line
+    read both ways is two equal objects. A malformed line, an ill-formed
+    item included, raises at its first occurrence, naming its line
+    number. One chunk's lines are held at once, or one chunk and its
+    compression's text.
     """
     blocks: list[Block] = []
     table = _LineTable()

@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 
 from .circuit import Bcs, Cnot, Schedule, Swap, ZcSwap
 
-__all__ = ["bcs_text", "compile_bcs"]
+__all__ = ["bcs_gates", "bcs_text", "compile_bcs"]
 
 
 def _choreography(m: int, nu: int, nu0: int, cnot, zcswap, swap):
@@ -70,6 +70,14 @@ def compile_bcs(m: int, nu: int, nu0: int) -> Schedule:
         gates += ladder[escort:]
         gates += parking[:parked]
     return Schedule((bcs,), gates)
+
+
+def bcs_gates(m: int, nu: int, nu0: int) -> int:
+    """How many gates ``compile_bcs(m, nu, nu0)`` makes, in closed form:
+    pair k takes 3L + m - 1 + k, so h(3L + m - 1) + h(h - 1)/2 in all,
+    h = m/2 and L = nu - nu0."""
+    half = m // 2
+    return half * (3 * (nu - nu0) + m - 1) + half * (half - 1) // 2
 
 
 def bcs_text(m: int, nu: int, nu0: int) -> str:

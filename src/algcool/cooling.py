@@ -50,7 +50,7 @@ from .circuit import (
     Schedule,
     apply_bcs,
 )
-from .compression import compile_bcs
+from .compression import bcs_gates, compile_bcs
 
 __all__ = [
     "Census",
@@ -181,14 +181,14 @@ def _lanes(plan: CoolingPlan) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]
 def plan_census(plan: CoolingPlan) -> Census:
     """The plan's census from closed forms, with no schedule built: the
     gates, RESETs and marks ``compile_cooling(plan)`` emits. A compression
-    ``Bcs(m, nu, nu0)`` takes h(3L + m - 1) + h(h - 1)/2 gates, h = m/2
-    and L = nu - nu0 = d * h at depth d, and each of the plan's
+    ``Bcs(m, nu, nu0)`` takes ``bcs_gates(m, nu, nu0)`` gates, with
+    L = nu - nu0 = d * m/2 at depth d, and each of the plan's
     ell^j_final RESETs one step and m rows. Each mark goes to its schedule
     index (``_lanes``), and equal marks are one object."""
     m, ell, half = plan.m, plan.ell, plan.m // 2
     offsets, levels = _lanes(plan)
     resets, blocks = len(offsets), sum(len(at) for at, _, _ in levels)
-    per_block = sum(half * (3 * d * half + m - 1) + half * (half - 1) // 2 for d in range(ell))
+    per_block = sum(bcs_gates(m, d * half, 0) for d in range(ell))
     marks: list = [None] * (ell + 1) * blocks
     for j, (at, rounds, cuts) in enumerate(levels, 1):
         made: dict[int, list] = {}

@@ -763,6 +763,20 @@ class TestSerialization:
             parsed = str(exc)
         assert parsed == line_by_line(text)
 
+    @pytest.mark.parametrize("text", [
+        f"# bcs: m=2 nu={10 ** 9} nu0=0\n",  # 3e9 + 1 gates in closed form, no line
+        # as many lines as gates, each too short for positions of 4,001 digits
+        f"# bcs: m=2 nu={10 ** 4000 + 10 ** 5} nu0={10 ** 4000}\n" + "\n" * (3 * 10 ** 5 + 1),
+        "".join(compressed((8, 12, 0)).splitlines(keepends=True)[:-1]),  # but its last gate line
+    ], ids=["far nu", "long positions", "one line short"])
+    def test_compression_text_is_built_only_when_it_fits(self, text):
+        # a chunk whose gate lines cannot be its compression's text never
+        # builds that text, however large the annotation's numbers make it
+        with mock.patch.object(compression, "bcs_text", side_effect=AssertionError) as built:
+            parsed = schedule_from_text(text).items
+        assert not built.called
+        assert parsed == line_by_line(text)
+
     @pytest.mark.parametrize("bad", [
         "SWAP 0 5", "# cut: level=1 at=2 m=0", "# bcs: m=3 nu=0 nu0=0",
         "# count: level=1 at=0 round=0", "# cut: level=0 at=0 m=1",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from algcool.circuit import (
     Bcs, Cnot, GateError, Schedule, ZcSwap, apply_bcs, schedule_to_text, validate_schedule,
 )
-from algcool.compression import bcs_text, compile_bcs
+from algcool.compression import bcs_gates, bcs_text, compile_bcs
 from support import (
     bits_of, compress, flag_rows, gates, pack, planes, reference_bcs, reference_compile_bcs,
     register, run_gates, set_flag_plane, unpack,
@@ -76,6 +76,11 @@ class TestBcsText:
             for gate in set(gates):  # inside the Bcs span, so compile checks the Bcs alone
                 assert nu0 <= min(getattr(gate, f.name) for f in fields(gate))
                 assert gate.top <= Bcs(m, nu, nu0).top == nu + m - 1
+
+    @pytest.mark.parametrize("m", range(2, 33, 2))
+    def test_gate_count_is_closed_form(self, m):
+        for nu, nu0 in [(0, 0), (m // 2, 0), (7 + m, 7), (50 + 3 * m, 50)]:
+            assert bcs_gates(m, nu, nu0) == len(compile_bcs(m, nu, nu0).blocks[1])
 
     def test_bad_geometry(self):
         with pytest.raises(GateError, match="push target not in"):
