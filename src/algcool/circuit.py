@@ -17,23 +17,24 @@ ever compares bits of its own input level, and a failed comparison
 clears the flag, so lucky dirty bits never count as purified.
 Flags never influence bit values.
 
-For throughput the register is batched and holds one row per position:
-a Python int used as a bitset across all W molecules, the bits in its low
-W bits (bit k is molecule k) and their flags in the next W. A gate is a
-handful of native int operations that move a bit and its flag together,
-whatever the batch size; a SWAP exchanges two list entries, which moves
-references, never bits. Rows enter and leave as int bitsets, bit k
-molecule k, and a purified run leaves in unary, as one bitset per length
-(``purified_run_length``). The computation bits, the RRTR row and every
-RESET's fresh rows are read in that order from one thermal source, as
-every spin is a draw from one heat bath; a simulated molecule's bit is one
-Philox word below one integer threshold.
+For throughput the bits are batched, one row per position: a Python int
+used as a bitset across all W molecules, the bits in its low W bits (bit
+k is molecule k) and their flags in the next W. A gate is a handful of
+native int operations that move a bit and its flag together, whatever
+the batch size; a SWAP exchanges two list entries, which moves
+references, never bits. A ``Register`` holds such rows and one thermal
+source, from which its computation bits, its RRTR row and every RESET's
+fresh rows are read in that order, as every spin is a draw from one heat
+bath; a simulated molecule's bit is one Philox word below one integer
+threshold.
 
-A compression round also runs fused, bit-sliced (Biham, FSE 1997):
-``apply_bcs`` leaves every row its ~m^2 gates would leave. It sorts the
-m/2 pairs' candidates with one masked rotation per pair over their rows
-alone, counts the agreed pairs F as bit-sliced binary digits, and moves
-the purified prefix the round pushes past once, by a barrel shift of F.
+A compression round and a purified run take a bare row list and its
+width W. ``apply_bcs`` leaves every row the round's ~m^2 gates would
+leave, fused and bit-sliced (Biham, FSE 1997): it sorts the m/2 pairs'
+candidates with one masked rotation per pair over their rows alone,
+counts the agreed pairs F as bit-sliced binary digits, and moves the
+purified prefix the round pushes past once, by a barrel shift of F.
+``purified_run`` reads a run in unary, one bitset per length.
 
 A ``Schedule`` is held as its blocks, an ordered tuple of item tuples, and
 a block that recurs is one shared tuple: the recursive cooling repeats its
@@ -41,10 +42,10 @@ compression blocks ell^j times. Its validation and its text are worked
 out once per distinct block and combined in block order, and an item
 formats its line once. A parse cuts the text at annotation lines and
 shares each chunk that recurs, so a parsed schedule is blocked as a
-compiled one is. A compression as ``compile`` writes it is read as one
-block of text, one comparison with ``compression.bcs_text``; any other
-chunk goes line by line through a table that parses each distinct line
-on first lookup, and a line seen before is one dict lookup in C.
+compiled one is. A compression as ``compile`` writes it is one chunk
+however long, read as one comparison with ``compression.bcs_text``; any
+other chunk goes line by line, 1 MB at a time, through a table that
+parses each distinct line on first lookup, then one dict lookup in C.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "Register",
     "apply_gate",
     "apply_bcs",
+    "purified_run",
     "validate_schedule",
     "schedule_to_text",
     "schedule_from_text",
@@ -318,7 +320,6 @@ class Register:
     the next n, and each RESET takes the rows after. The register holds
     the source as it is and makes a row's int as it reads it; bits past
     molecule W - 1 are dropped. A source that runs dry raises.
-    ``Register.holding`` makes a register of whole rows and no source.
 
     A gate cannot be built with negative or repeated operands, or off
     neighbouring positions of the ladder (a RESET is column-wise and needs
@@ -333,15 +334,6 @@ class Register:
         self._source, self._drawn = source, 0
         self.rows = [x | self.flagged for x in self.draw_reset_rows(n)]
         self.rrtr = self.draw_reset_rows(n)
-
-    @classmethod
-    def holding(cls, rows: list[int], num_molecules: int) -> "Register":
-        """A register whose positions hold ``rows`` as they are, bits and
-        flags, with a zero RRTR row and an empty thermal source, so that a
-        RESET on it raises."""
-        reg = cls(0, num_molecules, ())
-        reg.n, reg.rows, reg.rrtr = len(rows), rows, [0] * len(rows)
-        return reg
 
     # -- thermal source -------------------------------------------------
 
@@ -364,18 +356,23 @@ class Register:
         return [row & self.full for row in self.rows[start:stop]]
 
     def purified_run_length(self, start: int, max_rows: int) -> list[int]:
-        """The run of flagged positions beginning at ``start``, at most
-        ``max_rows`` long, in unary: entry i is the bitset of molecules
-        whose run is longer than i, so the entries nest and none is empty."""
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        run, ands = self.flagged, []
-        for row in self.rows[start : start + max_rows]:
-            run &= row
-            if not run:  # every molecule's run has ended
-                break
-            ands.append(run >> self.num_molecules)
-        return ands
+        """``purified_run`` of the register's rows."""
+        return purified_run(self.rows, self.num_molecules, start, max_rows)
+
+
+def purified_run(rows: list[int], width: int, start: int, max_rows: int) -> list[int]:
+    """The run of flagged positions of ``rows``, each ``width`` molecules'
+    bits and flags, from ``start``, at most ``max_rows`` long, in unary:
+    entry i holds the molecules whose run is longer than i: nested, none empty."""
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    run, ands = ((1 << width) - 1) << width, []  # every flag set
+    for row in rows[start : start + max_rows]:
+        run &= row
+        if not run:  # every molecule's run has ended
+            break
+        ands.append(run >> width)
+    return ands
 
 
 # -- gate application ---------------------------------------------------
@@ -410,10 +407,10 @@ def apply_gate(reg: Register, gate: Gate) -> None:
         reg.rrtr[start:stop] = fresh
 
 
-def apply_bcs(reg: Register, bcs: Bcs) -> None:
-    """Check that one compression fits the register, then apply it in
-    place, leaving every row ``compile_bcs(bcs.m, bcs.nu, bcs.nu0)``'s
-    gates would leave.
+def apply_bcs(rows: list[int], width: int, bcs: Bcs) -> None:
+    """Check that one compression fits ``rows``, each a row of W = ``width``
+    molecules' bits and flags, then apply it in place, leaving every row
+    ``compile_bcs(bcs.m, bcs.nu, bcs.nu0)``'s gates would leave.
 
     Pair k, of h = m/2, reads the rows at nu + 2k and nu + 2k + 1, which
     earlier pairs' gates move k places left but never change. Its
@@ -433,18 +430,18 @@ def apply_bcs(reg: Register, bcs: Bcs) -> None:
     is counted as bit-sliced binary digits (Biham, FSE 1997), and the
     prefix moves once, by a barrel shift over them.
     """
-    if bcs.top >= reg.n:  # its shape was checked when it was built
-        raise GateError(bcs.check(reg.n))
-    rows, full, w = reg.rows, reg.full, reg.num_molecules
+    if bcs.top >= len(rows):  # its shape was checked when it was built
+        raise GateError(bcs.check(len(rows)))
+    full = (1 << width) - 1
     nu, nu0, m, h = bcs.nu, bcs.nu0, bcs.m, bcs.m // 2
     left, right = rows[nu : nu + m : 2], rows[nu + 1 : nu + m : 2]
     supervisors = [(a ^ b) & full for a, b in zip(left, right)]
     candidates, digits = [], [0] * h.bit_length()  # sorted; F <= h as binary digits
     for a, b, supervisor in zip(left, right, supervisors):
         agree = full ^ supervisor
-        third = agree << 2 * w
-        candidates.append(a & (full | b & agree << w) | third)
-        fires = agree | agree << w | third
+        third = agree << 2 * width
+        candidates.append(a & (full | b & agree << width) | third)
+        fires = agree | agree << width | third
         candidates = [cur ^ ((cur ^ prev) & fires)  # agreed: to slot 0, the rest up one
                       for cur, prev in zip(candidates, candidates[-1:] + candidates[:-1])]
         for j, digit in enumerate(digits):  # F += 1 where the pair agreed
@@ -455,14 +452,14 @@ def apply_bcs(reg: Register, bcs: Bcs) -> None:
     region = rows[nu0:nu] + [0] * h  # [nu0, nu + h): the prefix, then the candidates
     for j, digit in enumerate(digits if pushed else ()):  # the prefix moves up by F
         if digit:
-            shift, mask = 1 << j, digit | digit << w
+            shift, mask = 1 << j, digit | digit << width
             region = [cur ^ ((cur ^ prev) & mask) for cur, prev in
                       zip(region, [0] * shift + region)]
     for s, row in enumerate(candidates):
-        agreed = row >> 2 * w
-        kept = row & (agreed | agreed << w)
+        agreed = row >> 2 * width
+        kept = row & (agreed | agreed << width)
         region[s] |= kept
-        region[pushed + s] |= row ^ kept ^ agreed << 2 * w
+        region[pushed + s] |= row ^ kept ^ agreed << 2 * width
     rows[nu0 : nu + h] = region
     rows[nu + h : nu + m] = supervisors[::-1]
 
@@ -541,19 +538,29 @@ _CHUNK_CHARS = 1 << 20  # a parse holds the line strings of at most about this m
 
 def _chunks(text: str, size: int = _CHUNK_CHARS) -> Iterator[tuple[int, int]]:
     """``(start, stop)`` spans that cut ``text`` into chunks of whole lines.
-    A chunk ends just before the next line that starts with ``#``, or once
-    it holds at least ``size`` characters. Either way it ends just after a
-    newline, which always ends a line (after any carriage return before
-    it), so the chunks' lines are the lines of ``text.splitlines()``."""
+    A chunk ends just before the next line that starts with ``#``, or,
+    unless it starts with ``# bcs:``, once it holds at least ``size``
+    characters. Either way it ends just after a newline, which always ends
+    a line (after any carriage return before it), so the chunks' lines are
+    the lines of ``text.splitlines()``."""
     start = 0
     while start < len(text):
-        limit = text.find("\n", start + size - 1) + 1 or len(text)
+        whole = text.startswith("# bcs:", start)  # a compression is compared whole
+        limit = len(text) if whole else text.find("\n", start + size - 1) + 1 or len(text)
         stop = text.find("#", start + 1, limit)
         while stop > 0 and text[stop - 1] != "\n":  # one-character search: skip mid-line #
             stop = text.find("#", stop + 1, limit)
         stop = stop if stop > 0 else limit
         yield start, stop
         start = stop
+
+
+def _pieces(text: str, start: int, stop: int) -> Iterator[list[str]]:
+    """The lines of ``text[start:stop]``, a list per piece of about 1 MB of text."""
+    while start < stop:
+        cut = text.find("\n", start + _CHUNK_CHARS - 1, stop) + 1 or stop
+        yield text[start:cut].splitlines()
+        start = cut
 
 
 class _LineTable(dict):
@@ -597,44 +604,37 @@ def _compression(chunk: str, table: _LineTable) -> Optional[Block]:
 def schedule_from_text(text: str) -> Schedule:
     """Parse the text format back; bit-exact round trip with to_text.
 
-    The text is cut into chunks, each an annotation line and the gate
-    lines after it (at most about 1 MB), and each chunk becomes one block.
-    A chunk whose text recurs is parsed once, and every occurrence of it
-    is the same block, so a parsed schedule shares its compression blocks
-    as a compiled one does. A distinct chunk that is one compression as
-    ``compile`` writes it, its ``# bcs:`` line and its gates' text, is
-    read as one block of text: one comparison with ``bcs_text``, and its
-    gates are ``compile_bcs``'s, shared gate objects. Any other chunk's
-    lines are looked up in a table that parses a line on first lookup, so
-    each distinct line is parsed once per call and every occurrence of it
-    in such chunks is one object. Both give the same items, but a line
-    read both ways is two equal objects. A malformed line, an ill-formed
-    item included, raises at its first occurrence, naming its line
-    number. One chunk's lines are held at once, or one chunk and its
-    compression's text.
+    Each chunk (``_chunks``) becomes one block, and a chunk whose text
+    recurs is parsed once and is the same block at every occurrence, so a
+    parsed schedule shares its compression blocks as a compiled one does.
+    A chunk that is one compression as ``compile`` writes it, however
+    long, is one comparison with ``bcs_text`` and gives ``compile_bcs``'s
+    shared gates. Any other chunk goes line by line, about 1 MB at a time,
+    through a table that parses each distinct line once per call. Both
+    give the same items, but a line read both ways is two equal objects.
+    A malformed line, an ill-formed item included, raises at its first
+    occurrence, naming its line number. A parse holds one chunk and its
+    compression's text, or about 1 MB of lines.
     """
     blocks: list[Block] = []
     table = _LineTable()
-    seen: dict[tuple[int, int], tuple[int, Block, int]] = {}  # -> first start, block, line count
-    lineno = 0
+    seen: dict[tuple[int, int], tuple[int, Block]] = {}  # -> where its text is, block
     for start, stop in _chunks(text):
         chunk = text[start:stop]
         key = hash(chunk), len(chunk)  # a hit is confirmed against the text
         hit = seen.get(key)
         if hit is None or not text.startswith(chunk, hit[0]):
             block = _compression(chunk, table)
-            if block is not None:
-                hit = start, block, len(block)  # a line an item
-            else:
-                lines = chunk.splitlines()
-                del chunk  # hold one chunk's text or its lines, never two chunks' lines
+            del chunk  # hold one chunk's text or one piece's lines, never both
+            if block is None:
+                lines = chain.from_iterable(_pieces(text, start, stop))
                 try:
-                    hit = start, tuple(filter(None, map(table.__getitem__, lines))), len(lines)
+                    block = tuple(filter(None, map(table.__getitem__, lines)))
                 except ValueError as exc:  # raised at the first line the table lacks
-                    bad = next(raw for raw in lines if raw not in table)
-                    raise ValueError(f"line {lineno + lines.index(bad) + 1}: {exc}") from exc
-                del lines
-            seen.setdefault(key, hit)
+                    above = sum(map(len, _pieces(text, 0, start)))
+                    lines = enumerate(chain.from_iterable(_pieces(text, start, stop)), above + 1)
+                    lineno = next(n for n, raw in lines if raw not in table)
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+            seen[key] = hit = start, block
         blocks.append(hit[1])
-        lineno += hit[2]
     return Schedule(*blocks)

@@ -14,9 +14,9 @@ The compiler walks the recursion block by block (``_walk``) and writes
 each compression out as its gates: ``compile_cooling`` as gate objects,
 ``compile`` as their text. The run does not follow that order: it runs
 level by level, every block of a level at once, each block a lane of one
-wide register, and applies each compression fused (``apply_bcs``). Any
-order that runs a block's children before the block gives every block
-the same result, because
+list of wide int rows, and applies each compression fused (``apply_bcs``).
+Any order that runs a block's children before the block gives every
+block the same result, because
 
 - every position is reset before it is read, so a RESET's rows are fixed
   stream rows: the RRTR row's last refill at that position, or its
@@ -45,10 +45,10 @@ from .circuit import (
     Count,
     Cut,
     Marker,
-    Register,
     Reset,
     Schedule,
     apply_bcs,
+    purified_run,
 )
 from .compression import bcs_gates, compile_bcs
 
@@ -82,10 +82,10 @@ class CoolingRun:
     ``(rounds, cuts, runs)`` entry a level: the schedule indices of its
     blocks' ``Count`` marks (blocks, ell) and ``Cut`` marks (blocks,),
     each an index into ``plan_census(plan).marks``, and ``runs[d]``, the
-    purified run after depth d in unary, as ``Register.purified_run_length``
-    gives it, read on a register of lanes: lane b, bits [b * s, b * s +
-    ``num_molecules``) for s = 8 * ``lane_bytes``, is block b's. A cut is
-    its block's last round, ``runs[-1]``, since no gate comes between."""
+    purified run after depth d in unary, as ``purified_run`` gives it,
+    read on rows of lanes: lane b, bits [b * s, b * s + ``num_molecules``)
+    for s = 8 * ``lane_bytes``, is block b's. A cut is its block's last
+    round, ``runs[-1]``, since no gate comes between."""
 
     log: list[tuple[np.ndarray, np.ndarray, list[list[int]]]]
     success: int  # molecules whose every truncation had length >= m
@@ -230,13 +230,13 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
     run never reads the computation rows, since each position is reset
     before it is read. Level 0 is one gather from ``draws[n:]``: the rows
     each RESET swaps in (``_reset_table``), all flagged. For j =
-    1..j_final one register holds every level-j block at once, lane b the
-    b-th in walk order, each lane the batch rounded up to whole bytes,
-    whose padding is never flagged. At depth d it loads child d's m output
-    rows, lanes b * ell + d of the level below, at d * m/2, compresses
-    them to 0 (``apply_bcs``) and keeps the purified run there; the level
-    is logged once, its cut the run after depth ell - 1. Lanes regroup
-    between levels as numpy byte views.
+    1..j_final one list of int rows holds every level-j block at once, lane
+    b the b-th in walk order, each lane the batch rounded up to whole
+    bytes, whose padding is never flagged. At depth d it loads child d's m
+    output rows, lanes b * ell + d of the level below, at d * m/2,
+    compresses them to 0 (``apply_bcs``) and keeps the purified run there
+    (``purified_run``); the level is logged once, its cut the run after
+    depth ell - 1. Lanes regroup between levels as numpy byte views.
 
     Execution always runs to completion; molecules whose truncations fall
     short are flagged unsuccessful, not aborted. A position counts toward
@@ -260,13 +260,13 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
     success, log = full, []
     for _, rounds, cuts in levels:
         lanes = len(cuts)
-        level = Register.holding([0] * size, 8 * width * lanes)
+        rows, w = [0] * size, 8 * width * lanes  # w: every lane's bits, padding included
         children, runs = out.reshape(m, 2, lanes, ell, width), []
         for d in range(ell):
-            level.rows[d * half : d * half + m] = [
+            rows[d * half : d * half + m] = [
                 int.from_bytes(row.tobytes(), "little") for row in children[:, :, :, d]]
-            apply_bcs(level, Bcs(m, d * half, 0))
-            runs.append(level.purified_run_length(0, window))
+            apply_bcs(rows, w, Bcs(m, d * half, 0))
+            runs.append(purified_run(rows, w, 0, window))
         log.append((rounds, cuts, runs))
         cut = runs[-1]  # no gate between the last round and the cut
         kept = cut[m - 1] if len(cut) >= m else 0  # entry m - 1: runs of length >= m
@@ -274,7 +274,7 @@ def run_cooling(draws: np.ndarray, num_molecules: int, plan: CoolingPlan) -> Coo
         success &= int.from_bytes(  # molecules whose cut held in every lane
             np.bitwise_and.reduce(held.reshape(lanes, width)).tobytes(), "little")
         out = np.frombuffer(b"".join(row.to_bytes(2 * width * lanes, "little")
-                                     for row in level.rows[:m]),
+                                     for row in rows[:m]),
                             dtype=np.uint8).reshape(m, 2, lanes, width)
     return CoolingRun(
         log=log,

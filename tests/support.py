@@ -47,15 +47,15 @@ def unpack(ints, n_mol):
 
 
 def run_lengths(at_least, n_mol):
-    """A purified run in unary, as ``Register.purified_run_length`` gives it,
-    as per-molecule lengths: int64 (molecules,)."""
+    """A purified run in unary, as ``circuit.purified_run`` gives it, as
+    per-molecule lengths: int64 (molecules,)."""
     return unpack(at_least, n_mol).sum(axis=0, dtype=np.int64)
 
 
 def _per_mark(run):
     """A ``CoolingRun``'s log as ``{index: (kind, at_least)}``, one item a
     mark: each lane's run cut out of its level's entry, as
-    ``Register.purified_run_length`` would give it on that lane alone (it
+    ``circuit.purified_run`` would give it on that lane alone (it
     stops before its first empty entry), ``Count`` for a round and ``Cut``
     for a level's cut, which is its block's last round."""
     stride, full = 8 * run.lane_bytes, (1 << run.num_molecules) - 1
@@ -172,7 +172,7 @@ def serial_cooling(reg, plan):
     for *_, item in _walk(plan):
         kind = type(item)
         if kind is Bcs:
-            apply_bcs(reg, item)
+            apply_bcs(reg.rows, reg.num_molecules, item)
         elif kind is Reset:
             apply_gate(reg, item)
         elif kind is not Marker:  # a Count or a Cut

@@ -27,12 +27,14 @@ from algcool.circuit import (
     ZcSwap,
     apply_bcs,
     apply_gate,
+    purified_run,
     schedule_from_text,
     schedule_to_text,
+    _CHUNK_CHARS,
     _chunks,
     validate_schedule,
 )
-from algcool.compression import bcs_text
+from algcool.compression import bcs_gates, bcs_text
 from algcool.cooling import compile_cooling, plan_census, run_cooling
 from support import (
     bits_of, flag_rows, gates, observed, pack, packed, plain_census, planes, register, run_gates,
@@ -657,7 +659,8 @@ class TestSerialization:
                 schedule_from_text("SWAP 0 1\n" + typed + "\n")
 
     @settings(max_examples=300)
-    @given(st.text(alphabet="ab#\n\r ", max_size=40), st.sampled_from([1, 2, 3, 5]))
+    @given(st.lists(st.sampled_from(["a", "b", "#", "\n", "\r", " ", "# bcs:"]), max_size=40)
+           .map("".join), st.sampled_from([1, 2, 3, 5]))
     def test_chunks_split_like_splitlines(self, text, size):
         spans = list(_chunks(text, size))
         assert [line for a, b in spans for line in text[a:b].splitlines()] == text.splitlines()
@@ -667,7 +670,10 @@ class TestSerialization:
             chunk = text[a:b]
             assert b == len(text) or chunk.endswith("\n")
             assert "\n#" not in chunk[:-1]  # a line starting with # starts a chunk
-            assert chunk.find("\n", size - 1) in (-1, len(chunk) - 1)  # at most a line past size
+            if chunk.startswith("# bcs:"):  # a compression is never cut
+                assert b == len(text) or text[b] == "#"
+            else:
+                assert chunk.find("\n", size - 1) in (-1, len(chunk) - 1)  # <= a line past size
 
     def test_parse_peak_is_bounded_by_the_text(self, headline_text):
         # a whole split peaks at 5.6x the text; above what it returns, the
@@ -776,6 +782,47 @@ class TestSerialization:
             parsed = schedule_from_text(text).items
         assert not built.called
         assert parsed == line_by_line(text)
+
+    def test_compression_past_the_chunk_cap_is_read_whole(self):
+        # the text of (0.1, 200, 5, 1) holds compressions of up to 2.1 MB,
+        # past the 1 MB a line-by-line chunk holds: each is still one block
+        plan = CoolingPlan(0.1, 200, 5, 1)
+        compiled = compile_cooling(plan)
+        text = schedule_to_text(compiled)
+        bcs = [block[-1] for block in compiled.blocks if type(block[-1]) is Bcs]
+        longest = max(len(bcs_text(b.m, b.nu, b.nu0)) for b in bcs)
+        assert (len(text), len(bcs), longest) == (5_913_131, 5, 2_077_550)
+        assert longest > _CHUNK_CHARS
+        with mock.patch.object(compression, "compile_bcs", wraps=compression.compile_bcs) as made:
+            parsed = schedule_from_text(text)
+        assert made.call_count == 5  # every compression read as one block of text
+        assert parsed == compiled
+        heads = [block for block in parsed.blocks if type(block[0]) is Bcs]
+        assert [len(block) for block in heads] == [1 + bcs_gates(b.m, b.nu, b.nu0) for b in bcs]
+
+    @pytest.mark.parametrize("old,new", [
+        ("SWAP 299 300\n", "SWAP 300 299\n"),  # another gate: other items
+        ("CNOT 399 400\n", "CNOT 399 x\n"),  # a malformed line: its error
+    ])
+    def test_altered_compression_past_the_cap_parses_line_by_line(self, old, new):
+        # as test_altered_compression_parses_line_by_line, for a compression
+        # of 1.6 MB whose altered line lies past the first 1 MB of its lines;
+        # read 1 MB at a time, its lines peak 5.2 MB above the result
+        # (Python 3.11), and all of them at once 8.2 MB
+        chunk = compressed((200, 300, 0))
+        at = chunk.index(old, _CHUNK_CHARS)
+        altered = chunk[:at] + new + chunk[at + len(old):]
+        text = "# phase: BCS 0->1\n" + compressed((8, 12, 0)) + altered
+        tracemalloc.start()
+        try:
+            parsed = schedule_from_text(text).items
+        except ValueError as exc:
+            parsed = str(exc)
+        finally:
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert parsed == line_by_line(text)
+        assert peak - kept < 7e6
 
     @pytest.mark.parametrize("bad", [
         "SWAP 0 5", "# cut: level=1 at=2 m=0", "# bcs: m=3 nu=0 nu0=0",
@@ -1000,7 +1047,10 @@ class TestPlaneBounds:
         bcs = st.integers(1, n // 2).flatmap(lambda h: st.integers(0, n - 2 * h).flatmap(
             lambda nu: st.builds(Bcs, st.just(2 * h), st.just(nu), st.integers(0, nu))))
         for item in data.draw(st.lists(st.one_of(reversible_gate(n), reset, bcs), max_size=12)):
-            (apply_bcs if isinstance(item, Bcs) else apply_gate)(reg, item)
+            if isinstance(item, Bcs):
+                apply_bcs(reg.rows, reg.num_molecules, item)
+            else:
+                apply_gate(reg, item)
             assert self.in_bounds(reg), item
 
     @pytest.mark.parametrize("n_mol", [1, 7, 8, 9, 63, 64, 65, 70])
@@ -1055,6 +1105,25 @@ class TestPurifiedRunLength:
         assert all(type(x) is int and 0 < x <= reg.full for x in got)  # none empty
         assert all(b & ~a == 0 for a, b in zip(got, got[1:]))  # nested: b within a
         assert run_lengths(got, self.N_MOL).tolist() == self.plain(flags, start, max_rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 20), st.integers(1, 4), st.integers(1, 12), st.integers(0, 12),
+           st.integers(0, 14), st.sampled_from([0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+    def test_rows_of_padded_lanes(self, n_mol, lanes, n, start, max_rows, p_flag, seed):
+        # as the run lays out a level: lane b holds bits [b * s, b * s +
+        # n_mol) of every row, s = n_mol rounded up to whole bytes, and its
+        # padding bits carry random bits but never a flag
+        rng = np.random.default_rng(seed)
+        stride = 8 * -(-n_mol // 8)
+        width = stride * lanes
+        bits = rng.random((n, width)) < 0.5
+        flags = rng.random((n, width)) < p_flag
+        flags.reshape(n, lanes, stride)[:, :, n_mol:] = False
+        rows = [b | f << width for b, f in zip(pack(bits), pack(flags))]
+        got = purified_run(rows, width, start, max_rows)
+        assert all(0 < x <= (1 << width) - 1 for x in got)  # bits only, none empty
+        assert all(b & ~a == 0 for a, b in zip(got, got[1:]))  # nested: b within a
+        assert run_lengths(got, width).tolist() == self.plain(flags, start, max_rows)
 
     @pytest.mark.parametrize("start,max_rows", [(-1, 4), (-3, 2)])
     def test_negative_start_is_rejected(self, start, max_rows):

@@ -116,8 +116,18 @@ class TestRunBcs:
     def test_fused_geometry_mismatch_raises_before_any_change(self):
         reg = register_for([[0, 1, 1]])
         with pytest.raises(GateError, match="out of range for n=3"):
-            apply_bcs(reg, Bcs(4, 0, 0))
+            apply_bcs(reg.rows, reg.num_molecules, Bcs(4, 0, 0))
         assert planes(reg)[:2] == ([0, 1, 1], [1, 1, 1])
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_fused_on_too_few_rows_raises_before_any_change(self, n):
+        # a bare row list is fitted by its length, as a register by its n
+        bcs, rows = Bcs(4, 1, 0), list(range(n))  # the span [0, 5) needs five rows
+        with pytest.raises(GateError) as exc:
+            apply_bcs(rows, 3, bcs)
+        assert str(exc.value) == bcs.check(n)
+        assert bcs.check(n) == f"# bcs: m=4 nu=1 nu0=0: position out of range for n={n}"
+        assert rows == list(range(n))
 
     @given(st.integers(1, 16), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2),
            st.integers(1, 70), st.sampled_from([0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1),
@@ -141,7 +151,7 @@ class TestRunBcs:
         for reg in (fused, gated):
             set_flag_plane(reg, flags)
         before = planes(fused)
-        apply_bcs(fused, Bcs(m, nu, nu0))
+        apply_bcs(fused.rows, fused.num_molecules, Bcs(m, nu, nu0))
         run_gates(gated, compile_bcs(m, nu, nu0))
         assert planes(fused) == planes(gated)
         if pairs != "random":  # the prefix [nu0, nu) moves up by the number of agreed pairs

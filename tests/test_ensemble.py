@@ -432,8 +432,8 @@ class TestFold:
 
     @staticmethod
     def unary(lengths):
-        """Per-molecule lengths as ``Register.purified_run_length`` gives a
-        run: entry i holds the molecules of length > i, and none is empty."""
+        """Per-molecule lengths as ``circuit.purified_run`` gives a run:
+        entry i holds the molecules of length > i, and none is empty."""
         return pack(lengths > np.arange(lengths.max(initial=0))[:, None])
 
     @given(st.sampled_from([1, 7, 64, 65, 300]), st.sampled_from([2, 4, 6]),
